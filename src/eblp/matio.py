@@ -1,14 +1,16 @@
 """Text formats used by the command-line tools.
 
-Matrices are whitespace-delimited rows (samples), ``#`` starts a comment
-line, and missing entries are a configurable token (default ``NA``).
-Numbers are written with 17 significant digits so values round-trip.
-Fitted models are stored as JSON.
+Matrices are whitespace-delimited rows (samples), a line whose first
+non-blank character is ``#`` is a comment, and missing entries are a
+configurable token (default ``NA``).  Every other cell must be a finite
+number.  Numbers are written with 17 significant digits so values
+round-trip.  Fitted models are stored as JSON with finite numbers only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,59 +33,100 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _data_lines(path) -> list[list[str]]:
+def _data_lines(path) -> list[bytes]:
+    """The file's lines without blank lines and whole-line ``#`` comments."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
-    return rows
+    return [
+        line
+        for line in data.splitlines()
+        if line.strip() and not line.lstrip().startswith(b"#")
+    ]
 
 
 def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
     """Read a delimited matrix; returns (values, observed) where missing
-    entries are 0 in ``values`` and 0 in the observed indicator."""
-    rows = _data_lines(path)
-    if not rows:
+    entries are 0 in ``values`` and 0 in the observed indicator.
+
+    A cell is the NA token or a finite number in any spelling ``float()``
+    accepts; anything else raises ParseError naming its row and field.
+    """
+    lines = _data_lines(path)
+    if not lines:
         return np.zeros((0, 0)), np.zeros((0, 0))
-    width = len(rows[0])
-    values = np.zeros((len(rows), width))
-    observed = np.ones((len(rows), width))
-    for i, tokens in enumerate(rows):
+    na = na_token.encode()
+    try:
+        tokens = _token_array(lines)
+        missing = tokens == na
+        tokens[missing] = b"0"
+        values = tokens.astype(float)
+    except ValueError as exc:
+        _raise_first_bad_cell(path, lines, na)
+        raise ParseError(f"{path}: {exc}") from exc
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ParseError(_bad_cell(path, i, j, tokens[i, j], "not a finite number"))
+    return values, (~missing).astype(float)
+
+
+def _token_array(lines: list[bytes]) -> np.ndarray:
+    """Every whitespace-separated token as fixed-width bytes, one row per line."""
+    if any(b"\0" in line for line in lines):
+        # Fixed-width bytes drop trailing NULs, which would hide the bad cell.
+        raise ValueError("NUL byte in matrix text")
+    width = 32  # %.17g tokens take at most 24 bytes
+    while True:
+        tokens = np.loadtxt(lines, dtype=f"S{width}", comments=None, ndmin=2)
+        # A token that fills its slot may have been cut short: read wider.
+        if not tokens.view(np.uint8)[:, width - 1 :: width].any():
+            return tokens
+        width *= 2
+
+
+def _raise_first_bad_cell(path, lines: list[bytes], na: bytes) -> None:
+    """Raise ParseError at the first ragged row or bad cell, if any, in
+    reading order.  Only input that failed the vectorized parse gets here."""
+    width = len(lines[0].split())
+    for i, line in enumerate(lines):
+        tokens = line.split()
         if len(tokens) != width:
             raise ParseError(
                 f"{path}: row {i + 1} has {len(tokens)} fields, expected {width}"
             )
         for j, tok in enumerate(tokens):
-            if tok == na_token:
-                observed[i, j] = 0.0
+            if tok == na:
                 continue
             try:
-                values[i, j] = float(tok)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: row {i + 1}, field {j + 1}: not a number: {tok!r}"
-                ) from exc
-    return values, observed
+                value = float(tok)
+            except ValueError:
+                raise ParseError(_bad_cell(path, i, j, tok, "not a number")) from None
+            if not math.isfinite(value):
+                raise ParseError(_bad_cell(path, i, j, tok, "not a finite number"))
+
+
+def _bad_cell(path, i: int, j: int, token: bytes, problem: str) -> str:
+    shown = token.decode(errors="backslashreplace")
+    return f"{path}: row {i + 1}, field {j + 1}: {problem}: {shown!r}"
 
 
 def write_matrix(path, matrix, observed=None, na_token: str = "NA") -> None:
     matrix = np.asarray(matrix, dtype=float)
-    lines = []
-    for i in range(matrix.shape[0]):
-        fields = []
-        for j in range(matrix.shape[1]):
-            if observed is not None and not observed[i, j]:
-                fields.append(na_token)
+    row_format = " ".join([_FMT] * matrix.shape[1])
+    if observed is not None:
+        observed = np.asarray(observed, dtype=bool)
+    with open(path, "w") as handle:
+        for i, row in enumerate(matrix):
+            values = row.tolist()
+            if observed is None or observed[i].all():
+                line = row_format % tuple(values)
             else:
-                fields.append(_FMT % matrix[i, j])
-        lines.append(" ".join(fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+                line = " ".join(
+                    _FMT % x if seen else na_token for x, seen in zip(values, observed[i])
+                )
+            handle.write(line + "\n")
 
 
 def read_mask(path) -> np.ndarray:
@@ -123,7 +166,7 @@ def write_model(path, model: EblpModel) -> None:
             for e in model.estimates
         ],
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
 def read_model(path) -> EblpModel:
@@ -149,6 +192,15 @@ def read_model(path) -> EblpModel:
             mean=np.asarray(payload["mean"], dtype=float),
             n=int(payload["n"]),
         )
+        for name in ("m_hat_diag", "w_diag", "mean", "u_hat"):
+            if not np.all(np.isfinite(getattr(model, name))):
+                raise ParseError(f"{path}: non-finite value in {name}")
+        for k, entry in enumerate(payload["estimates"]):
+            for name, value in entry.items():
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: non-finite value in estimates[{k}].{name}"
+                    )
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -157,6 +209,11 @@ def read_model(path) -> EblpModel:
         raise ParseError(f"{path}: inconsistent model dimensions")
     if len(model.estimates) != model.u_hat.shape[1]:
         raise ParseError(f"{path}: estimates do not match component count")
+    if model.rank != model.u_hat.shape[1]:
+        raise ParseError(
+            f"{path}: rank {model.rank} does not match the "
+            f"{model.u_hat.shape[1]} components in u_hat"
+        )
     return model
 
 
@@ -193,7 +250,7 @@ def write_results(path, rows: list[dict]) -> None:
 
 
 def read_results(path) -> list[dict]:
-    rows = _data_lines(path)
+    rows = [line.decode().split() for line in _data_lines(path)]
     if not rows or tuple(rows[0]) != RESULT_COLUMNS:
         raise ParseError(f"{path}: missing or unexpected results header")
     out = []

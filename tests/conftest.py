@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import integrate
+
+# Property tests draw the same examples on every run and never fail on
+# timing: shared machines stall for seconds at a time.
+settings.register_profile(
+    "eblp", derandomize=True, deadline=None, max_examples=50, database=None
+)
+settings.load_profile("eblp")
 
 
 def mp_stieltjes_quadrature(x: float, gamma: float) -> float:

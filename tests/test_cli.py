@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eblp import ParseError, fit_in_sample, dataset_from_arrays, rmse
 from eblp import matio
@@ -30,6 +33,32 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+def per_cell_text(matrix, observed=None, na_token="NA"):
+    """Reference writer: one ``%.17g`` per cell, the format's definition."""
+    lines = []
+    for i in range(matrix.shape[0]):
+        fields = []
+        for j in range(matrix.shape[1]):
+            if observed is not None and not observed[i, j]:
+                fields.append(na_token)
+            else:
+                fields.append("%.17g" % matrix[i, j])
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def masked_matrices(draw, elements, min_side=1):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=6))
+    matrix = draw(hnp.arrays(np.float64, shape, elements=elements))
+    observed = draw(hnp.arrays(np.bool_, shape))
+    return matrix, observed
+
+
+EXTREMES = np.array([[-0.0, 5e-324, -2.2250738585072009e-308,
+                      1.7976931348623157e308, -1.7976931348623157e308]])
+
+
 class TestMatrixIO:
     def test_roundtrip_precision(self, tmp_path, rng):
         path = tmp_path / "m.txt"
@@ -48,15 +77,76 @@ class TestMatrixIO:
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("1 2 3\n4 5\n")
-        with pytest.raises(ParseError):
+        path.write_text("1 2 3\n# comment\n4 5\n")
+        with pytest.raises(ParseError, match="row 2 has 2 fields, expected 3"):
             matio.read_matrix(path)
 
     def test_bad_token_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2\n3 oops\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="row 2, field 2: not a number: 'oops'"):
             matio.read_matrix(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("1 2 # note\n3 4\n", "row 1, field 3: not a number: '#'"),
+        ("1 2\n3 4#\n", "row 2, field 2: not a number: '4#'"),
+        ("1 2\n3 1e400\n", "row 2, field 2: not a finite number: '1e400'"),
+        ("1 nan\n3 x\n", "row 1, field 2: not a finite number: 'nan'"),
+        ("1 2\n3 4\x00\n", "row 2, field 2: not a number: '4\\x00'"),
+    ])
+    def test_bad_cell_named(self, tmp_path, text, where):
+        # '#' starts a comment only at the start of a line; the first bad
+        # cell in reading order is named.
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            matio.read_matrix(path)
+        assert str(info.value) == f"{path}: {where}"
+
+    @pytest.mark.parametrize("text", [
+        "1.5 NA\r\nNA 2.5\r\n",
+        "  # indented comment\n1.5 NA\n\t#tabbed\n\nNA 2.5",
+        "\t1.5   NA \n NA\t2.5\n   \n",
+        "15e-1 NA\n NA +2_5e-1\n",
+    ])
+    def test_line_layouts(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        values, observed = matio.read_matrix(path)
+        assert np.array_equal(values, [[1.5, 0.0], [0.0, 2.5]])
+        assert np.array_equal(observed, [[1, 0], [0, 1]])
+
+    def test_long_tokens_kept_whole(self, tmp_path):
+        # Longer than the first fixed-width slot, including the NA token.
+        long_value = "0." + "0" * 60 + "15"
+        na = "MISSING_" + "x" * 70
+        path = tmp_path / "m.txt"
+        path.write_text(f"{long_value} 2\n{na} 1{'0' * 40}\n")
+        values, observed = matio.read_matrix(path, na_token=na)
+        assert np.array_equal(values, [[float(long_value), 2.0], [0.0, 1e40]])
+        assert np.array_equal(observed, [[1, 1], [0, 1]])
+
+    @given(masked_matrices(st.floats(allow_nan=False, allow_infinity=False)),
+           st.sampled_from(["NA", "?", "-"]))
+    @example((EXTREMES, np.ones(EXTREMES.shape, bool)), "NA")
+    def test_roundtrip_finite_doubles(self, tmp_path_factory, case, na_token):
+        matrix, observed = case
+        path = tmp_path_factory.mktemp("roundtrip") / "m.txt"
+        matio.write_matrix(path, matrix, observed=observed, na_token=na_token)
+        back, back_observed = matio.read_matrix(path, na_token=na_token)
+        assert np.array_equal(back_observed, observed)
+        expected = np.where(observed, matrix, 0.0)
+        assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+    @given(masked_matrices(st.floats(), min_side=0), st.sampled_from(["NA", "?", "-"]),
+           st.booleans())
+    @example((EXTREMES, np.ones(EXTREMES.shape, bool)), "NA", True)
+    def test_write_matches_per_cell_format(self, tmp_path_factory, case, na_token, masked):
+        matrix, observed = case
+        observed = observed if masked else None
+        path = tmp_path_factory.mktemp("format") / "m.txt"
+        matio.write_matrix(path, matrix, observed=observed, na_token=na_token)
+        assert path.read_text() == per_cell_text(matrix, observed, na_token)
 
     def test_mask_validation(self, tmp_path):
         path = tmp_path / "mask.txt"
@@ -71,13 +161,18 @@ class TestMatrixIO:
         assert values.shape == (0, 0)
 
 
+def fitted_model(rng):
+    n, p = 80, 50
+    x = 4 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+    masks = (rng.random((n, p)) < 0.8).astype(float)
+    y = masks * (x + rng.standard_normal((n, p)))
+    model, _ = fit_in_sample(dataset_from_arrays(y, masks), 1)
+    return model
+
+
 class TestModelIO:
     def test_roundtrip(self, tmp_path, rng):
-        n, p = 80, 50
-        x = 4 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
-        masks = (rng.random((n, p)) < 0.8).astype(float)
-        y = masks * (x + rng.standard_normal((n, p)))
-        model, _ = fit_in_sample(dataset_from_arrays(y, masks), 1)
+        model = fitted_model(rng)
         path = tmp_path / "model.json"
         matio.write_model(path, model)
         back = matio.read_model(path)
@@ -85,12 +180,36 @@ class TestModelIO:
         assert np.array_equal(back.m_hat_diag, model.m_hat_diag)
         assert back.whitened == model.whitened
         assert back.estimates == model.estimates
+        model.mean[0] = np.nan
+        with pytest.raises(ValueError, match="JSON compliant"):
+            matio.write_model(tmp_path / "nan.json", model)
 
-    def test_corrupted_file(self, tmp_path):
+    def test_corrupted_file(self, tmp_path, rng):
         path = tmp_path / "model.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
             matio.read_model(path)
+        matio.write_model(path, fitted_model(rng))
+        good = json.loads(path.read_text())
+        nan, inf = float("nan"), float("inf")
+        edits = [  # (keys down to the edited value, new value, message)
+            (("m_hat_diag", 3), nan, "m_hat_diag"),
+            (("w_diag", 0), inf, "w_diag"),
+            (("mean", 0), -inf, "mean"),
+            (("u_hat", 0, 7), nan, "u_hat"),
+            (("estimates", 0, "ell_hat"), nan, r"estimates\[0\]\.ell_hat"),
+            (("estimates", 0, "lambda_star"), inf, r"estimates\[0\]\.lambda_star"),
+            (("rank",), 7, "rank 7 does not match the 1 components"),
+        ]
+        for keys, value, message in edits:
+            payload = json.loads(json.dumps(good))
+            target = payload
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ParseError, match=message):
+                matio.read_model(path)
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "model.json"
@@ -118,6 +237,23 @@ class TestDenoiseCommand:
         inp = tmp_path / "bad.txt"
         inp.write_text("1 2\n3 garbage\n")
         assert main(["denoise", str(inp), str(tmp_path / "o.txt"), "--rank", "1"]) == 2
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys, token):
+        rng = np.random.default_rng(2)
+        inp = tmp_path / "y.txt"
+        matio.write_matrix(inp, rng.standard_normal((20, 5)))
+        lines = inp.read_text().splitlines()
+        fields = lines[3].split()
+        fields[2] = token
+        lines[3] = " ".join(fields)
+        inp.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "o.txt")
+        assert main(["denoise", str(inp), out, "--rank", "1"]) == 2
+        assert f"row 4, field 3: not a finite number: {token!r}" in capsys.readouterr().err
+        if token == "nan":
+            # The NA token is matched before the cell is parsed.
+            assert main(["denoise", str(inp), out, "--rank", "1", "--na-token", "nan"]) == 0
 
     def test_all_missing_column_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -66,7 +66,6 @@ from .baselines import (
     nnrls,
     nnrls_weight_colored,
     nnrls_weight_white,
-    unwhitened_shrinkage,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
-"""Comparison methods: nuclear-norm regularized least squares and the
-unwhitened-shrinkage baseline.
+"""Nuclear-norm regularized least squares (NNRLS), the matrix-completion
+baseline.
 
 NNRLS minimizes 0.5 * ||X_Omega - Y_Omega||^2 + w * ||X||_* (or, weighted,
 w * ||X C||_*) with an accelerated proximal gradient method whose prox step
-is singular-value soft-thresholding.
+is singular-value soft-thresholding.  The unwhitened-shrinkage baseline is
+``fit_in_sample(..., whiten=False, mode="plugin")``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError
-from .pipeline import TransformedObservation, fit_in_sample
+from .spectral import gram_eigh
 
 __all__ = [
     "NnrlsConfig",
@@ -23,7 +24,6 @@ __all__ = [
     "nnrls_weight_white",
     "nnrls_weight_colored",
     "soft_threshold_singular_values",
-    "unwhitened_shrinkage",
 ]
 
 
@@ -41,17 +41,17 @@ class NnrlsConfig:
     column_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("regularization weight must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.w) and self.w >= 0):
+            raise ValueError("regularization weight must be finite and nonnegative")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.column_weights is not None:
             cw = np.asarray(self.column_weights, dtype=float)
             object.__setattr__(self, "column_weights", cw)
-            if cw.ndim != 1 or np.any(cw <= 0):
-                raise ValueError("column_weights must be positive")
+            if cw.ndim != 1 or not np.all(np.isfinite(cw) & (cw > 0)):
+                raise ValueError("column_weights must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,32 @@ def soft_threshold_singular_values(
     matrix: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, float]:
     """Prox of the nuclear norm: shrink every singular value by
-    ``threshold`` (floored at zero).  Returns (matrix, nuclear norm)."""
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vt, float(s.sum())
+    ``threshold`` (floored at zero).  Returns (matrix, nuclear norm).
+
+    Only the singular pairs above the threshold survive, so the short-side
+    Gram eigendecomposition suffices: ``B V diag((s - t) / s) V'`` over the
+    kept right vectors, or ``U diag((s - t) / s) U' B`` over the kept left
+    vectors when p > n.  The factor lies in [0, 1); nothing is divided by a
+    small number.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    if threshold == 0:
+        # The identity, exactly: the Gram matrix resolves the vectors of
+        # (numerically) zero singular values only to sqrt(eps).
+        s2, _, _ = gram_eigh(matrix, vectors=False)
+        return matrix.copy(), float(np.sqrt(s2).sum())
+    s2, vecs, side = gram_eigh(matrix)
+    kept = int(np.count_nonzero(s2 > threshold * threshold))
+    s = np.sqrt(s2[:kept])
+    vecs = vecs[:, :kept]
+    factor = (s - threshold) / s
+    if side == "right":
+        shrunk = ((matrix @ vecs) * factor) @ vecs.T
+    else:
+        shrunk = (vecs * factor) @ (vecs.T @ matrix)
+    return shrunk, float(np.sum(s - threshold))
 
 
 def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsResult:
@@ -161,7 +183,8 @@ def nnrls_weight_colored(
     column_weights: np.ndarray | None = None,
 ) -> float:
     """Monte Carlo weight calibration: mean operator norm of a masked
-    pure-noise draw (post-multiplied by C^-1 for the weighted variant)."""
+    pure-noise draw (post-multiplied by C^-1 for the weighted variant).
+    The operator norm is the square root of the top Gram eigenvalue."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -171,14 +194,6 @@ def nnrls_weight_colored(
         masked = mask_sampler(rng) * noise_sampler(rng)
         if c_inv is not None:
             masked = masked * c_inv[None, :]
-        norms.append(np.linalg.norm(masked, ord=2))
+        s2, _, _ = gram_eigh(masked, vectors=False)
+        norms.append(np.sqrt(s2[0]))
     return float(np.mean(norms))
-
-
-def unwhitened_shrinkage(
-    dataset: list[TransformedObservation], r: int, **kwargs
-) -> np.ndarray:
-    """Plug-in shrinkage of the normalized backprojected data without
-    whitening; coincides with the whitened fit under uniform sampling."""
-    _, x_hat = fit_in_sample(dataset, r, whiten=False, mode="plugin", **kwargs)
-    return x_hat

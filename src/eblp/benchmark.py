@@ -173,6 +173,12 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
             raise ParseError(f"{path}: [{section}]: {exc}") from exc
         if not experiment.sigma_grid:
             raise ParseError(f"{path}: [{section}]: empty sigma_grid")
+        if experiment.nnrls_max_iters < 1:
+            raise ParseError(f"{path}: [{section}]: nnrls_max_iters must be at least 1")
+        if not (np.isfinite(experiment.nnrls_tol) and experiment.nnrls_tol > 0):
+            raise ParseError(f"{path}: [{section}]: nnrls_tol must be finite and positive")
+        if experiment.weight_replicates < 1:
+            raise ParseError(f"{path}: [{section}]: weight_replicates must be at least 1")
         experiments.append(experiment)
     return experiments
 

@@ -18,6 +18,7 @@ from .errors import RankError, ShapeError, SpectrumDomainError
 __all__ = [
     "EigenSpectrum",
     "SpectralEstimates",
+    "gram_eigh",
     "empirical_stieltjes",
     "empirical_stieltjes_derivative",
     "companion_stieltjes",
@@ -29,6 +30,31 @@ __all__ = [
     "mp_white_stieltjes",
     "guard_epsilon",
 ]
+
+
+def gram_eigh(
+    matrix: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, str]:
+    """Squared singular values of an n x p matrix from its short-side Gram
+    matrix (``B' B`` if n >= p, else ``B B'``).
+
+    Returns the min(n, p) squared singular values, descending and floored
+    at 0; the matching singular vectors as columns (None when ``vectors``
+    is false); and their side: ``"right"`` (p x min) or ``"left"``
+    (n x min).  Forming the Gram matrix squares the condition number:
+    values below about eps * max(values) carry no relative accuracy, and
+    neither do their vectors.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ShapeError("expected a 2-d data matrix")
+    n, p = matrix.shape
+    side = "right" if n >= p else "left"
+    gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
+    if not vectors:
+        return np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0), None, side
+    values, vecs = np.linalg.eigh(gram)
+    return np.maximum(values[::-1], 0.0), vecs[:, ::-1], side
 
 
 @dataclass(frozen=True)
@@ -65,11 +91,9 @@ class EigenSpectrum:
     def from_matrix(cls, matrix: np.ndarray) -> "EigenSpectrum":
         """Spectrum of ``matrix' matrix / n`` for an n x p data matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ShapeError("expected a 2-d data matrix")
+        s2, _, _ = gram_eigh(matrix, vectors=False)
         n, p = matrix.shape
-        s = np.linalg.svd(matrix, compute_uv=False)
-        return cls(values=(s * s) / n, n=n, p=p)
+        return cls(values=s2 / n, n=n, p=p)
 
     def residual(self, r: int) -> tuple[np.ndarray, int]:
         """Stored residual eigenvalues after dropping the top ``r``, plus

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from eblp import (
     EigenSpectrum,
@@ -298,6 +299,7 @@ def test_08_nnrls_null_behavior():
     assert ok
 
 
+@pytest.mark.slow
 def test_09_figure_reproduction_benchmark(tmp_path):
     # Desk-scale reproduction: at the top of the sigma grid the whitened
     # predictor beats NNRLS and unwhitened shrinkage under uneven sampling

@@ -1,18 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import optimize
 
 from eblp import (
+    ExperimentConfig,
     NnrlsConfig,
+    NoiseSpec,
+    SamplingSpec,
     dataset_from_arrays,
     fit_in_sample,
+    generate_masks,
+    generate_noise,
     nnrls,
     nnrls_weight_colored,
     nnrls_weight_white,
     shrink_matrix,
-    unwhitened_shrinkage,
+    simulate_dataset,
 )
+from eblp import baselines
 from eblp.baselines import soft_threshold_singular_values
+
+
+def svd_prox(matrix, threshold):
+    """Reference prox: full SVD, every singular value shrunk by the threshold."""
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    s = np.maximum(s - threshold, 0.0)
+    return (u * s) @ vt, float(s.sum())
+
+
+@st.composite
+def prox_inputs(draw):
+    """A matrix of any shape up to 12 x 12 (square ones often), any rank
+    down to zero, any scale, and a threshold as a fraction of its top
+    singular value: 0, or within [0.01, 1.5]."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.one_of(st.just(n), st.integers(1, 12)))
+    rank = draw(st.integers(0, min(n, p)))
+    scale = draw(st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = scale * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p)))
+    fraction = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.5)))
+    return matrix, fraction
 
 
 class TestNnrls:
@@ -109,12 +139,40 @@ class TestNnrls:
             nnrls(np.ones((3, 2)), np.ones((2, 3)), NnrlsConfig(w=1.0))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NnrlsConfig(w=-1.0)
-        with pytest.raises(ValueError):
-            NnrlsConfig(w=1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            NnrlsConfig(w=1.0, column_weights=np.array([1.0, 0.0]))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NnrlsConfig(w=bad)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NnrlsConfig(w=1.0, tol=bad)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NnrlsConfig(w=1.0, column_weights=np.array([1.0, bad]))
+
+    def test_same_iterates_as_full_svd_prox(self, monkeypatch):
+        # Weighted NNRLS on a draw of the uneven-sampling law: the Gram
+        # prox and the full-SVD prox take the same path to rounding.
+        cfg = ExperimentConfig(
+            p=60, gamma=0.8, ell=(10.0, 6.0, 3.0),
+            sampling=SamplingSpec("linear", 0.1),
+            noise=NoiseSpec("white", 2.0), seed=7, random_mean=True,
+        )
+        rng = np.random.default_rng(7)
+        data = simulate_dataset(cfg, rng)
+        column_weights = np.sqrt(cfg.sampling.column_probabilities(cfg.p))
+        w = nnrls_weight_colored(
+            lambda g: generate_noise(cfg, cfg.n, g),
+            lambda g: generate_masks(cfg, cfg.n, g),
+            replicates=5, rng=rng, column_weights=column_weights,
+        )
+        config = NnrlsConfig(w=w, column_weights=column_weights)
+        gram = nnrls(data.y, data.masks, config)
+        monkeypatch.setattr(baselines, "soft_threshold_singular_values", svd_prox)
+        ref = nnrls(data.y, data.masks, config)
+        assert gram.iterations == ref.iterations > 10
+        assert gram.converged == ref.converged
+        assert np.allclose(gram.objective_history, ref.objective_history, rtol=1e-12, atol=0)
+        assert np.linalg.norm(gram.x_hat - ref.x_hat) <= 1e-10 * np.linalg.norm(ref.x_hat)
 
 
 class TestWeights:
@@ -178,7 +236,7 @@ class TestUnwhitenedShrinkage:
         d = np.full((n, p), 0.7)
         y = np.sqrt(0.7) * x + rng.standard_normal((n, p))
         ds = dataset_from_arrays(y, d)
-        x_unwhite = unwhitened_shrinkage(ds, 1)
+        _, x_unwhite = fit_in_sample(ds, 1, whiten=False, mode="plugin")
         _, x_white = fit_in_sample(ds, 1, whiten=True, mode="plugin")
         assert np.linalg.norm(x_unwhite - x_white) <= 1e-6 * np.linalg.norm(x_white)
 
@@ -188,10 +246,50 @@ class TestUnwhitenedShrinkage:
             rng.standard_normal(n), rng.standard_normal(p)
         ) / np.sqrt(p)
         ds = dataset_from_arrays(y, np.ones((n, p)))
-        x_hat = unwhitened_shrinkage(ds, 1, center=False)
+        _, x_hat = fit_in_sample(ds, 1, whiten=False, mode="plugin", center=False)
         x_classical, _ = shrink_matrix(y, 1, mode="plugin")
         assert np.allclose(x_hat, x_classical, atol=1e-10)
 
     def test_zero_input(self):
         ds = dataset_from_arrays(np.zeros((10, 6)), np.ones((10, 6)))
-        assert np.all(unwhitened_shrinkage(ds, 2) == 0)
+        _, x_hat = fit_in_sample(ds, 2, whiten=False, mode="plugin")
+        assert np.all(x_hat == 0)
+
+
+class TestSoftThreshold:
+    @given(prox_inputs())
+    @example((np.zeros((4, 4)), 0.5))
+    @example((np.zeros((3, 5)), 0.0))
+    def test_matches_full_svd(self, case):
+        matrix, fraction = case
+        norm = np.linalg.norm(matrix, ord=2)
+        threshold = fraction * norm
+        shrunk, nuclear = soft_threshold_singular_values(matrix, threshold)
+        ref, ref_nuclear = svd_prox(matrix, threshold)
+        assert shrunk.shape == matrix.shape
+        assert np.max(np.abs(shrunk - ref), initial=0.0) <= 1e-10 * norm
+        if threshold == 0:
+            # The identity, exactly; the nuclear norm carries the Gram
+            # error of numerically zero singular values, sqrt(eps) each.
+            assert np.array_equal(shrunk, matrix)
+            assert abs(nuclear - ref_nuclear) <= 1e-7 * min(matrix.shape) * norm
+        else:
+            assert abs(nuclear - ref_nuclear) <= 1e-10 * norm
+        if fraction > 1.01:
+            assert not shrunk.any() and nuclear == 0.0
+
+    @pytest.mark.parametrize("shape", [(375, 300), (300, 375), (300, 300)])
+    def test_desk_shapes_across_the_spectrum(self, rng, shape):
+        # Square: gamma = 1, so the smallest singular values are near 0.
+        matrix = rng.standard_normal(shape)
+        s = np.linalg.svd(matrix, compute_uv=False)
+        norm = s[0]
+        for threshold in (0.0, s[-1], s[-2] / 2, np.median(s), s[1], 1.1 * s[0]):
+            shrunk, nuclear = soft_threshold_singular_values(matrix, threshold)
+            ref, ref_nuclear = svd_prox(matrix, threshold)
+            assert np.max(np.abs(shrunk - ref)) <= 1e-12 * norm
+            assert abs(nuclear - ref_nuclear) <= 1e-12 * norm * min(shape)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            soft_threshold_singular_values(np.ones((2, 2)), -1.0)

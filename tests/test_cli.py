@@ -405,6 +405,18 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert "bogus_key" in err and "other" in err
 
+    @pytest.mark.parametrize("setting", [
+        "nnrls_tol = nan", "nnrls_tol = inf", "nnrls_tol = 0", "nnrls_tol = -1e-7",
+        "nnrls_max_iters = 0", "weight_replicates = 0",
+    ])
+    def test_bad_nnrls_setting_exit_2(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + setting + "\n")
+        assert main(["benchmark", str(cfg), str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "[tiny]" in err and setting.split()[0] in err
+        assert not (tmp_path / "r.txt").exists()
+
     def test_jobs_parallel_matches_serial(self, tmp_path, tiny_config):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert main(["benchmark", tiny_config, str(a), "--no-timings"]) == 0

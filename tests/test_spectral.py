@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eblp import (
     EigenSpectrum,
@@ -16,6 +18,7 @@ from eblp import (
     mp_white_stieltjes,
     spectral_estimates,
 )
+from eblp.spectral import gram_eigh
 from conftest import mp_stieltjes_quadrature
 
 
@@ -45,6 +48,35 @@ class TestEigenSpectrum:
         direct = np.sort(np.linalg.eigvalsh(m.T @ m / 8))[::-1]
         assert np.allclose(s.values, direct)
         assert s.gamma == pytest.approx(5 / 8)
+
+
+class TestGramEigh:
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    def test_matches_squared_singular_values(self, n, p, rank, seed, square):
+        # Square inputs (gamma = 1) put the smallest values near 0, and a
+        # rank below min(n, p) makes some of them zero.
+        p = n if square else p
+        rank = min(rank, n, p)
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        s = np.linalg.svd(matrix, compute_uv=False)
+        values, vectors, side = gram_eigh(matrix)
+        top = max(s[0] ** 2, np.finfo(float).tiny)
+        assert np.max(np.abs(values - s * s)) <= 1e-13 * top
+        assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
+        assert side == ("right" if n >= p else "left")
+        assert vectors.shape == (p if side == "right" else n, min(n, p))
+        assert np.allclose(vectors.T @ vectors, np.eye(min(n, p)), atol=1e-12)
+        only_values, none, same_side = gram_eigh(matrix, vectors=False)
+        assert none is None and same_side == side
+        assert np.max(np.abs(only_values - values)) <= 1e-13 * top
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            gram_eigh(np.ones(3))
 
 
 class TestEmpiricalStieltjes:

@@ -95,8 +95,10 @@ def estimate_m(
     Raises DegenerateCoordinateError naming every coordinate whose mean
     weight falls below ``floor``.
     """
-    _, d = _stack(dataset)
-    m_hat = d.mean(axis=0)
+    return _check_floor(_stack(dataset)[1].mean(axis=0), floor)
+
+
+def _check_floor(m_hat: np.ndarray, floor: float) -> np.ndarray:
     bad = np.flatnonzero(m_hat < floor)
     if bad.size:
         raise DegenerateCoordinateError(bad.tolist(), floor)
@@ -139,9 +141,13 @@ def estimated_amse(model: EblpModel) -> float:
 def available_case_mean(dataset: list[TransformedObservation]) -> np.ndarray:
     """Column means from observed entries: sum(backprojected) / sum(d)."""
     y, d = _stack(dataset)
-    b = np.sqrt(d) * y
+    return _observed_mean(np.sqrt(d) * y, d)
+
+
+def _observed_mean(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Available-case column means of backprojected data ``b``."""
     weight = d.sum(axis=0)
-    out = np.zeros(y.shape[1])
+    out = np.zeros(b.shape[1])
     seen = weight > 0
     out[seen] = b.sum(axis=0)[seen] / weight[seen]
     return out
@@ -182,15 +188,13 @@ def fit_in_sample(
         m_hat = np.asarray(m_diag, dtype=float)
         if m_hat.shape != (p,):
             raise ShapeError("m_diag must have length p")
-        if np.any(m_hat < m_floor):
-            raise DegenerateCoordinateError(
-                np.flatnonzero(m_hat < m_floor).tolist(), m_floor
-            )
     else:
-        m_hat = estimate_m(dataset, floor=m_floor)
+        m_hat = d.mean(axis=0)
+    _check_floor(m_hat, m_floor)
 
-    mean = available_case_mean(dataset) if center else np.zeros(p)
-    b = np.sqrt(d) * y - d * mean[None, :]
+    b = np.sqrt(d) * y
+    mean = _observed_mean(b, d) if center else np.zeros(p)
+    b -= d * mean[None, :]
 
     if whiten:
         if noise_var_diag is not None:

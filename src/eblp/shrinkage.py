@@ -8,7 +8,7 @@ only needs the top singular triplets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg
@@ -16,6 +16,7 @@ import scipy.sparse.linalg
 from .errors import RankError, ShapeError
 from .spectral import (
     EigenSpectrum,
+    gram_eigh,
     guard_epsilon,
     mp_bulk_edge,
     spectral_estimates,
@@ -145,7 +146,7 @@ def _top_r_svd(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.n
         v0 = np.full(min(n, p), 1.0 / np.sqrt(min(n, p)))
         try:
             u, s, vt = scipy.sparse.linalg.svds(matrix, k=r, v0=v0)
-        except Exception:
+        except scipy.sparse.linalg.ArpackError:
             pass
         else:
             order = np.argsort(s)[::-1]
@@ -181,15 +182,53 @@ def shrink_triplets(
             raise RankError(
                 f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
             )
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-        spectrum = EigenSpectrum(values=s * s, n=n, p=p)
-        estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
-        u, vt = u[:, :r], vt[:r]
-    else:
-        u, s, vt = _top_r_svd(scaled, r)
-        gamma = p / n
-        estimates = [_white_estimate(sk * sk, gamma, noise_var) for sk in s]
+        return _plugin_triplets(scaled, r)
+    u, s, vt = _top_r_svd(scaled, r)
+    gamma = p / n
+    estimates = [_white_estimate(sk * sk, gamma, noise_var) for sk in s]
     return u, vt.T, estimates
+
+
+def _plugin_triplets(
+    scaled: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, list[SpikeEstimate]]:
+    """Plug-in calibration on one short-side Gram eigendecomposition.
+
+    The plug-in estimator is scale-equivariant, so it runs on ``scaled``
+    times a power of two that brings its largest entry into [0.5, 1):
+    the Gram matrix then neither overflows nor underflows, the scaling is
+    exact, and the estimates are mapped back with the same exponent.
+    ``scaled`` is overwritten.
+    """
+    n, p = scaled.shape
+    shift = int(np.frexp(max(scaled.max(), -scaled.min()))[1])
+    normed = np.ldexp(scaled, -shift, out=scaled)
+    s2, vecs, side = gram_eigh(normed)
+    spectrum = EigenSpectrum(values=s2, n=n, p=p)
+    estimates = [_ldexp_estimate(estimate_spike(spectrum, r, k), shift) for k in range(r)]
+
+    # Short-side vectors are copied column-contiguous, because prediction
+    # reads u_hat one column at a time; the other side is B v / s (or
+    # B' u / s), zero where s = 0.
+    s = np.sqrt(s2[:r])
+    short = np.asfortranarray(vecs[:, :r])
+    if side == "right":
+        other = normed @ short
+    else:
+        other = (short.T @ normed).T
+    other = np.divide(other, s, out=np.zeros_like(other), where=s > 0)
+    return (other, short, estimates) if side == "right" else (short, other, estimates)
+
+
+def _ldexp_estimate(est: SpikeEstimate, shift: int) -> SpikeEstimate:
+    """Estimate for the matrix times 2**shift; ell_hat may overflow to inf."""
+    with np.errstate(over="ignore"):
+        return replace(
+            est,
+            ell_hat=float(np.ldexp(est.ell_hat, 2 * shift)),
+            lambda_star=float(np.ldexp(est.lambda_star, shift)),
+            sigma_obs=float(np.ldexp(est.sigma_obs, shift)),
+        )
 
 
 def shrink_matrix(

@@ -270,6 +270,26 @@ class TestDenoiseCommand:
         assert code == 3
         assert "2" in capsys.readouterr().err   # offending coordinate listed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_extreme_magnitudes_exit_0(self, tmp_path, scale):
+        # Rank-1 input: the plug-in fit is scale-equivariant, so scaling
+        # the input scales the output, far beyond where a Gram matrix of
+        # the raw input would overflow.
+        rng = np.random.default_rng(4)
+        n, p = 200, 150
+        y = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+        y += rng.standard_normal((n, p))
+        outputs = []
+        for factor in (1.0, scale):
+            inp, out = tmp_path / f"y{factor:g}.txt", tmp_path / f"x{factor:g}.txt"
+            matio.write_matrix(inp, factor * y)
+            assert main(["denoise", str(inp), str(out), "--rank", "1"]) == 0
+            outputs.append(matio.read_matrix(out)[0])
+        base, scaled = outputs
+        assert np.isfinite(scaled).all()
+        assert np.max(np.abs(scaled / scale - base)) <= 1e-12 * np.max(np.abs(base))
+
     def test_rank_too_large_exit_4(self, tmp_path, rng):
         inp = tmp_path / "y.txt"
         matio.write_matrix(inp, rng.standard_normal((10, 6)))

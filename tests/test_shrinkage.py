@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eblp import (
     EigenSpectrum,
@@ -14,7 +17,37 @@ from eblp import (
     white_spike_forward,
     white_spike_inverse,
 )
+from eblp.shrinkage import shrink_triplets
 from conftest import spiked_white_data
+
+
+def svd_plugin(matrix, r):
+    """Reference plug-in calibration on a full SVD.
+
+    Same power-of-two normalization as the library (largest entry of
+    ``matrix / sqrt(n)`` brought into [0.5, 1)), so the guard band acts in
+    the same units; returns the top-r left and right vectors, the
+    estimates in normalized units and the exponent.
+    """
+    n, p = matrix.shape
+    scaled = matrix / np.sqrt(n)
+    shift = int(np.frexp(np.max(np.abs(scaled)))[1])
+    u, s, vt = np.linalg.svd(np.ldexp(scaled, -shift), full_matrices=False)
+    spectrum = EigenSpectrum(values=s * s, n=n, p=p)
+    return u[:, :r], vt[:r].T, [estimate_spike(spectrum, r, k) for k in range(r)], shift
+
+
+@st.composite
+def plugin_inputs(draw, scales=(1e-100, 1e-3, 1.0, 1e3, 1e100)):
+    """A matrix of any shape from 2 x 2 to 12 x 12 (square ones often), any
+    rank down to zero, one of ``scales``, and a plug-in rank r < min(n, p)."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.one_of(st.just(n), st.integers(2, 12)))
+    rank = draw(st.integers(0, min(n, p)))
+    scale = draw(st.sampled_from(scales))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = scale * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p)))
+    return matrix, draw(st.integers(1, min(n, p) - 1))
 
 
 class TestWhiteForward:
@@ -238,6 +271,109 @@ class TestShrinkMatrix:
             realized.append(np.linalg.norm(x_hat - x_true) ** 2 / n)
             estimated.append(amse(ests))
         assert np.mean(estimated) == pytest.approx(np.mean(realized), rel=0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPluginGram:
+    """Plug-in mode runs on a Gram eigendecomposition; it must give what a
+    full SVD gives, in the layout callers rely on, at any scale."""
+
+    @given(plugin_inputs())
+    @example((np.zeros((5, 5)), 2))
+    @example((np.zeros((3, 7)), 1))
+    @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 3))
+    def test_matches_full_svd(self, case):
+        matrix, r = case
+        n, p = matrix.shape
+        left, right, ests = shrink_triplets(matrix, r)
+        ref_left, ref_right, ref, shift = svd_plugin(matrix, r)
+        assert left.shape == (n, r) and right.shape == (p, r)
+        assert np.isfinite(left).all() and np.isfinite(right).all()
+        assert right.flags.f_contiguous
+        for est, want in zip(ests, ref):
+            assert est.supercritical == want.supercritical
+            assert est.ell_hat == pytest.approx(np.ldexp(want.ell_hat, 2 * shift), rel=1e-8)
+            assert est.c2_hat == pytest.approx(want.c2_hat, rel=1e-8, abs=1e-12)
+            assert est.ct2_hat == pytest.approx(want.ct2_hat, rel=1e-8, abs=1e-12)
+            assert est.lambda_star == pytest.approx(np.ldexp(want.lambda_star, shift), rel=1e-8)
+            assert est.sigma_obs == pytest.approx(
+                np.ldexp(want.sigma_obs, shift), rel=1e-8, abs=1e-7 * np.ldexp(1.0, shift)
+            )
+        sup = [e.supercritical for e in ests]
+        for vecs in (left[:, sup], right[:, sup]):
+            assert np.allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-8)
+
+        denoised, _ = shrink_matrix(matrix, r)
+        lam = np.ldexp([e.lambda_star for e in ref], shift)
+        expected = np.sqrt(n) * (ref_left * lam) @ ref_right.T
+        norm = np.linalg.norm(matrix, ord=2)
+        assert np.isfinite(denoised).all()
+        assert np.max(np.abs(denoised - expected)) <= 1e-10 * norm
+        if not matrix.any():
+            assert not denoised.any() and not any(sup)
+
+    @pytest.mark.parametrize("shape", [(375, 300), (300, 375), (300, 300)])
+    def test_desk_shapes(self, rng, shape):
+        y, _, _ = spiked_white_data(rng, shape[0], shape[1], np.array([10.0, 5.0, 2.0, 0.5]))
+        left, right, ests = shrink_triplets(y, 4)
+        ref_left, ref_right, ref, shift = svd_plugin(y, 4)
+        assert right.flags.f_contiguous
+        for est, want in zip(ests, ref):
+            assert est.supercritical == want.supercritical
+            assert est.lambda_star == pytest.approx(np.ldexp(want.lambda_star, shift), rel=1e-12)
+            assert est.ell_hat == pytest.approx(np.ldexp(want.ell_hat, 2 * shift), rel=1e-12)
+        lam = np.array([e.lambda_star for e in ests])
+        diff = (left * lam) @ right.T - (ref_left * lam) @ ref_right.T
+        assert np.max(np.abs(diff)) <= 1e-12 * np.linalg.norm(y, ord=2)
+
+    @given(plugin_inputs(scales=(1.0,)), st.integers(-450, 450))
+    def test_power_of_two_scale_equivariance(self, case, k):
+        matrix, r = case
+        scale = np.ldexp(1.0, k)
+        base, base_ests = shrink_matrix(matrix, r)
+        scaled, ests = shrink_matrix(matrix * scale, r)
+        assert np.array_equal(scaled, base * scale)
+        for est, want in zip(ests, base_ests):
+            assert est.supercritical == want.supercritical
+            assert est.c2_hat == want.c2_hat and est.ct2_hat == want.ct2_hat
+            assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
+            assert est.lambda_star == np.ldexp(want.lambda_star, k)
+            assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+    def test_extreme_magnitudes(self, rng, scale):
+        y, _, _ = spiked_white_data(rng, 60, 40, np.array([20.0]))
+        base, base_ests = shrink_matrix(y, 1)
+        out, ests = shrink_matrix(y * scale, 1)
+        assert ests[0].supercritical and base_ests[0].supercritical
+        assert np.isfinite(out).all()
+        assert np.max(np.abs(out / scale - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+class TestWhiteFallback:
+    def _matrix(self, rng):
+        y, _, _ = spiked_white_data(rng, 40, 30, np.array([20.0, 10.0]))
+        return y
+
+    def test_arpack_error_falls_back_to_full_svd(self, rng, monkeypatch):
+        y = self._matrix(rng)
+        _, want = shrink_matrix(y, 2, mode="white")
+
+        def failing_svds(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        _, got = shrink_matrix(y, 2, mode="white")
+        for est, ref in zip(got, want):
+            assert est.lambda_star == pytest.approx(ref.lambda_star, rel=1e-10)
+
+    def test_other_errors_propagate(self, rng, monkeypatch):
+        def failing_svds(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        with pytest.raises(MemoryError):
+            shrink_matrix(self._matrix(rng), 2, mode="white")
 
 
 class TestSuggestRank:

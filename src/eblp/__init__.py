@@ -56,7 +56,6 @@ from .simulate import (
     generate_masks,
     generate_noise,
     generate_signals,
-    replicate_seeds,
     rmse,
     simulate_dataset,
 )

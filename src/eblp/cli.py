@@ -97,11 +97,8 @@ def cmd_oos(args) -> int:
         raise ShapeError(
             f"input has {values.shape[1]} columns, model expects {model.p}"
         )
-    predictions = np.stack(
-        [
-            predict_out_of_sample(model, TransformedObservation(y=y, d=d))
-            for y, d in zip(values, observed)
-        ]
+    predictions = predict_out_of_sample(
+        model, TransformedObservation(y=values, d=observed)
     )
     matio.write_matrix(args.output, predictions)
     return EXIT_OK

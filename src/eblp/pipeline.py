@@ -44,7 +44,9 @@ class TransformedObservation:
 
     ``y[j]`` is the sample-space value recorded at coordinate j (0 where
     ``d[j] == 0``); ``d[j] >= 0`` is the squared transform weight there.
-    Coordinate-selection masks use d in {0, 1}.
+    Coordinate-selection masks use d in {0, 1}.  ``y`` and ``d`` may also
+    be (k, p) arrays holding k samples as rows, a batch for
+    :func:`backproject` and :func:`predict_out_of_sample`.
     """
 
     y: np.ndarray
@@ -55,8 +57,8 @@ class TransformedObservation:
         d = np.asarray(self.d, dtype=float)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
-        if y.ndim != 1 or d.ndim != 1 or y.size != d.size:
-            raise ShapeError("y and d must be 1-d vectors of equal length")
+        if y.ndim not in (1, 2) or y.shape != d.shape:
+            raise ShapeError("y and d must be 1-d vectors or (k, p) arrays of equal shape")
         if np.any(d < 0):
             raise ShapeError("transform weights d must be nonnegative")
 
@@ -80,6 +82,8 @@ def _stack(dataset: list[TransformedObservation]) -> tuple[np.ndarray, np.ndarra
         raise ShapeError("dataset must contain at least one observation")
     p = dataset[0].y.size
     for obs in dataset:
+        if obs.y.ndim != 1:
+            raise ShapeError("a dataset holds single observations, not batches")
         if obs.y.size != p:
             raise ShapeError("observations have inconsistent dimension")
     y = np.stack([obs.y for obs in dataset])
@@ -232,35 +236,37 @@ def fit_in_sample(
 
 
 def predict_out_of_sample(model: EblpModel, obs: TransformedObservation) -> np.ndarray:
-    """Predict a fresh observation from the fitted principal components.
+    """Predict a fresh observation, or a (k, p) batch of them, from the
+    fitted principal components.
 
     Projects the normalized (and, if the model was fitted whitened,
     whitened) backprojection onto the fitted PCs with per-component
     weights ell c^2 / (ell c^2 + d), where d = 1 in whitened coordinates
-    and d = u' M-hat^-1 u otherwise (white original noise).
+    and d = u' M-hat^-1 u otherwise (white original noise).  Returns a
+    vector of length p, or a (k, p) array for a batch.
     """
     if model.u_hat.ndim != 2 or model.m_hat_diag.ndim != 1:
         raise NotFittedError("model is missing fitted arrays")
     p = model.p
-    if obs.y.size != p:
-        raise ShapeError(f"observation has dimension {obs.y.size}, model expects {p}")
+    if obs.y.shape[-1] != p:
+        raise ShapeError(f"observation has dimension {obs.y.shape[-1]}, model expects {p}")
+
+    u = model.u_hat
+    if model.whitened:
+        noise = [1.0] * u.shape[1]
+    else:
+        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None]).tolist()
+    # 1 / (1 + d / signal) is signal / (signal + d), and stays 1 where the
+    # signal estimate overflowed to inf.
+    eta = np.zeros(u.shape[1])
+    for k, (est, d_k) in enumerate(zip(model.estimates, noise)):
+        signal = est.ell_hat * est.c2_hat
+        if est.supercritical and signal != 0 and signal + d_k > 0:
+            eta[k] = 1.0 / (1.0 + d_k / signal)
 
     b = backproject(obs) - obs.d * model.mean
     b_fit = b * (model.w_diag / model.m_hat_diag)
-
-    out = np.zeros(p)
-    for col, est in enumerate(model.estimates):
-        if not est.supercritical:
-            continue
-        u = model.u_hat[:, col]
-        if model.whitened:
-            d_k = 1.0
-        else:
-            d_k = float(u @ (u / model.m_hat_diag))
-        signal = est.ell_hat * est.c2_hat
-        eta = signal / (signal + d_k) if signal + d_k > 0 else 0.0
-        out += eta * (u @ b_fit) * u
-    return out / model.w_diag + model.mean
+    return (eta * (b_fit @ u)) @ u.T / model.w_diag + model.mean
 
 
 @dataclass(frozen=True)

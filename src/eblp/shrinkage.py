@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy  # scipy.sparse.linalg (ARPACK) loads on the first white-mode fit
 
 from .errors import RankError, ShapeError
 from .spectral import (

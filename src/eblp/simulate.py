@@ -25,7 +25,6 @@ __all__ = [
     "generate_noise",
     "simulate_dataset",
     "rmse",
-    "replicate_seeds",
 ]
 
 
@@ -115,11 +114,6 @@ class ExperimentConfig:
     @property
     def rank(self) -> int:
         return len(self.ell)
-
-
-def replicate_seeds(config: ExperimentConfig) -> list[np.random.SeedSequence]:
-    """Independent per-replicate seed sequences derived from the config seed."""
-    return np.random.SeedSequence(config.seed).spawn(config.replicates)
 
 
 def _rng(config: ExperimentConfig, rng: np.random.Generator | None) -> np.random.Generator:

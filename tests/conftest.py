@@ -40,3 +40,24 @@ def spiked_white_data(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def loop_predict(model, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Reference out-of-sample predictor: one row and one component at a
+    time, with weights signal / (signal + d_k).  Returns a (k, p) array
+    for (k, p) inputs."""
+    out = np.zeros(y.shape)
+    for i in range(y.shape[0]):
+        b = np.sqrt(d[i]) * y[i] - d[i] * model.mean
+        b_fit = b * (model.w_diag / model.m_hat_diag)
+        row = np.zeros(model.p)
+        for col, est in enumerate(model.estimates):
+            if not est.supercritical:
+                continue
+            u = model.u_hat[:, col]
+            d_k = 1.0 if model.whitened else float(u @ (u / model.m_hat_diag))
+            signal = est.ell_hat * est.c2_hat
+            eta = signal / (signal + d_k) if signal + d_k > 0 else 0.0
+            row += eta * (u @ b_fit) * u
+        out[i] = row / model.w_diag + model.mean
+    return out

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import loop_predict
 from eblp import ParseError, fit_in_sample, dataset_from_arrays, rmse
 from eblp import matio
 from eblp.cli import main
@@ -335,6 +336,41 @@ class TestOosCommand:
         x_oos, _ = matio.read_matrix(oos_out)
         r_in, r_oos = rmse(x_in, x), rmse(x_oos, x)
         assert abs(r_oos - r_in) <= 0.10 * r_in
+
+    @pytest.mark.parametrize("whiten", [True, False])
+    def test_na_cells_match_row_loop(self, tmp_path, whiten):
+        rng = np.random.default_rng(12)
+        n, p = 120, 30
+        y = 4 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+        y += rng.standard_normal((n, p))
+        observed = rng.random((n, p)) < 0.75
+        model, _ = fit_in_sample(dataset_from_arrays(y * observed, observed * 1.0), 2,
+                                 whiten=whiten)
+        model_path = tmp_path / "model.json"
+        matio.write_model(model_path, model)
+        inp, out = tmp_path / "fresh.txt", tmp_path / "pred.txt"
+        matio.write_matrix(inp, y[:40], observed=observed[:40])
+        assert main(["oos", str(inp), str(out), "--model", str(model_path)]) == 0
+        pred, _ = matio.read_matrix(out)
+        want = loop_predict(matio.read_model(model_path), y[:40] * observed[:40],
+                            observed[:40] * 1.0)
+        assert pred.shape == (40, p)
+        assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_mask_file_matches_row_loop(self, tmp_path):
+        rng = np.random.default_rng(13)
+        _, _, model_path, _ = self.fit_and_save(tmp_path, rng, n=100, p=40)
+        y = 3 * rng.standard_normal((25, 40))
+        mask = (rng.random((25, 40)) < 0.6) * 1.0
+        inp, mask_path, out = tmp_path / "f.txt", tmp_path / "f.mask", tmp_path / "p.txt"
+        matio.write_matrix(inp, y)
+        matio.write_matrix(mask_path, mask)
+        code = main(["oos", str(inp), str(out), "--model", str(model_path),
+                     "--mask", str(mask_path)])
+        assert code == 0
+        pred, _ = matio.read_matrix(out)
+        want = loop_predict(matio.read_model(model_path), y * mask, mask)
+        assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_empty_input_empty_output(self, tmp_path):
         rng = np.random.default_rng(9)

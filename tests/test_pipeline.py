@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import loop_predict
 from eblp import (
     DegenerateCoordinateError,
     RankError,
@@ -270,6 +275,81 @@ class TestPredictOutOfSample:
             )
             ratios.append(rmse(xh_out, x_out) / rmse(xh_in, x_in))
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.1)
+
+
+def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    return float(np.max(np.abs(got - want), initial=0.0)) / scale
+
+
+class TestBatchPrediction:
+    """One call on a (k, p) batch against the per-row, per-component loop."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(40, 12), (25, 30), (30, 30), (60, 8)]),
+        rank=st.integers(1, 4),
+        whiten=st.booleans(),
+        mode=st.sampled_from(["plugin", "white"]),
+        k=st.sampled_from([0, 1, 9]),
+        subcritical=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_batch_matches_row_loop(self, seed, shape, rank, whiten, mode, k, subcritical):
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        ds, _, _ = make_dataset(rng, n, p, [20.0, 8.0], delta=0.7,
+                                mean=rng.standard_normal(p))
+        model, _ = fit_in_sample(ds, rank, whiten=whiten, mode=mode)
+        # Flag some components subcritical on top of what the fit found,
+        # keeping their nonzero estimates: the flag alone must drop them.
+        model = replace(model, estimates=[
+            replace(e, supercritical=False) if off else e
+            for e, off in zip(model.estimates, subcritical)
+        ])
+        d = (rng.random((k, p)) < 0.7) * rng.uniform(0.2, 2.0, (k, p))
+        y = d * rng.standard_normal((k, p)) * 3.0
+
+        batch = predict_out_of_sample(model, TransformedObservation(y=y, d=d))
+        want = loop_predict(model, y, d)
+        assert batch.shape == (k, p)
+        assert max_rel_err(batch, want) <= 1e-12
+        for i in range(k):
+            row = predict_out_of_sample(model, TransformedObservation(y=y[i], d=d[i]))
+            assert row.shape == (p,)
+            assert max_rel_err(row, want[i]) <= 1e-12
+
+    def test_batch_shape_checked(self, rng):
+        ds, _, _ = make_dataset(rng, 30, 20, [6.0])
+        model, _ = fit_in_sample(ds, 1)
+        with pytest.raises(ShapeError):
+            predict_out_of_sample(model, TransformedObservation(y=np.ones((3, 5)), d=np.ones((3, 5))))
+        with pytest.raises(ShapeError):
+            TransformedObservation(y=np.ones((2, 3, 4)), d=np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            fit_in_sample([TransformedObservation(y=np.ones((2, 20)), d=np.ones((2, 20)))], 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("whiten", [True, False])
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_extreme_magnitudes_finite(self, whiten, scale):
+        # Beyond about 1e154 the plug-in ell_hat overflows to inf, so the
+        # weight of a supercritical component is exactly 1.
+        rng = np.random.default_rng(4)
+        n, p = 200, 150
+        y = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+        y = scale * (y + rng.standard_normal((n, p)))
+        d = np.ones((n, p))
+        model, x_hat = fit_in_sample(dataset_from_arrays(y, d), 1, whiten=whiten)
+        assert np.isfinite(x_hat).all()
+        assert model.estimates[0].supercritical
+        assert model.estimates[0].ell_hat == np.inf
+
+        pred = predict_out_of_sample(model, TransformedObservation(y=y[:20], d=d[:20]))
+        assert np.isfinite(pred).all()
+        u = model.u_hat
+        b_fit = (y[:20] - model.mean) * (model.w_diag / model.m_hat_diag)
+        projection = (b_fit @ u) @ u.T / model.w_diag + model.mean
+        assert max_rel_err(pred, projection) <= 1e-12
 
 
 class TestBlpOracle:

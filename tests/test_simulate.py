@@ -10,7 +10,6 @@ from eblp import (
     generate_masks,
     generate_noise,
     generate_signals,
-    replicate_seeds,
     rmse,
     simulate_dataset,
     white_spike_forward,
@@ -163,10 +162,17 @@ class TestDatasetAssembly:
         assert np.array_equal(a.x, b.x)
 
     def test_replicate_seeds_differ(self):
+        # The one seeding scheme: the benchmark (and `eblp simulate`, which
+        # reproduces replicate 0) keys each draw by
+        # SeedSequence([seed, sigma_index, replicate]).
         cfg = config(replicates=4)
-        seeds = replicate_seeds(cfg)
-        data = [simulate_dataset(cfg, np.random.default_rng(s)) for s in seeds]
-        assert len(seeds) == 4
+        data = [
+            simulate_dataset(
+                cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, rep]))
+            )
+            for rep in range(cfg.replicates)
+        ]
+        assert len(data) == 4
         for i in range(3):
             assert not np.array_equal(data[i].y, data[i + 1].y)
 

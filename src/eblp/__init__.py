@@ -38,11 +38,9 @@ from .pipeline import (
     EblpModel,
     SignalModel,
     TransformedObservation,
-    available_case_mean,
     backproject,
     blp_oracle,
     dataset_from_arrays,
-    estimate_m,
     estimated_amse,
     fit_in_sample,
     predict_out_of_sample,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import configparser
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -307,6 +306,10 @@ def run_benchmark(
     if jobs <= 1:
         results = [_run_task(task) for task in tasks]
     else:
+        # Imported here: single-process runs and other commands never load
+        # the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     return [row for rows in results for row in rows]

@@ -25,8 +25,6 @@ __all__ = [
     "EblpModel",
     "SignalModel",
     "backproject",
-    "estimate_m",
-    "available_case_mean",
     "estimated_amse",
     "fit_in_sample",
     "predict_out_of_sample",
@@ -45,8 +43,9 @@ class TransformedObservation:
     ``y[j]`` is the sample-space value recorded at coordinate j (0 where
     ``d[j] == 0``); ``d[j] >= 0`` is the squared transform weight there.
     Coordinate-selection masks use d in {0, 1}.  ``y`` and ``d`` may also
-    be (k, p) arrays holding k samples as rows, a batch for
-    :func:`backproject` and :func:`predict_out_of_sample`.
+    be (k, p) arrays holding k samples as rows: the dataset of
+    :func:`fit_in_sample`, or a batch for :func:`backproject` and
+    :func:`predict_out_of_sample`.
     """
 
     y: np.ndarray
@@ -63,50 +62,19 @@ class TransformedObservation:
             raise ShapeError("transform weights d must be nonnegative")
 
 
-def dataset_from_arrays(y: np.ndarray, d: np.ndarray) -> list[TransformedObservation]:
-    """Build an observation list from stacked n x p arrays."""
+def dataset_from_arrays(y: np.ndarray, d: np.ndarray) -> TransformedObservation:
+    """Wrap n x p arrays (samples as rows) as the (n, p) batch that
+    :func:`fit_in_sample` takes.  Float arrays are used without a copy."""
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
     if y.shape != d.shape or y.ndim != 2:
         raise ShapeError("y and d must be 2-d arrays of identical shape")
-    return [TransformedObservation(y=yi, d=di) for yi, di in zip(y, d)]
+    return TransformedObservation(y=y, d=d)
 
 
 def backproject(obs: TransformedObservation) -> np.ndarray:
     """A' y for the diagonal transform with diag(A'A) = d, i.e. sqrt(d) * y."""
     return np.sqrt(obs.d) * obs.y
-
-
-def _stack(dataset: list[TransformedObservation]) -> tuple[np.ndarray, np.ndarray]:
-    if not dataset:
-        raise ShapeError("dataset must contain at least one observation")
-    p = dataset[0].y.size
-    for obs in dataset:
-        if obs.y.ndim != 1:
-            raise ShapeError("a dataset holds single observations, not batches")
-        if obs.y.size != p:
-            raise ShapeError("observations have inconsistent dimension")
-    y = np.stack([obs.y for obs in dataset])
-    d = np.stack([obs.d for obs in dataset])
-    return y, d
-
-
-def estimate_m(
-    dataset: list[TransformedObservation], floor: float = DEFAULT_M_FLOOR
-) -> np.ndarray:
-    """Entrywise mean of diag(A'A) over the dataset.
-
-    Raises DegenerateCoordinateError naming every coordinate whose mean
-    weight falls below ``floor``.
-    """
-    return _check_floor(_stack(dataset)[1].mean(axis=0), floor)
-
-
-def _check_floor(m_hat: np.ndarray, floor: float) -> np.ndarray:
-    bad = np.flatnonzero(m_hat < floor)
-    if bad.size:
-        raise DegenerateCoordinateError(bad.tolist(), floor)
-    return m_hat
 
 
 @dataclass(frozen=True)
@@ -142,23 +110,8 @@ def estimated_amse(model: EblpModel) -> float:
     return amse(model.estimates)
 
 
-def available_case_mean(dataset: list[TransformedObservation]) -> np.ndarray:
-    """Column means from observed entries: sum(backprojected) / sum(d)."""
-    y, d = _stack(dataset)
-    return _observed_mean(np.sqrt(d) * y, d)
-
-
-def _observed_mean(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Available-case column means of backprojected data ``b``."""
-    weight = d.sum(axis=0)
-    out = np.zeros(b.shape[1])
-    seen = weight > 0
-    out[seen] = b.sum(axis=0)[seen] / weight[seen]
-    return out
-
-
 def fit_in_sample(
-    dataset: list[TransformedObservation],
+    dataset: TransformedObservation,
     r: int,
     whiten: bool = True,
     mode: str = "plugin",
@@ -171,34 +124,52 @@ def fit_in_sample(
 ) -> tuple[EblpModel, np.ndarray]:
     """Fit the in-sample predictor and denoise the whole dataset.
 
-    Steps: backproject, normalize by the mean transform weight M-hat,
-    optionally whiten by W = M-hat^(1/2), shrink singular values
-    (``mode`` as in :func:`shrink_matrix`), unwhiten, restore the mean.
+    ``dataset`` is an (n, p) batch of observations, one sample per row, as
+    built by :func:`dataset_from_arrays`; its arrays are read, never
+    written.  Steps: backproject, normalize by the mean transform weight
+    M-hat, optionally whiten by W = M-hat^(1/2), shrink singular values
+    (``mode`` as in :func:`shrink_matrix`), unwhiten, restore the
+    available-case column mean sum(backprojected) / sum(d).
 
     ``m_diag`` overrides the estimated M-hat (for testing against known
     transforms).  ``noise_var_diag``, when the sample-space noise variances
     are known up to scale, folds them into the whitening so the effective
     noise is isotropic: W = sqrt(M-hat / v).  ``noise_var`` is the white
-    -mode effective noise variance.
+    -mode effective noise variance.  A coordinate whose M-hat falls below
+    ``m_floor`` raises DegenerateCoordinateError naming every such one.
 
     Returns (model, X-hat) with X-hat of shape n x p.
     """
-    y, d = _stack(dataset)
+    if not isinstance(dataset, TransformedObservation) or dataset.y.ndim != 2:
+        raise ShapeError(
+            "fit_in_sample takes an (n, p) batch; build it with dataset_from_arrays(y, d)"
+        )
+    y, d = dataset.y, dataset.d
     n, p = y.shape
+    if n == 0:
+        raise ShapeError("dataset must contain at least one observation")
     if r < 0 or r > min(n, p):
         raise RankError(f"rank {r} out of range for {n} samples in dimension {p}")
 
+    weight = d.sum(axis=0)
     if m_diag is not None:
         m_hat = np.asarray(m_diag, dtype=float)
         if m_hat.shape != (p,):
             raise ShapeError("m_diag must have length p")
     else:
-        m_hat = d.mean(axis=0)
-    _check_floor(m_hat, m_floor)
+        m_hat = weight / n
+    bad = np.flatnonzero(m_hat < m_floor)
+    if bad.size:
+        raise DegenerateCoordinateError(bad.tolist(), m_floor)
 
-    b = np.sqrt(d) * y
-    mean = _observed_mean(b, d) if center else np.zeros(p)
-    b -= d * mean[None, :]
+    # One working buffer: backproject, center, then normalize and whiten.
+    b = np.sqrt(d)
+    b *= y
+    mean = np.zeros(p)
+    if center:
+        seen = weight > 0
+        mean[seen] = b.sum(axis=0)[seen] / weight[seen]
+    b -= d * mean
 
     if whiten:
         if noise_var_diag is not None:
@@ -212,14 +183,14 @@ def fit_in_sample(
         w_diag = np.ones(p)
 
     # B~ = B M^-1, then B~ W; combined column scale.
-    fit_scale = w_diag / m_hat
-    b_fit = b * fit_scale[None, :]
+    b *= w_diag / m_hat
 
-    v_hat, u_hat, estimates = shrink_triplets(b_fit, r, mode=mode, noise_var=noise_var)
+    v_hat, u_hat, estimates = shrink_triplets(b, r, mode=mode, noise_var=noise_var)
     lam = np.array([e.lambda_star for e in estimates])
-    x_fit = np.sqrt(n) * (v_hat * lam) @ u_hat.T
-
-    x_hat = x_fit / w_diag[None, :] + mean[None, :]
+    # shrink_triplets worked on its own scaled copy, so X-hat can reuse b.
+    x_hat = np.matmul(np.sqrt(n) * (v_hat * lam), u_hat.T, out=b)
+    x_hat /= w_diag
+    x_hat += mean
 
     model = EblpModel(
         u_hat=u_hat,

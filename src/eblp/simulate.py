@@ -180,10 +180,9 @@ class SimulatedData:
     signal: SignalModel
 
     @property
-    def dataset(self) -> list[TransformedObservation]:
-        return [
-            TransformedObservation(y=yi, d=di) for yi, di in zip(self.y, self.masks)
-        ]
+    def dataset(self) -> TransformedObservation:
+        """The (n, p) batch of observations, sharing ``y`` and ``masks``."""
+        return TransformedObservation(y=self.y, d=self.masks)
 
 
 def simulate_dataset(

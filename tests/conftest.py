@@ -61,3 +61,70 @@ def loop_predict(model, y: np.ndarray, d: np.ndarray) -> np.ndarray:
             row += eta * (u @ b_fit) * u
         out[i] = row / model.w_diag + model.mean
     return out
+
+
+def reference_fit(
+    y: np.ndarray,
+    d: np.ndarray,
+    r: int,
+    whiten: bool = True,
+    mode: str = "plugin",
+    *,
+    center: bool = True,
+    m_floor: float = 1e-6,
+    m_diag: np.ndarray | None = None,
+    noise_var_diag: np.ndarray | None = None,
+    noise_var: float = 1.0,
+):
+    """Reference in-sample fit: stacked row copies and one fresh array per
+    step, the operation order that ``fit_in_sample`` must reproduce bit
+    for bit.  Returns (model, x_hat)."""
+    from eblp import DegenerateCoordinateError, RankError, ShapeError
+    from eblp.pipeline import EblpModel
+    from eblp.shrinkage import shrink_triplets
+
+    y = np.stack([np.asarray(row, dtype=float) for row in y])
+    d = np.stack([np.asarray(row, dtype=float) for row in d])
+    n, p = y.shape
+    if r < 0 or r > min(n, p):
+        raise RankError(f"rank {r} out of range for {n} samples in dimension {p}")
+
+    if m_diag is not None:
+        m_hat = np.asarray(m_diag, dtype=float)
+        if m_hat.shape != (p,):
+            raise ShapeError("m_diag must have length p")
+    else:
+        m_hat = d.mean(axis=0)
+    bad = np.flatnonzero(m_hat < m_floor)
+    if bad.size:
+        raise DegenerateCoordinateError(bad.tolist(), m_floor)
+
+    b = np.sqrt(d) * y
+    mean = np.zeros(p)
+    if center:
+        weight = d.sum(axis=0)
+        seen = weight > 0
+        mean[seen] = b.sum(axis=0)[seen] / weight[seen]
+    b -= d * mean[None, :]
+
+    if whiten:
+        if noise_var_diag is not None:
+            w_diag = np.sqrt(m_hat / np.asarray(noise_var_diag, dtype=float))
+        else:
+            w_diag = np.sqrt(m_hat)
+    else:
+        w_diag = np.ones(p)
+
+    fit_scale = w_diag / m_hat
+    b_fit = b * fit_scale[None, :]
+
+    v_hat, u_hat, estimates = shrink_triplets(b_fit, r, mode=mode, noise_var=noise_var)
+    lam = np.array([e.lambda_star for e in estimates])
+    x_fit = np.sqrt(n) * (v_hat * lam) @ u_hat.T
+    x_hat = x_fit / w_diag[None, :] + mean[None, :]
+
+    model = EblpModel(
+        u_hat=u_hat, v_hat=v_hat, estimates=estimates, m_hat_diag=m_hat,
+        w_diag=w_diag, rank=r, whitened=whiten, mean=mean, n=n,
+    )
+    return model, x_hat

@@ -1,11 +1,11 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_predict
+from conftest import loop_predict, reference_fit
 from eblp import (
     DegenerateCoordinateError,
     RankError,
@@ -13,11 +13,9 @@ from eblp import (
     SignalModel,
     SpikeEstimate,
     TransformedObservation,
-    available_case_mean,
     backproject,
     blp_oracle,
     dataset_from_arrays,
-    estimate_m,
     estimated_amse,
     fit_in_sample,
     predict_out_of_sample,
@@ -70,20 +68,24 @@ class TestBackproject:
 
 
 class TestEstimateM:
+    """M-hat, the entrywise mean of diag(A'A), as ``fit_in_sample`` stores it."""
+
     def test_entrywise_mean(self):
         ds = dataset_from_arrays(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
-        assert np.allclose(estimate_m(ds), [1.0, 0.5])
+        model, _ = fit_in_sample(ds, 0)
+        assert np.allclose(model.m_hat_diag, [1.0, 0.5])
 
     def test_all_ones(self):
         ds = dataset_from_arrays(np.zeros((3, 4)), np.ones((3, 4)))
-        assert np.allclose(estimate_m(ds), 1.0)
+        model, _ = fit_in_sample(ds, 0)
+        assert np.allclose(model.m_hat_diag, 1.0)
 
     def test_never_observed_coordinate(self):
         d = np.ones((5, 3))
         d[:, 1] = 0.0
         ds = dataset_from_arrays(np.zeros((5, 3)), d)
         with pytest.raises(DegenerateCoordinateError) as exc:
-            estimate_m(ds)
+            fit_in_sample(ds, 0)
         assert exc.value.coordinates == [1]
 
 
@@ -146,8 +148,8 @@ class TestFitInSample:
     def test_available_case_mean_uses_observed_entries_only(self):
         y = np.array([[2.0, 0.0], [4.0, 6.0]])
         d = np.array([[1.0, 0.0], [1.0, 1.0]])
-        mean = available_case_mean(dataset_from_arrays(y, d))
-        assert np.allclose(mean, [3.0, 6.0])
+        model, _ = fit_in_sample(dataset_from_arrays(y, d), 0)
+        assert np.allclose(model.mean, [3.0, 6.0])
 
     def test_subspace_containment(self, rng):
         # Every centered prediction row lies in the span of the unwhitened
@@ -160,12 +162,26 @@ class TestFitInSample:
         resid = basis @ coeffs - centered.T
         assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(centered), 1e-12)
 
-    def test_row_permutation_equivariance(self, rng):
-        ds, _, _ = make_dataset(rng, 60, 40, [8.0], delta=0.7)
-        perm = rng.permutation(len(ds))
-        _, x_hat = fit_in_sample(ds, 1)
-        _, x_perm = fit_in_sample([ds[i] for i in perm], 1)
-        assert np.allclose(x_perm, x_hat[perm], atol=1e-8)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(60, 40), (40, 60), (50, 50)]),
+        rank=st.integers(1, 2),
+        whiten=st.booleans(),
+        mode=st.sampled_from(["plugin", "white"]),
+    )
+    def test_row_permutation_equivariance(self, seed, shape, rank, whiten, mode):
+        # Permuting samples and coordinates permutes every fitted output;
+        # only summation order changes.
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        ds, _, _ = make_dataset(rng, n, p, [40.0, 15.0], delta=0.7, mean=rng.standard_normal(p))
+        rows, cols = rng.permutation(n), rng.permutation(p)
+        model, x_hat = fit_in_sample(ds, rank, whiten=whiten, mode=mode)
+        permuted = dataset_from_arrays(ds.y[rows][:, cols], ds.d[rows][:, cols])
+        model_perm, x_perm = fit_in_sample(permuted, rank, whiten=whiten, mode=mode)
+        assert max_rel_err(x_perm, x_hat[rows][:, cols]) <= 1e-12
+        assert max_rel_err(model_perm.m_hat_diag, model.m_hat_diag[cols]) <= 1e-12
+        assert max_rel_err(model_perm.mean, model.mean[cols]) <= 1e-12
 
     def test_m_diag_override(self, rng):
         ds, _, _ = make_dataset(rng, 200, 100, [10.0], delta=0.5)
@@ -182,6 +198,65 @@ class TestFitInSample:
         ds, _, _ = make_dataset(rng, 150, 100, [10.0], delta=0.9)
         model, _ = fit_in_sample(ds, 1)
         assert estimated_amse(model) >= 0
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFitReference:
+    """``fit_in_sample`` on one working buffer against the stacked
+    reference in ``conftest.reference_fit``."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(40, 12), (12, 40), (25, 25), (60, 30)]),
+        rank=st.integers(0, 3),
+        whiten=st.booleans(),
+        mode=st.sampled_from(["plugin", "white"]),
+        center=st.booleans(),
+        override=st.sampled_from([None, "m_diag", "noise_var_diag"]),
+    )
+    def test_bitwise_equal_to_reference(self, seed, shape, rank, whiten, mode, center, override):
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        d = (rng.random((n, p)) < 0.8) * rng.uniform(0.0, 2.0, (n, p))
+        d[rng.integers(n, size=p), np.arange(p)] = 1.0   # no empty column
+        x = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) + rng.standard_normal(p)
+        y = np.sqrt(d) * (x + rng.standard_normal((n, p)))
+        kwargs = {"center": center}
+        if override == "m_diag":
+            kwargs["m_diag"] = rng.uniform(0.5, 1.5, p)
+        elif override == "noise_var_diag":
+            kwargs["noise_var_diag"] = rng.uniform(0.5, 2.0, p)
+
+        want_model, want_x = reference_fit(y, d, rank, whiten, mode, **kwargs)
+        model, x_hat = fit_in_sample(dataset_from_arrays(y, d), rank, whiten, mode, **kwargs)
+        assert same_bits(x_hat, want_x)
+        for name in ("m_hat_diag", "mean", "w_diag", "u_hat", "v_hat"):
+            assert same_bits(getattr(model, name), getattr(want_model, name)), name
+        assert (model.rank, model.whitened, model.n) == (want_model.rank, want_model.whitened, n)
+        fields = lambda m: np.array([astuple(e) for e in m.estimates], dtype=float)  # noqa: E731
+        assert same_bits(fields(model), fields(want_model))
+
+    def test_caller_arrays_untouched(self, rng):
+        # The batch wraps the caller's arrays without a copy; fitting and
+        # predicting must only read them (a write to a read-only array raises).
+        n, p = 80, 30
+        d = (rng.random((n, p)) < 0.7) * rng.uniform(0.2, 2.0, (n, p))
+        y = np.sqrt(d) * (4.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p))
+                          + rng.standard_normal((n, p)) + 2.0)
+        y0, d0 = y.copy(), d.copy()
+        y.flags.writeable = False
+        d.flags.writeable = False
+        batch = dataset_from_arrays(y, d)
+        assert batch.y is y and batch.d is d
+        for whiten in (True, False):
+            for mode in ("plugin", "white"):
+                model, _ = fit_in_sample(batch, 2, whiten=whiten, mode=mode)
+                predict_out_of_sample(model, batch)
+                predict_out_of_sample(model, TransformedObservation(y=y[0], d=d[0]))
+        assert same_bits(y, y0) and same_bits(d, d0)
 
 
 class TestPredictOutOfSample:
@@ -325,8 +400,11 @@ class TestBatchPrediction:
             predict_out_of_sample(model, TransformedObservation(y=np.ones((3, 5)), d=np.ones((3, 5))))
         with pytest.raises(ShapeError):
             TransformedObservation(y=np.ones((2, 3, 4)), d=np.ones((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            fit_in_sample([TransformedObservation(y=np.ones((2, 20)), d=np.ones((2, 20)))], 1)
+        rows = [TransformedObservation(y=np.ones(20), d=np.ones(20)) for _ in range(3)]
+        batch_in_list = [TransformedObservation(y=np.ones((2, 20)), d=np.ones((2, 20)))]
+        for dataset in (rows, rows[0], batch_in_list):
+            with pytest.raises(ShapeError, match="dataset_from_arrays"):
+                fit_in_sample(dataset, 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("whiten", [True, False])

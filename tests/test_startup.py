@@ -1,6 +1,8 @@
 """Start-up cost guard: SciPy's ARPACK (``scipy.sparse.linalg``, about
-0.4 s to import) loads only when a white-mode fit runs.  Each check runs
-in a fresh interpreter, because this test process may have loaded it."""
+0.4 s to import) loads only when a white-mode fit runs, and the process
+pool (``concurrent.futures.process``) only for a multi-job campaign.
+Each check runs in a fresh interpreter, because this test process may
+have loaded them."""
 
 import json
 import os
@@ -23,15 +25,18 @@ from eblp import TransformedObservation, dataset_from_arrays, fit_in_sample
 from eblp import matio, predict_out_of_sample
 
 loaded = lambda: "scipy.sparse.linalg" in sys.modules
+pool = lambda: "concurrent.futures.process" in sys.modules
 y = np.load(sys.argv[1])
 dataset = dataset_from_arrays(y, np.ones_like(y))
-seen = {"import": loaded()}
+seen = {"import": loaded(), "pool_import": pool()}
 model, _ = fit_in_sample(dataset, 2, mode="plugin")
 predict_out_of_sample(model, TransformedObservation(y=y[:5], d=np.ones_like(y[:5])))
 seen["plugin"] = loaded()
+seen["pool_fit"] = pool()
 matio.write_model(sys.argv[2], model)
 assert eblp.cli.main(["oos", sys.argv[3], sys.argv[4], "--model", sys.argv[2]]) == 0
 seen["oos"] = loaded()
+seen["pool_oos"] = pool()
 white, _ = fit_in_sample(dataset, 2, mode="white")
 seen["white"] = loaded()
 seen["estimates"] = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
@@ -58,6 +63,7 @@ def test_arpack_loads_only_for_white_fits(tmp_path, rng):
     assert not seen["plugin"]
     assert not seen["oos"]
     assert seen["white"]
+    assert not (seen["pool_import"] or seen["pool_fit"] or seen["pool_oos"])
 
     white, _ = fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 2, mode="white")
     assert all(e.supercritical for e in white.estimates)

@@ -65,11 +65,10 @@ class TransformedObservation:
 def dataset_from_arrays(y: np.ndarray, d: np.ndarray) -> TransformedObservation:
     """Wrap n x p arrays (samples as rows) as the (n, p) batch that
     :func:`fit_in_sample` takes.  Float arrays are used without a copy."""
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if y.shape != d.shape or y.ndim != 2:
+    batch = TransformedObservation(y=y, d=d)
+    if batch.y.ndim != 2:
         raise ShapeError("y and d must be 2-d arrays of identical shape")
-    return TransformedObservation(y=y, d=d)
+    return batch
 
 
 def backproject(obs: TransformedObservation) -> np.ndarray:

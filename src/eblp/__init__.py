@@ -21,16 +21,13 @@ from .spectral import (
     empirical_stieltjes,
     empirical_stieltjes_derivative,
     mp_bulk_edge,
-    mp_white_stieltjes,
     spectral_estimates,
 )
 from .shrinkage import (
     SpikeEstimate,
     amse,
     estimate_spike,
-    optimal_lambda,
     shrink_matrix,
-    suggest_rank,
     white_spike_forward,
     white_spike_inverse,
 )
@@ -41,7 +38,6 @@ from .pipeline import (
     backproject,
     blp_oracle,
     dataset_from_arrays,
-    estimated_amse,
     fit_in_sample,
     predict_out_of_sample,
     simple_blp_uniform,

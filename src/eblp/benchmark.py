@@ -33,7 +33,8 @@ import numpy as np
 
 from .baselines import NnrlsConfig, nnrls, nnrls_weight_colored, nnrls_weight_white
 from .errors import ParseError
-from .pipeline import estimated_amse, fit_in_sample
+from .pipeline import fit_in_sample
+from .shrinkage import amse
 from .simulate import (
     ExperimentConfig,
     NoiseSpec,
@@ -241,12 +242,12 @@ def _run_task(task: _Task) -> list[dict]:
                 data.dataset, exp.rank, whiten=True, mode="plugin",
                 noise_var_diag=noise_profile,
             )
-            amse_est = estimated_amse(model)
+            amse_est = amse(model.estimates)
         elif method == "unwhitened":
             model, x_hat = fit_in_sample(
                 data.dataset, exp.rank, whiten=False, mode="plugin"
             )
-            amse_est = estimated_amse(model)
+            amse_est = amse(model.estimates)
         elif method == "nnrls":
             if task.w_base is None:
                 w = nnrls_weight_white(

@@ -30,10 +30,10 @@ from . import matio
 from .pipeline import (
     TransformedObservation,
     dataset_from_arrays,
-    estimated_amse,
     fit_in_sample,
     predict_out_of_sample,
 )
+from .shrinkage import amse
 from .simulate import simulate_dataset
 
 EXIT_OK = 0
@@ -65,18 +65,18 @@ def _write_report(path, model):
             f"{k} {est.sigma_obs:.17g} {est.ell_hat:.17g} {est.c2_hat:.17g} "
             f"{est.ct2_hat:.17g} {est.lambda_star:.17g} {int(est.supercritical)}"
         )
-    lines.append(f"amse_est {estimated_amse(model):.17g}")
+    lines.append(f"amse_est {amse(model.estimates):.17g}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def cmd_denoise(args) -> int:
+    if args.rank < 1:
+        raise RankError("rank must be at least 1")
     values, observed = _load_observations(args.input, args.mask, args.na_token)
     if values.size == 0:
         raise ParseError(f"{args.input}: empty input matrix")
     dataset = dataset_from_arrays(values, observed)
-    if args.rank < 1:
-        raise RankError("rank must be at least 1")
     model, x_hat = fit_in_sample(
         dataset, args.rank, whiten=args.whiten, mode=args.mode
     )

@@ -18,14 +18,13 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from .shrinkage import SpikeEstimate, amse, shrink_triplets
+from .shrinkage import SpikeEstimate, shrink_triplets
 
 __all__ = [
     "TransformedObservation",
     "EblpModel",
     "SignalModel",
     "backproject",
-    "estimated_amse",
     "fit_in_sample",
     "predict_out_of_sample",
     "blp_oracle",
@@ -102,11 +101,6 @@ class EblpModel:
     @property
     def gamma(self) -> float:
         return self.p / self.n
-
-
-def estimated_amse(model: EblpModel) -> float:
-    """AMSE estimate in the fitting (possibly whitened) coordinates."""
-    return amse(model.estimates)
 
 
 def fit_in_sample(

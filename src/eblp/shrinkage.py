@@ -3,7 +3,9 @@
 Two calibration paths are provided: a generic plug-in path that reads the
 whole residual spectrum (``mode="plugin"``), and closed forms valid when
 the effective noise is white with unit variance (``mode="white"``), which
-only needs the top singular triplets.
+only needs the top singular triplets.  Both take their singular values and
+vectors from one short-side Gram eigendecomposition (``gram_eigh``) of the
+input prescaled by a power of two.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy  # scipy.sparse.linalg (ARPACK) loads on the first white-mode fit
+import scipy  # unused here; bench/tracing.py install() proxies shrinkage.scipy
 
 from .errors import RankError, ShapeError
 from .spectral import (
@@ -25,13 +27,11 @@ from .spectral import (
 __all__ = [
     "SpikeEstimate",
     "estimate_spike",
-    "optimal_lambda",
     "amse",
     "white_spike_forward",
     "white_spike_inverse",
     "shrink_matrix",
     "shrink_triplets",
-    "suggest_rank",
 ]
 
 
@@ -58,11 +58,6 @@ class SpikeEstimate:
             sigma_obs=sigma_obs,
             supercritical=False,
         )
-
-
-def optimal_lambda(est: SpikeEstimate) -> float:
-    """Optimal shrunken singular value sqrt(ell * c^2 * ct^2)."""
-    return float(np.sqrt(est.ell_hat * est.c2_hat * est.ct2_hat))
 
 
 def amse(estimates: list[SpikeEstimate]) -> float:
@@ -139,22 +134,6 @@ def _white_estimate(sigma2: float, gamma: float, noise_var: float) -> SpikeEstim
     )
 
 
-def _top_r_svd(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, p = matrix.shape
-    if r < min(n, p) - 1 and min(n, p) > 2 and np.linalg.norm(matrix) > 0:
-        # Fixed start vector keeps the Lanczos path deterministic.
-        v0 = np.full(min(n, p), 1.0 / np.sqrt(min(n, p)))
-        try:
-            u, s, vt = scipy.sparse.linalg.svds(matrix, k=r, v0=v0)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-        else:
-            order = np.argsort(s)[::-1]
-            return u[:, order], s[order], vt[order]
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, :r], s[:r], vt[:r]
-
-
 def shrink_triplets(
     matrix: np.ndarray,
     r: int,
@@ -162,7 +141,14 @@ def shrink_triplets(
     noise_var: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, list[SpikeEstimate]]:
     """Shrinkage core: returns the top-r left vectors (n, r), right vectors
-    (p, r) and per-component estimates for ``matrix / sqrt(n)``."""
+    (p, r) and per-component estimates for ``matrix / sqrt(n)``.
+
+    Both modes run one ``gram_eigh`` on ``matrix / sqrt(n)`` times the
+    power of two that brings its largest entry into [0.5, 1).  Plug-in
+    mode calibrates on the whole prescaled spectrum and maps the estimates
+    back; white mode maps the top r singular values back and applies the
+    closed forms with effective noise variance ``noise_var``.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ShapeError("expected a 2-d data matrix")
@@ -173,39 +159,41 @@ def shrink_triplets(
         raise ValueError(f"unknown mode {mode!r}")
     if r == 0:
         return np.zeros((n, 0)), np.zeros((p, 0)), []
+    # Plug-in calibration needs every residual eigenvalue, and the rank
+    # contract caps r below min(n, p) so at least one is left.
+    if mode == "plugin" and r >= min(n, p):
+        raise RankError(
+            f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
+        )
 
-    scaled = matrix / np.sqrt(n)
+    left, right, s2, shift = _prescaled_triplets(matrix / np.sqrt(n), r)
     if mode == "plugin":
-        # Plug-in calibration needs every residual eigenvalue, and the rank
-        # contract caps r below min(n, p) so at least one is left.
-        if r >= min(n, p):
-            raise RankError(
-                f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
-            )
-        return _plugin_triplets(scaled, r)
-    u, s, vt = _top_r_svd(scaled, r)
-    gamma = p / n
-    estimates = [_white_estimate(sk * sk, gamma, noise_var) for sk in s]
-    return u, vt.T, estimates
+        spectrum = EigenSpectrum(values=s2, n=n, p=p)
+        estimates = [
+            _ldexp_estimate(estimate_spike(spectrum, r, k), shift) for k in range(r)
+        ]
+    else:
+        s = np.ldexp(np.sqrt(s2[:r]), shift)
+        gamma = p / n
+        estimates = [_white_estimate(sk * sk, gamma, noise_var) for sk in s]
+    return left, right, estimates
 
 
-def _plugin_triplets(
+def _prescaled_triplets(
     scaled: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, list[SpikeEstimate]]:
-    """Plug-in calibration on one short-side Gram eigendecomposition.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Top-r singular vectors of ``scaled`` from one short-side Gram
+    eigendecomposition.
 
-    The plug-in estimator is scale-equivariant, so it runs on ``scaled``
-    times a power of two that brings its largest entry into [0.5, 1):
-    the Gram matrix then neither overflows nor underflows, the scaling is
-    exact, and the estimates are mapped back with the same exponent.
-    ``scaled`` is overwritten.
+    ``scaled`` is first multiplied in place by 2**-shift, the power of two
+    that brings its largest entry into [0.5, 1): the Gram matrix then
+    neither overflows nor underflows, and the scaling is exact.  Returns
+    the left (n, r) and right (p, r) vectors, all min(n, p) squared
+    singular values of the prescaled matrix (descending), and ``shift``.
     """
-    n, p = scaled.shape
     shift = int(np.frexp(max(scaled.max(), -scaled.min()))[1])
     normed = np.ldexp(scaled, -shift, out=scaled)
     s2, vecs, side = gram_eigh(normed)
-    spectrum = EigenSpectrum(values=s2, n=n, p=p)
-    estimates = [_ldexp_estimate(estimate_spike(spectrum, r, k), shift) for k in range(r)]
 
     # Short-side vectors are copied column-contiguous, because prediction
     # reads u_hat one column at a time; the other side is B v / s (or
@@ -217,7 +205,8 @@ def _plugin_triplets(
     else:
         other = (short.T @ normed).T
     other = np.divide(other, s, out=np.zeros_like(other), where=s > 0)
-    return (other, short, estimates) if side == "right" else (short, other, estimates)
+    left, right = (other, short) if side == "right" else (short, other)
+    return left, right, s2, shift
 
 
 def _ldexp_estimate(est: SpikeEstimate, shift: int) -> SpikeEstimate:
@@ -240,10 +229,11 @@ def shrink_matrix(
     """Denoise an n x p matrix (rows are samples) by optimal singular-value
     shrinkage of ``matrix / sqrt(n)``.
 
-    ``mode="plugin"`` computes the full spectrum and calibrates every
-    component from the residual eigenvalues; ``mode="white"`` computes only
-    the top r triplets and applies the white-noise closed forms, assuming
-    effective noise variance ``noise_var``.
+    Both modes decompose the short-side Gram matrix once.
+    ``mode="plugin"`` calibrates every component from the residual
+    eigenvalues; ``mode="white"`` uses only the top r singular values and
+    applies the white-noise closed forms, assuming effective noise variance
+    ``noise_var``.
 
     Returns the denoised matrix and the per-component estimates.
     """
@@ -252,13 +242,3 @@ def shrink_matrix(
     lam = np.array([e.lambda_star for e in estimates])
     denoised = np.sqrt(n) * (left * lam) @ right.T
     return denoised, estimates
-
-
-def suggest_rank(spectrum: EigenSpectrum, eps_rank: float = 0.05) -> int:
-    """Count eigenvalues above (1 + sqrt(gamma))^2 * (1 + eps_rank).
-
-    Rough plumbing for whitened, unit-noise spectra only; rank selection
-    proper is out of scope and the rank is normally caller-supplied.
-    """
-    threshold = mp_bulk_edge(spectrum.gamma) * (1.0 + eps_rank)
-    return int(np.sum(spectrum.values > threshold))

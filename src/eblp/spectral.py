@@ -27,7 +27,6 @@ __all__ = [
     "d_transform_derivative",
     "spectral_estimates",
     "mp_bulk_edge",
-    "mp_white_stieltjes",
     "guard_epsilon",
 ]
 
@@ -208,23 +207,3 @@ def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEst
 def mp_bulk_edge(gamma: float) -> float:
     """Upper edge (1 + sqrt(gamma))^2 of the unit-variance MP law."""
     return (1.0 + np.sqrt(gamma)) ** 2
-
-
-def mp_white_stieltjes(x: float, gamma: float) -> float:
-    """Closed-form Stieltjes transform of the unit-variance MP law
-    with ratio gamma, for ``x`` at or above the bulk edge.
-
-    The branch is fixed by m(x) ~ -1/x as x -> infinity and was validated
-    against the plug-in estimator on simulated white-noise spectra (see
-    tests).  At the edge the limit value is returned.
-    """
-    if gamma <= 0:
-        raise SpectrumDomainError("gamma must be positive")
-    edge = mp_bulk_edge(gamma)
-    if x < edge:
-        raise SpectrumDomainError(
-            f"x = {x:g} lies inside or below the MP bulk (edge {edge:g})"
-        )
-    lower = (1.0 - np.sqrt(gamma)) ** 2
-    disc = (x - lower) * (x - edge)
-    return ((1.0 - gamma - x) + np.sqrt(max(disc, 0.0))) / (2.0 * gamma * x)

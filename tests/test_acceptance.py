@@ -14,13 +14,12 @@ from eblp import (
     NnrlsConfig,
     SignalModel,
     TransformedObservation,
+    amse,
     blp_oracle,
     dataset_from_arrays,
     empirical_stieltjes,
-    estimated_amse,
     fit_in_sample,
     mp_bulk_edge,
-    mp_white_stieltjes,
     nnrls,
     nnrls_weight_white,
     predict_out_of_sample,
@@ -30,6 +29,7 @@ from eblp import (
     white_spike_forward,
 )
 from eblp.matio import read_results
+from conftest import mp_white_stieltjes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -158,7 +158,7 @@ def test_04_amse_estimator_matches_realized_error():
             dataset_from_arrays(y, masks), 10, whiten=False, mode="plugin", center=False
         )
         realized.append(np.linalg.norm(x_hat - x) ** 2 / n)
-        estimated.append(estimated_amse(model))
+        estimated.append(amse(model.estimates))
     ratio = np.mean(estimated) / np.mean(realized)
     ok = abs(ratio - 1.0) <= 0.05
     report(

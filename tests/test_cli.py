@@ -296,6 +296,12 @@ class TestDenoiseCommand:
         matio.write_matrix(inp, rng.standard_normal((10, 6)))
         assert main(["denoise", str(inp), str(tmp_path / "o.txt"), "--rank", "99"]) == 4
 
+    def test_rank_checked_before_input_read(self, tmp_path, capsys):
+        # A missing input would exit 2; the rank fails first.
+        missing = str(tmp_path / "missing.txt")
+        assert main(["denoise", missing, str(tmp_path / "o.txt"), "--rank", "0"]) == 4
+        assert "rank must be at least 1" in capsys.readouterr().err
+
     def test_na_roundtrip_with_custom_token(self, tmp_path, rng):
         y = rng.standard_normal((30, 10))
         y[rng.random((30, 10)) < 0.3] = np.nan

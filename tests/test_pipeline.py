@@ -13,10 +13,10 @@ from eblp import (
     SignalModel,
     SpikeEstimate,
     TransformedObservation,
+    amse,
     backproject,
     blp_oracle,
     dataset_from_arrays,
-    estimated_amse,
     fit_in_sample,
     predict_out_of_sample,
     rmse,
@@ -197,7 +197,7 @@ class TestFitInSample:
     def test_estimated_amse_nonnegative(self, rng):
         ds, _, _ = make_dataset(rng, 150, 100, [10.0], delta=0.9)
         model, _ = fit_in_sample(ds, 1)
-        assert estimated_amse(model) >= 0
+        assert amse(model.estimates) >= 0
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -11,9 +10,7 @@ from eblp import (
     amse,
     estimate_spike,
     mp_bulk_edge,
-    optimal_lambda,
     shrink_matrix,
-    suggest_rank,
     white_spike_forward,
     white_spike_inverse,
 )
@@ -37,17 +34,65 @@ def svd_plugin(matrix, r):
     return u[:, :r], vt[:r].T, [estimate_spike(spectrum, r, k) for k in range(r)], shift
 
 
+def svd_white(matrix, r, noise_var):
+    """Reference white-mode calibration on a full SVD of the matrix
+    prescaled as in ``svd_plugin``; returns the top-r left and right
+    vectors and the estimates in the units of ``matrix``."""
+    n, p = matrix.shape
+    scaled = matrix / np.sqrt(n)
+    shift = int(np.frexp(np.max(np.abs(scaled)))[1])
+    u, s, vt = np.linalg.svd(np.ldexp(scaled, -shift), full_matrices=False)
+    estimates = []
+    for sk in np.ldexp(s[:r], shift):
+        ell_white = white_spike_inverse(sk * sk / noise_var, p / n)
+        if ell_white <= 0:
+            estimates.append(SpikeEstimate.subcritical(sigma_obs=sk))
+            continue
+        _, c2, ct2 = white_spike_forward(ell_white, p / n)
+        ell = noise_var * ell_white
+        estimates.append(SpikeEstimate(ell, c2, ct2, np.sqrt(ell * c2 * ct2), sk, True))
+    return u[:, :r], vt[:r].T, estimates
+
+
 @st.composite
-def plugin_inputs(draw, scales=(1e-100, 1e-3, 1.0, 1e3, 1e100)):
+def plugin_inputs(draw, scales=(1e-100, 1e-3, 1.0, 1e3, 1e100), full_rank=False):
     """A matrix of any shape from 2 x 2 to 12 x 12 (square ones often), any
-    rank down to zero, one of ``scales``, and a plug-in rank r < min(n, p)."""
+    rank down to zero, one of ``scales``, and a plug-in rank r < min(n, p)
+    (r <= min(n, p) with ``full_rank``, as white mode allows)."""
     n = draw(st.integers(2, 12))
     p = draw(st.one_of(st.just(n), st.integers(2, 12)))
     rank = draw(st.integers(0, min(n, p)))
     scale = draw(st.sampled_from(scales))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = scale * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p)))
-    return matrix, draw(st.integers(1, min(n, p) - 1))
+    return matrix, draw(st.integers(1, min(n, p) - (0 if full_rank else 1)))
+
+
+@st.composite
+def white_inputs(draw):
+    """``plugin_inputs`` with r up to min(n, p), plus a noise variance that
+    puts the white-noise bulk edge between two squared singular values at
+    least 21% apart, with every supercritical one at least 5% of the top.
+    Each component then sits clearly above or below the edge, where the
+    closed forms are well conditioned."""
+    matrix, r = draw(plugin_inputs(full_rank=True))
+    n, p = matrix.shape
+    s2 = np.linalg.svd(matrix / np.sqrt(n), compute_uv=False) ** 2
+    below = np.append(s2, 0.0)
+    if s2[0] == 0:
+        return matrix, r, 1.0
+    cuts = [0] + [
+        c for c in range(1, r + 1)
+        if s2[c - 1] >= 0.05 * s2[0] and s2[c - 1] >= 1.21 * below[c]
+    ]
+    c = draw(st.sampled_from(cuts))
+    if c == 0:
+        edge_at = 2.0 * s2[0]
+    elif below[c] == 0:
+        edge_at = s2[c - 1] / 2.0
+    else:
+        edge_at = s2[c - 1] / min(np.sqrt(s2[c - 1] / below[c]), 2.0)
+    return matrix, r, edge_at / mp_bulk_edge(p / n)
 
 
 class TestWhiteForward:
@@ -148,13 +193,28 @@ class TestEstimateSpike:
 
 
 class TestLambdaAndAmse:
-    def test_optimal_lambda(self):
-        est = SpikeEstimate(2.0, 0.5, 0.5, 0.0, 0.0, True)
-        assert optimal_lambda(est) == pytest.approx(np.sqrt(2.0) * 0.5)
+    def test_optimal_lambda(self, rng):
+        # lambda_star is the optimal shrunken singular value sqrt(ell c^2 ct^2).
+        y, _, _ = spiked_white_data(rng, 375, 300, np.array([9.0, 4.0]))
+        for mode in ("plugin", "white"):
+            _, ests = shrink_matrix(y, 2, mode=mode)
+            for est in ests:
+                assert est.supercritical
+                assert est.lambda_star == pytest.approx(
+                    np.sqrt(est.ell_hat * est.c2_hat * est.ct2_hat), rel=1e-14
+                )
 
-    def test_optimal_lambda_degenerate(self):
-        assert optimal_lambda(SpikeEstimate.subcritical(1.0)) == 0.0
-        assert optimal_lambda(SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)) == 1.0
+    def test_optimal_lambda_degenerate(self, rng):
+        # Every component of the zero matrix, and of pure white noise in
+        # white mode, is subcritical.
+        cases = [(np.zeros((40, 30)), "plugin"), (np.zeros((40, 30)), "white"),
+                 (rng.standard_normal((375, 300)), "white")]
+        for y, mode in cases:
+            _, ests = shrink_matrix(y, 3, mode=mode)
+            for est in ests:
+                assert not est.supercritical
+                assert est.lambda_star == 0.0
+                assert est.ell_hat * est.c2_hat * est.ct2_hat == 0.0
 
     def test_amse_values(self):
         assert amse([SpikeEstimate(2.0, 0.5, 0.5, 0.7071, 2.1, True)]) == pytest.approx(1.5)
@@ -350,30 +410,68 @@ class TestPluginGram:
         assert np.max(np.abs(out / scale - base)) <= 1e-12 * np.max(np.abs(base))
 
 
-class TestWhiteFallback:
-    def _matrix(self, rng):
-        y, _, _ = spiked_white_data(rng, 40, 30, np.array([20.0, 10.0]))
-        return y
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWhiteGram:
+    """White mode takes its top-r triplets from the same prescaled Gram
+    eigendecomposition as plug-in mode; it must give what a full SVD
+    gives, and scale exactly with the matrix and the noise variance."""
 
-    def test_arpack_error_falls_back_to_full_svd(self, rng, monkeypatch):
-        y = self._matrix(rng)
-        _, want = shrink_matrix(y, 2, mode="white")
+    @given(white_inputs())
+    @example((np.zeros((5, 5)), 5, 1.0))
+    @example((np.zeros((3, 7)), 3, 1.0))
+    @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 6, 1.0))
+    def test_matches_full_svd(self, case):
+        matrix, r, noise_var = case
+        n, p = matrix.shape
+        left, right, ests = shrink_triplets(matrix, r, mode="white", noise_var=noise_var)
+        ref_left, ref_right, ref = svd_white(matrix, r, noise_var)
+        assert left.shape == (n, r) and right.shape == (p, r)
+        assert np.isfinite(left).all() and np.isfinite(right).all()
+        assert right.flags.f_contiguous
+        top = ref[0].sigma_obs
+        for est, want in zip(ests, ref):
+            assert est.supercritical == want.supercritical
+            assert est.ell_hat == pytest.approx(want.ell_hat, rel=1e-12)
+            assert est.c2_hat == pytest.approx(want.c2_hat, rel=1e-12)
+            assert est.ct2_hat == pytest.approx(want.ct2_hat, rel=1e-12)
+            assert est.lambda_star == pytest.approx(want.lambda_star, rel=1e-12)
+            # Null directions come out near sqrt(eps) * top from the Gram matrix.
+            assert est.sigma_obs == pytest.approx(want.sigma_obs, rel=1e-12, abs=1e-7 * top)
+        sup = [e.supercritical for e in ests]
+        for vecs in (left[:, sup], right[:, sup]):
+            assert np.allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-8)
 
-        def failing_svds(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+        denoised, _ = shrink_matrix(matrix, r, mode="white", noise_var=noise_var)
+        lam = np.array([e.lambda_star for e in ref])
+        expected = np.sqrt(n) * (ref_left * lam) @ ref_right.T
+        assert np.isfinite(denoised).all()
+        assert np.max(np.abs(denoised - expected)) <= 1e-10 * np.linalg.norm(matrix, ord=2)
+        if not matrix.any():
+            assert not denoised.any() and not any(sup)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
-        _, got = shrink_matrix(y, 2, mode="white")
-        for est, ref in zip(got, want):
-            assert est.lambda_star == pytest.approx(ref.lambda_star, rel=1e-10)
+    @given(plugin_inputs(scales=(1.0,), full_rank=True), st.integers(-250, 250))
+    @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 3), -3)
+    def test_power_of_two_joint_scale_equivariance(self, case, k):
+        # matrix * 2^k with noise_var * 4^k leaves every ratio unchanged.
+        matrix, r = case
+        base, base_ests = shrink_matrix(matrix, r, mode="white")
+        scaled, ests = shrink_matrix(
+            np.ldexp(matrix, k), r, mode="white", noise_var=np.ldexp(1.0, 2 * k)
+        )
+        assert np.array_equal(scaled, np.ldexp(base, k))
+        for est, want in zip(ests, base_ests):
+            assert est.supercritical == want.supercritical
+            assert est.c2_hat == want.c2_hat and est.ct2_hat == want.ct2_hat
+            assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
+            assert est.lambda_star == np.ldexp(want.lambda_star, k)
+            assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
 
-    def test_other_errors_propagate(self, rng, monkeypatch):
-        def failing_svds(*args, **kwargs):
-            raise MemoryError("out of memory")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
-        with pytest.raises(MemoryError):
-            shrink_matrix(self._matrix(rng), 2, mode="white")
+def suggest_rank(spectrum: EigenSpectrum, eps_rank: float = 0.05) -> int:
+    """Count eigenvalues above (1 + sqrt(gamma))^2 * (1 + eps_rank): a rough
+    rank heuristic for whitened, unit-noise spectra."""
+    threshold = mp_bulk_edge(spectrum.gamma) * (1.0 + eps_rank)
+    return int(np.sum(spectrum.values > threshold))
 
 
 class TestSuggestRank:

@@ -15,11 +15,10 @@ from eblp import (
     empirical_stieltjes,
     empirical_stieltjes_derivative,
     mp_bulk_edge,
-    mp_white_stieltjes,
     spectral_estimates,
 )
 from eblp.spectral import gram_eigh
-from conftest import mp_stieltjes_quadrature
+from conftest import mp_stieltjes_quadrature, mp_white_stieltjes
 
 
 def spec(values, n=None, p=None):

@@ -1,8 +1,8 @@
-"""Start-up cost guard: SciPy's ARPACK (``scipy.sparse.linalg``, about
-0.4 s to import) loads only when a white-mode fit runs, and the process
-pool (``concurrent.futures.process``) only for a multi-job campaign.
-Each check runs in a fresh interpreter, because this test process may
-have loaded them."""
+"""Start-up cost guard: no path loads SciPy's ARPACK module
+(``scipy.sparse.linalg``, about 0.3 s to import), and only a multi-job
+campaign loads the process pool (``concurrent.futures.process``).  The
+checks run in a fresh interpreter, because this test process may have
+loaded either."""
 
 import json
 import os
@@ -17,6 +17,20 @@ from eblp import dataset_from_arrays, fit_in_sample, matio
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+CONFIG = """
+[tiny]
+p = 20
+gamma = 0.8
+ell = 8,4
+rank = 2
+sampling = uniform:0.7
+noise = white
+sigma_grid = 1
+replicates = 1
+seed = 11
+methods = eblp,unwhitened,nnrls
+"""
+
 SCRIPT = """
 import json, sys
 import numpy as np
@@ -24,45 +38,53 @@ import eblp, eblp.cli
 from eblp import TransformedObservation, dataset_from_arrays, fit_in_sample
 from eblp import matio, predict_out_of_sample
 
+y_path, model, fresh, pred, xhat, config, table, prefix = sys.argv[1:]
 loaded = lambda: "scipy.sparse.linalg" in sys.modules
 pool = lambda: "concurrent.futures.process" in sys.modules
-y = np.load(sys.argv[1])
+y = np.load(y_path)
 dataset = dataset_from_arrays(y, np.ones_like(y))
 seen = {"import": loaded(), "pool_import": pool()}
-model, _ = fit_in_sample(dataset, 2, mode="plugin")
-predict_out_of_sample(model, TransformedObservation(y=y[:5], d=np.ones_like(y[:5])))
+plugin, _ = fit_in_sample(dataset, 2, mode="plugin")
+predict_out_of_sample(plugin, TransformedObservation(y=y[:5], d=np.ones_like(y[:5])))
 seen["plugin"] = loaded()
 seen["pool_fit"] = pool()
-matio.write_model(sys.argv[2], model)
-assert eblp.cli.main(["oos", sys.argv[3], sys.argv[4], "--model", sys.argv[2]]) == 0
-seen["oos"] = loaded()
-seen["pool_oos"] = pool()
 white, _ = fit_in_sample(dataset, 2, mode="white")
 seen["white"] = loaded()
+matio.write_model(model, white)
+assert eblp.cli.main(["oos", fresh, pred, "--model", model]) == 0
+seen["oos"] = loaded()
+seen["pool_oos"] = pool()
+assert eblp.cli.main(["denoise", fresh, xhat, "--rank", "2", "--mode", "white"]) == 0
+seen["denoise_white"] = loaded()
+assert eblp.cli.main(["benchmark", config, table, "--no-timings"]) == 0
+assert eblp.cli.main(["simulate", config, prefix]) == 0
+seen["benchmark"] = loaded()
 seen["estimates"] = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
                      for e in white.estimates]
 print(json.dumps(seen))
 """
 
 
-def test_arpack_loads_only_for_white_fits(tmp_path, rng):
+def test_sparse_linalg_never_loads(tmp_path, rng):
     y, _, _ = spiked_white_data(rng, 80, 50, np.array([12.0, 6.0]))
     np.save(tmp_path / "y.npy", y)
     fresh = tmp_path / "fresh.txt"
-    matio.write_matrix(fresh, y[:5])
+    matio.write_matrix(fresh, y[:20])
+    config = tmp_path / "tiny.cfg"
+    config.write_text(CONFIG)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = [tmp_path / name for name in ("y.npy", "model.json")]
+    args += [fresh, tmp_path / "pred.txt", tmp_path / "xhat.txt", config]
+    args += [tmp_path / "results.txt", tmp_path / "sim"]
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "y.npy"), str(tmp_path / "model.json"),
-         str(fresh), str(tmp_path / "pred.txt")],
+        [sys.executable, "-c", SCRIPT, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
-    assert not seen["import"]
-    assert not seen["plugin"]
-    assert not seen["oos"]
-    assert seen["white"]
+    for path in ("import", "plugin", "white", "oos", "denoise_white", "benchmark"):
+        assert not seen[path], path
     assert not (seen["pool_import"] or seen["pool_fit"] or seen["pool_oos"])
 
     white, _ = fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 2, mode="white")

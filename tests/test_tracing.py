@@ -41,7 +41,5 @@ def test_install_traces_both_modes_and_uninstall_restores(rng):
     assert names.count("pipeline.fit_in_sample") == 2
     assert names.count("shrinkage.shrink_triplets") == 2
     assert "spectral.calibration" in names
-    # White mode's top-r decomposition goes through the patched svds.
-    assert "shrinkage.decomposition" in names
     metrics, _ = tracing.summarize(tracer.spans)
     assert metrics["shrinkage.calls"][0] == 2

@@ -174,26 +174,25 @@ def read_model(path) -> EblpModel:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse model file {path}: {exc}") from exc
+    # Every value is checked before the model, and with it the prediction
+    # operator, is built.
     try:
         if payload["format"] != MODEL_FORMAT:
             raise ParseError(f"{path}: not a model file")
         m_hat = np.asarray(payload["m_hat_diag"], dtype=float)
         p = m_hat.size
-        u_hat = np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T
+        arrays = {
+            "m_hat_diag": m_hat,
+            "w_diag": np.asarray(payload["w_diag"], dtype=float),
+            "mean": np.asarray(payload["mean"], dtype=float),
+            "u_hat": np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T,
+        }
         estimates = [SpikeEstimate(**entry) for entry in payload["estimates"]]
-        model = EblpModel(
-            u_hat=u_hat,
-            v_hat=np.zeros((0, u_hat.shape[1])),
-            estimates=estimates,
-            m_hat_diag=m_hat,
-            w_diag=np.asarray(payload["w_diag"], dtype=float),
-            rank=int(payload["rank"]),
-            whitened=bool(payload["whitened"]),
-            mean=np.asarray(payload["mean"], dtype=float),
-            n=int(payload["n"]),
-        )
-        for name in ("m_hat_diag", "w_diag", "mean", "u_hat"):
-            if not np.all(np.isfinite(getattr(model, name))):
+        rank = int(payload["rank"])
+        whitened = bool(payload["whitened"])
+        n = int(payload["n"])
+        for name, values in arrays.items():
+            if not np.all(np.isfinite(values)):
                 raise ParseError(f"{path}: non-finite value in {name}")
         for k, entry in enumerate(payload["estimates"]):
             for name, value in entry.items():
@@ -205,16 +204,24 @@ def read_model(path) -> EblpModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
-    if model.w_diag.size != p or model.mean.size != p:
+    u_hat = arrays["u_hat"]
+    if arrays["w_diag"].size != p or arrays["mean"].size != p:
         raise ParseError(f"{path}: inconsistent model dimensions")
-    if len(model.estimates) != model.u_hat.shape[1]:
+    if len(estimates) != u_hat.shape[1]:
         raise ParseError(f"{path}: estimates do not match component count")
-    if model.rank != model.u_hat.shape[1]:
+    if rank != u_hat.shape[1]:
         raise ParseError(
-            f"{path}: rank {model.rank} does not match the "
-            f"{model.u_hat.shape[1]} components in u_hat"
+            f"{path}: rank {rank} does not match the "
+            f"{u_hat.shape[1]} components in u_hat"
         )
-    return model
+    return EblpModel(
+        v_hat=np.zeros((0, u_hat.shape[1])),
+        estimates=estimates,
+        rank=rank,
+        whitened=whitened,
+        n=n,
+        **arrays,
+    )
 
 
 RESULT_COLUMNS = (

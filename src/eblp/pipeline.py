@@ -8,7 +8,7 @@ weight, optionally whitens, shrinks the singular values, and maps back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +40,11 @@ class TransformedObservation:
     """One sample: observed vector on the p-grid plus diag(A'A).
 
     ``y[j]`` is the sample-space value recorded at coordinate j (0 where
-    ``d[j] == 0``); ``d[j] >= 0`` is the squared transform weight there.
-    Coordinate-selection masks use d in {0, 1}.  ``y`` and ``d`` may also
-    be (k, p) arrays holding k samples as rows: the dataset of
-    :func:`fit_in_sample`, or a batch for :func:`backproject` and
-    :func:`predict_out_of_sample`.
+    ``d[j] == 0``); ``d[j] >= 0`` is the squared transform weight there
+    (NaN is rejected).  Coordinate-selection masks use d in {0, 1}.  ``y``
+    and ``d`` may also be (k, p) arrays holding k samples as rows: the
+    dataset of :func:`fit_in_sample`, or a batch for :func:`backproject`
+    and :func:`predict_out_of_sample`.
     """
 
     y: np.ndarray
@@ -57,7 +57,8 @@ class TransformedObservation:
         object.__setattr__(self, "d", d)
         if y.ndim not in (1, 2) or y.shape != d.shape:
             raise ShapeError("y and d must be 1-d vectors or (k, p) arrays of equal shape")
-        if np.any(d < 0):
+        # One reduction; a NaN minimum fails the comparison too.
+        if d.size and not (d.min() >= 0):
             raise ShapeError("transform weights d must be nonnegative")
 
 
@@ -82,6 +83,14 @@ class EblpModel:
     ``u_hat`` lives in the fitting coordinates (whitened when
     ``whitened``); ``w_diag`` is all ones otherwise.  ``mean`` is the
     available-case column mean that was removed before fitting.
+
+    Construction also builds the out-of-sample prediction operator once:
+    a (p, r) input map and an (r, p) output map, so that
+    :func:`predict_out_of_sample` costs two (p, r) products per row.  The
+    operator is private state, not compared, shown or saved, and is built
+    again by ``dataclasses.replace``; treat the fitted arrays as read-only
+    once the model exists.  A model whose arrays are missing or
+    inconsistent has no operator and cannot predict.
     """
 
     u_hat: np.ndarray            # (p, r)
@@ -93,6 +102,19 @@ class EblpModel:
     whitened: bool
     mean: np.ndarray             # (p,)
     n: int
+    _inward: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _outward: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inward = outward = None
+        u, m, w = self.u_hat, self.m_hat_diag, self.w_diag
+        p = np.size(m) if np.ndim(m) == 1 else None
+        if np.shape(u) == (p, len(self.estimates)) and np.shape(w) == np.shape(self.mean) == (p,):
+            # X-hat = mean + W^-1 U diag(eta) U' W M^-1 (A'y - A'A mean).
+            inward = u * (w / m)[:, None]
+            outward = _eta(self)[:, None] * (u / w[:, None]).T
+        object.__setattr__(self, "_inward", inward)
+        object.__setattr__(self, "_outward", outward)
 
     @property
     def p(self) -> int:
@@ -101,6 +123,25 @@ class EblpModel:
     @property
     def gamma(self) -> float:
         return self.p / self.n
+
+
+def _eta(model: EblpModel) -> np.ndarray:
+    """Per-component weights ell c^2 / (ell c^2 + d_k), where d_k = 1 in
+    whitened coordinates and d_k = u_k' M-hat^-1 u_k otherwise (white
+    original noise); 0 for subcritical components."""
+    u = model.u_hat
+    if model.whitened:
+        noise = [1.0] * u.shape[1]
+    else:
+        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None]).tolist()
+    # 1 / (1 + d / signal) is signal / (signal + d), and stays 1 where the
+    # signal estimate overflowed to inf.
+    eta = np.zeros(u.shape[1])
+    for k, (est, d_k) in enumerate(zip(model.estimates, noise)):
+        signal = est.ell_hat * est.c2_hat
+        if est.supercritical and signal != 0 and signal + d_k > 0:
+            eta[k] = 1.0 / (1.0 + d_k / signal)
+    return eta
 
 
 def fit_in_sample(
@@ -151,7 +192,8 @@ def fit_in_sample(
             raise ShapeError("m_diag must have length p")
     else:
         m_hat = weight / n
-    bad = np.flatnonzero(m_hat < m_floor)
+    # Written so that a NaN weight counts as below the floor.
+    bad = np.flatnonzero(~(m_hat >= m_floor))
     if bad.size:
         raise DegenerateCoordinateError(bad.tolist(), m_floor)
 
@@ -206,31 +248,26 @@ def predict_out_of_sample(model: EblpModel, obs: TransformedObservation) -> np.n
     Projects the normalized (and, if the model was fitted whitened,
     whitened) backprojection onto the fitted PCs with per-component
     weights ell c^2 / (ell c^2 + d), where d = 1 in whitened coordinates
-    and d = u' M-hat^-1 u otherwise (white original noise).  Returns a
-    vector of length p, or a (k, p) array for a batch.
+    and d = u' M-hat^-1 u otherwise (white original noise).  The model
+    holds this map, built once at its construction, so a row costs the
+    centering and two (p, r) products.  Returns a vector of length p, or
+    a (k, p) array for a batch.
     """
-    if model.u_hat.ndim != 2 or model.m_hat_diag.ndim != 1:
+    if model._inward is None:
         raise NotFittedError("model is missing fitted arrays")
     p = model.p
     if obs.y.shape[-1] != p:
         raise ShapeError(f"observation has dimension {obs.y.shape[-1]}, model expects {p}")
 
-    u = model.u_hat
-    if model.whitened:
-        noise = [1.0] * u.shape[1]
-    else:
-        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None]).tolist()
-    # 1 / (1 + d / signal) is signal / (signal + d), and stays 1 where the
-    # signal estimate overflowed to inf.
-    eta = np.zeros(u.shape[1])
-    for k, (est, d_k) in enumerate(zip(model.estimates, noise)):
-        signal = est.ell_hat * est.c2_hat
-        if est.supercritical and signal != 0 and signal + d_k > 0:
-            eta[k] = 1.0 / (1.0 + d_k / signal)
-
-    b = backproject(obs) - obs.d * model.mean
-    b_fit = b * (model.w_diag / model.m_hat_diag)
-    return (eta * (b_fit @ u)) @ u.T / model.w_diag + model.mean
+    # Center elementwise before the products: subtracting a precomputed
+    # (d * mean) @ inward afterwards would cancel catastrophically for
+    # large means.
+    b = np.sqrt(obs.d)
+    b *= obs.y
+    b -= obs.d * model.mean
+    out = (b @ model._inward) @ model._outward
+    out += model.mean
+    return out
 
 
 @dataclass(frozen=True)

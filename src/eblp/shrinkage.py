@@ -100,30 +100,45 @@ def estimate_spike(spectrum: EigenSpectrum, r: int, k: int) -> SpikeEstimate:
     )
 
 
-def white_spike_forward(ell: float, gamma: float) -> tuple[float, float, float]:
+def white_spike_forward(
+    ell: float, gamma: float, noise_var: float = 1.0
+) -> tuple[float, float, float]:
     """Map a population spike ell to (top eigenvalue, c^2, ct^2) under
-    unit-variance white noise with aspect ratio gamma."""
-    if ell > np.sqrt(gamma):
-        lam = (ell + 1.0) * (1.0 + gamma / ell)
-        common = 1.0 - gamma / (ell * ell)
-        return lam, common / (1.0 + gamma / ell), common / (1.0 + 1.0 / ell)
-    return mp_bulk_edge(gamma), 0.0, 0.0
+    white noise of variance ``noise_var`` with aspect ratio gamma; ell and
+    the eigenvalue are in the units of ``noise_var``."""
+    if ell > np.sqrt(gamma) * noise_var:
+        ratio = noise_var / ell
+        lam = (ell + noise_var) * (1.0 + gamma * ratio)
+        common = 1.0 - gamma * ratio * ratio
+        return lam, common / (1.0 + gamma * ratio), common / (1.0 + ratio)
+    return noise_var * mp_bulk_edge(gamma), 0.0, 0.0
 
 
-def white_spike_inverse(lambda_emp: float, gamma: float) -> float:
-    """Invert the white-noise eigenvalue map; 0 below the bulk edge."""
-    if lambda_emp <= mp_bulk_edge(gamma):
+def white_spike_inverse(lambda_emp: float, gamma: float, noise_var: float = 1.0) -> float:
+    """Invert the white-noise eigenvalue map; 0 at or below the bulk edge.
+
+    ``lambda_emp`` and the returned spike are in the units of
+    ``noise_var``.  With s = lambda_emp - noise_var (1 + gamma) the spike
+    is (s + sqrt(s^2 - 4 gamma noise_var^2)) / 2; the root is taken as
+    sqrt(s - 2 sqrt(gamma) noise_var) sqrt(s + 2 sqrt(gamma) noise_var),
+    whose first factor is the distance to the bulk edge.  Neither
+    lambda_emp / noise_var nor a square is formed, so no value overflows
+    before the result does.
+    """
+    gap = lambda_emp - noise_var * mp_bulk_edge(gamma)
+    if not gap > 0.0:
         return 0.0
-    shifted = lambda_emp - 1.0 - gamma
-    return (shifted + np.sqrt(shifted * shifted - 4.0 * gamma)) / 2.0
+    root = 2.0 * np.sqrt(gamma) * noise_var
+    return (gap + root + np.sqrt(gap) * np.sqrt(gap + 2.0 * root)) / 2.0
 
 
 def _white_estimate(sigma2: float, gamma: float, noise_var: float) -> SpikeEstimate:
-    ell_white = white_spike_inverse(sigma2 / noise_var, gamma)
-    if ell_white <= 0.0:
+    """White-noise closed forms for a squared singular value ``sigma2``
+    and a noise variance in the same units."""
+    ell = white_spike_inverse(sigma2, gamma, noise_var)
+    if ell <= 0.0:
         return SpikeEstimate.subcritical(sigma_obs=np.sqrt(sigma2))
-    _, c2, ct2 = white_spike_forward(ell_white, gamma)
-    ell = noise_var * ell_white
+    _, c2, ct2 = white_spike_forward(ell, gamma, noise_var)
     return SpikeEstimate(
         ell_hat=float(ell),
         c2_hat=float(c2),
@@ -144,10 +159,10 @@ def shrink_triplets(
     (p, r) and per-component estimates for ``matrix / sqrt(n)``.
 
     Both modes run one ``gram_eigh`` on ``matrix / sqrt(n)`` times the
-    power of two that brings its largest entry into [0.5, 1).  Plug-in
-    mode calibrates on the whole prescaled spectrum and maps the estimates
-    back; white mode maps the top r singular values back and applies the
-    closed forms with effective noise variance ``noise_var``.
+    power of two that brings its largest entry into [0.5, 1), calibrate in
+    those units and map the estimates back.  Plug-in mode reads the whole
+    prescaled spectrum; white mode applies the closed forms to the top r
+    values with the effective noise variance ``noise_var`` prescaled alike.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -157,6 +172,8 @@ def shrink_triplets(
         raise RankError(f"rank {r} out of range for a {n} x {p} matrix")
     if mode not in ("plugin", "white"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "white" and not 0.0 < noise_var < np.inf:
+        raise ValueError(f"noise_var must be positive and finite, got {noise_var!r}")
     if r == 0:
         return np.zeros((n, 0)), np.zeros((p, 0)), []
     # Plug-in calibration needs every residual eigenvalue, and the rank
@@ -169,14 +186,14 @@ def shrink_triplets(
     left, right, s2, shift = _prescaled_triplets(matrix / np.sqrt(n), r)
     if mode == "plugin":
         spectrum = EigenSpectrum(values=s2, n=n, p=p)
-        estimates = [
-            _ldexp_estimate(estimate_spike(spectrum, r, k), shift) for k in range(r)
-        ]
+        estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
     else:
-        s = np.ldexp(np.sqrt(s2[:r]), shift)
-        gamma = p / n
-        estimates = [_white_estimate(sk * sk, gamma, noise_var) for sk in s]
-    return left, right, estimates
+        # The noise variance in the prescaled units may underflow to 0 or
+        # overflow to inf; the closed forms take both limits.
+        with np.errstate(over="ignore"):
+            scaled_noise = float(np.ldexp(noise_var, -2 * shift))
+        estimates = [_white_estimate(s2k, p / n, scaled_noise) for s2k in s2[:r]]
+    return left, right, [_ldexp_estimate(est, shift) for est in estimates]
 
 
 def _prescaled_triplets(

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import loop_predict
-from eblp import ParseError, fit_in_sample, dataset_from_arrays, rmse
+from eblp import (
+    ParseError,
+    TransformedObservation,
+    dataset_from_arrays,
+    fit_in_sample,
+    predict_out_of_sample,
+    rmse,
+)
 from eblp import matio
 from eblp.cli import main
 
@@ -184,6 +191,24 @@ class TestModelIO:
         model.mean[0] = np.nan
         with pytest.raises(ValueError, match="JSON compliant"):
             matio.write_model(tmp_path / "nan.json", model)
+
+    @pytest.mark.parametrize("whiten", [True, False])
+    def test_read_model_predicts_bit_for_bit(self, tmp_path, rng, whiten):
+        n, p = 80, 30
+        y = 4 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+        y += rng.standard_normal((n, p)) + rng.standard_normal(p)
+        observed = (rng.random((n, p)) < 0.7) * 1.0
+        model, _ = fit_in_sample(dataset_from_arrays(y * observed, observed), 2,
+                                 whiten=whiten)
+        path = tmp_path / "model.json"
+        matio.write_model(path, model)
+        back = matio.read_model(path)
+        fresh = TransformedObservation(y=y[:9] * observed[:9], d=observed[:9])
+        want = predict_out_of_sample(model, fresh)
+        assert want.tobytes() == predict_out_of_sample(back, fresh).tobytes()
+        row = TransformedObservation(y=fresh.y[0], d=fresh.d[0])
+        assert predict_out_of_sample(model, row).tobytes() == \
+            predict_out_of_sample(back, row).tobytes()
 
     def test_corrupted_file(self, tmp_path, rng):
         path = tmp_path / "model.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import loop_predict, reference_fit
 from eblp import (
     DegenerateCoordinateError,
+    NotFittedError,
     RankError,
     ShapeError,
     SignalModel,
@@ -66,6 +67,14 @@ class TestBackproject:
         with pytest.raises(ShapeError):
             TransformedObservation(y=np.ones(2), d=np.array([1.0, -1.0]))
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ShapeError, match="nonnegative"):
+            TransformedObservation(y=np.ones(3), d=np.array([1.0, np.nan, 1.0]))
+        d = np.ones((2, 3))
+        d[1, 2] = np.nan
+        with pytest.raises(ShapeError, match="nonnegative"):
+            TransformedObservation(y=np.ones((2, 3)), d=d)
+
 
 class TestEstimateM:
     """M-hat, the entrywise mean of diag(A'A), as ``fit_in_sample`` stores it."""
@@ -87,6 +96,14 @@ class TestEstimateM:
         with pytest.raises(DegenerateCoordinateError) as exc:
             fit_in_sample(ds, 0)
         assert exc.value.coordinates == [1]
+
+    def test_nan_m_diag_named(self, rng):
+        ds, _, _ = make_dataset(rng, 30, 6, [5.0])
+        m_diag = np.ones(6)
+        m_diag[4] = np.nan
+        with pytest.raises(DegenerateCoordinateError) as exc:
+            fit_in_sample(ds, 1, m_diag=m_diag)
+        assert exc.value.coordinates == [4]
 
 
 class TestFitInSample:
@@ -317,6 +334,25 @@ class TestPredictOutOfSample:
         out = predict_out_of_sample(model, obs)
         eta = out[0] * big / 2.0
         assert eta == pytest.approx(1.0, abs=1e-7)
+
+    def test_model_without_2d_u_hat_not_fitted(self, rng):
+        ds, _, _ = make_dataset(rng, 30, 20, [6.0])
+        model, _ = fit_in_sample(ds, 1)
+        broken = replace(model, u_hat=model.u_hat[:, 0])
+        obs = TransformedObservation(y=np.ones(20), d=np.ones(20))
+        with pytest.raises(NotFittedError):
+            predict_out_of_sample(broken, obs)
+
+    def test_operator_is_private_state(self, rng):
+        ds, _, _ = make_dataset(rng, 30, 20, [6.0])
+        model, _ = fit_in_sample(ds, 1)
+        assert "_inward" not in repr(model) and "_outward" not in repr(model)
+        twin = replace(model)
+        assert twin == model
+        assert twin._inward is not model._inward
+        assert np.array_equal(twin._inward, model._inward)
+        with pytest.raises(TypeError):
+            EblpModel(**{**vars(model), "_inward": None})
 
     def test_dimension_mismatch(self, rng):
         ds, _, _ = make_dataset(rng, 30, 20, [6.0])

@@ -8,7 +8,9 @@ from eblp import (
     RankError,
     SpikeEstimate,
     amse,
+    dataset_from_arrays,
     estimate_spike,
+    fit_in_sample,
     mp_bulk_edge,
     shrink_matrix,
     white_spike_forward,
@@ -136,6 +138,20 @@ class TestWhiteInverse:
             for ell in np.linspace(np.sqrt(gamma) * 1.01, 30, 30):
                 lam, _, _ = white_spike_forward(ell, gamma)
                 assert white_spike_inverse(lam, gamma) == pytest.approx(ell, rel=1e-10)
+
+    def test_noise_units(self):
+        # A spike and eigenvalue in the units of noise_var scale with it,
+        # and the cosines do not move, even where lambda / noise_var or its
+        # square would leave the double range.
+        for gamma in (0.3, 1.0, 2.5):
+            for ell in (np.sqrt(gamma) * 1.01, 2.0, 30.0, 1e200):
+                unit = white_spike_forward(ell, gamma)
+                for noise_var in (1e-300, 1e-160, 1e100):
+                    lam, c2, ct2 = white_spike_forward(ell * noise_var, gamma, noise_var)
+                    assert lam == pytest.approx(unit[0] * noise_var, rel=1e-12)
+                    assert (c2, ct2) == pytest.approx(unit[1:], rel=1e-12)
+                    back = white_spike_inverse(lam, gamma, noise_var)
+                    assert back == pytest.approx(ell * noise_var, rel=1e-9)
 
     def test_whitened_cosine_identity(self):
         # 1/ct2 = 1 + 1/(ell c2), exact for the closed forms.
@@ -465,6 +481,28 @@ class TestWhiteGram:
             assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
             assert est.lambda_star == np.ldexp(want.lambda_star, k)
             assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
+
+    @pytest.mark.parametrize("noise_var", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_noise_var_rejected(self, rng, noise_var):
+        y, _, _ = spiked_white_data(rng, 30, 20, np.array([20.0]))
+        with pytest.raises(ValueError, match="noise_var"):
+            shrink_matrix(y, 1, mode="white", noise_var=noise_var)
+
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e160, 1e200])
+    def test_extreme_magnitudes(self, rng, scale):
+        # With noise_var = 1, sigma^2 / noise_var squared overflows from
+        # about 1e77 and the ratio itself from about 1e154; the prescaled
+        # closed forms form neither, so the fit is the rank-1 truncation.
+        y, _, _ = spiked_white_data(rng, 60, 40, np.array([20.0]))
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        truncation = scale * (s[0] * np.outer(u[:, 0], vt[0]))
+        out, ests = shrink_matrix(scale * y, 1, mode="white")
+        assert ests[0].supercritical
+        assert np.isfinite(out).all()
+        assert np.max(np.abs(out - truncation)) <= 1e-12 * np.max(np.abs(truncation))
+
+        _, x_hat = fit_in_sample(dataset_from_arrays(scale * y, np.ones(y.shape)), 1, mode="white")
+        assert np.isfinite(x_hat).all()
 
 
 def suggest_rank(spectrum: EigenSpectrum, eps_rank: float = 0.05) -> int:

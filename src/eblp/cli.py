@@ -71,6 +71,7 @@ def _write_report(path, model):
 
 
 def cmd_denoise(args) -> int:
+    matio.check_na_token(args.na_token)
     if args.rank < 1:
         raise RankError("rank must be at least 1")
     values, observed = _load_observations(args.input, args.mask, args.na_token)
@@ -88,6 +89,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_oos(args) -> int:
+    matio.check_na_token(args.na_token)
     model = matio.read_model(args.model)
     values, observed = _load_observations(args.input, args.mask, args.na_token)
     if values.size == 0:
@@ -105,6 +107,7 @@ def cmd_oos(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    matio.check_na_token(args.na_token)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     exp = experiments[0]
     # Reproduce benchmark replicate 0 at the first grid noise level.

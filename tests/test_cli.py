@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import loop_predict
 from eblp import (
     ParseError,
+    ShapeError,
     TransformedObservation,
     dataset_from_arrays,
     fit_in_sample,
@@ -63,6 +66,12 @@ def masked_matrices(draw, elements, min_side=1):
     return matrix, observed
 
 
+def float64_bits():
+    """Bit patterns of float64 values, with every exponent field equally likely."""
+    return st.builds(lambda sign, exponent, fraction: (sign << 63) | (exponent << 52) | fraction,
+                     st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1))
+
+
 EXTREMES = np.array([[-0.0, 5e-324, -2.2250738585072009e-308,
                       1.7976931348623157e308, -1.7976931348623157e308]])
 
@@ -111,6 +120,35 @@ class TestMatrixIO:
             matio.read_matrix(path)
         assert str(info.value) == f"{path}: {where}"
 
+    @pytest.mark.parametrize("text, where", [
+        ("1 2\n3 4\n5 6 7\n8 9 10\n", "row 3 has 3 fields, expected 2"),
+        ("1 2\n3 4\n5 6\n# note\n7 x\n", "row 4, field 2: not a number: 'x'"),
+        ("1 2\n3 4\n5 nan\n7 8\n9 x\n", "row 3, field 2: not a finite number: 'nan'"),
+        ("1 2\n3 4\n5 6\n7 8\n9\n", "row 5 has 1 fields, expected 2"),
+    ])
+    def test_bad_cell_named_across_parse_blocks(self, tmp_path, monkeypatch, text, where):
+        # Two rows per parsed block: rows are still counted from the top.
+        monkeypatch.setattr(matio, "_PARSE_CELLS", 4)
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            matio.read_matrix(path)
+        assert str(info.value) == f"{path}: {where}"
+
+    def test_parse_blocks_match_one_block(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(24)
+        y = rng.standard_normal((9, 5))
+        observed = rng.random(y.shape) < 0.7
+        text = per_cell_text(y, observed).splitlines()
+        text[4] = "0." + "0" * 60 + "15 " + text[4].split(" ", 1)[1]  # a long token
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(text) + "\n")
+        whole = matio.read_matrix(path)
+        monkeypatch.setattr(matio, "_PARSE_CELLS", 7)
+        blocks = matio.read_matrix(path)
+        assert np.array_equal(blocks[0], whole[0]) and np.array_equal(blocks[1], whole[1])
+        assert whole[0][4, 0] == 1.5e-61
+
     @pytest.mark.parametrize("text", [
         "1.5 NA\r\nNA 2.5\r\n",
         "  # indented comment\n1.5 NA\n\t#tabbed\n\nNA 2.5",
@@ -155,6 +193,97 @@ class TestMatrixIO:
         path = tmp_path_factory.mktemp("format") / "m.txt"
         matio.write_matrix(path, matrix, observed=observed, na_token=na_token)
         assert path.read_text() == per_cell_text(matrix, observed, na_token)
+
+    @given(hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=float64_bits()),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @example(np.array([[0, 1 << 63, 1, 0x7FF0000000000000, 0xFFF8000000000001,
+                        0x7FF0000000000001, 0x000FFFFFFFFFFFFF]], dtype=np.uint64), 7)
+    def test_write_matches_per_cell_format_on_bit_patterns(self, tmp_path_factory, bits, mask_seed):
+        # Every exponent field, from zero and subnormals to inf and NaN
+        # payloads, with and without an observed mask.
+        matrix = bits.view(np.float64)
+        observed = None
+        if mask_seed is not None:
+            observed = np.random.default_rng(mask_seed).random(bits.shape) < 0.7
+        path = tmp_path_factory.mktemp("bits") / "m.txt"
+        matio.write_matrix(path, matrix, observed=observed, na_token="?")
+        assert path.read_text() == per_cell_text(matrix, observed, "?")
+
+    def test_write_matches_per_cell_format_next_to_fast_range_edges(self, tmp_path):
+        # log10 may miss the exponent by one next to a power of ten, where
+        # the fast range also ends; above 2**53 doubles are even integers.
+        centres = [10.0**k for k in range(-5, 18)] + [2.0**53]
+        values = []
+        for centre in centres:
+            below = above = centre
+            for _ in range(8):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                values += [below, above]
+            values.append(centre)
+        matrix = np.array(values).reshape(len(centres), -1)
+        matrix = np.vstack([matrix, -matrix])
+        path = tmp_path / "m.txt"
+        matio.write_matrix(path, matrix)
+        assert path.read_text() == per_cell_text(matrix)
+
+    def test_write_matches_per_cell_format_on_exact_ties(self, tmp_path):
+        # j / 2**m with odd j has exactly m decimals, the last a 5; with 18
+        # significant digits it lies halfway between two 17-digit values.
+        ties = []
+        for k in range(-4, 16):   # 10**k <= x < 10**(k + 1)
+            m = 17 - k
+            j = int(10.0**k * 2**m) + 1 | 1
+            for step in range(0, 40, 2):
+                x = (j + step) / 2**m
+                exact = Decimal(x).normalize().as_tuple()
+                if len(exact.digits) == 18 and exact.digits[-1] == 5:
+                    ties += [x, -x]
+        assert len(ties) >= 400
+        matrix = np.array(ties).reshape(-1, 4)
+        path = tmp_path / "m.txt"
+        matio.write_matrix(path, matrix)
+        assert path.read_text() == per_cell_text(matrix)
+
+    def test_write_matches_per_cell_format_on_a_million_random_doubles(self, tmp_path):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=(1000, 1000), dtype=np.uint64, endpoint=False)
+        # Half the rows uniform over bit patterns, half over the fast range.
+        bits[::2] = (rng.standard_normal((500, 1000))
+                     * 10.0 ** rng.uniform(-6, 18, (500, 1000))).view(np.uint64)
+        matrix = bits.view(np.float64)
+        observed = rng.random(matrix.shape) < 0.9
+        path = tmp_path / "m.txt"
+        matio.write_matrix(path, matrix, observed=observed)
+        assert path.read_text() == per_cell_text(matrix, observed)
+
+    @pytest.mark.filterwarnings("error")
+    def test_write_raises_no_floating_point_warnings(self, tmp_path):
+        # The exact product would overflow or underflow outside the fast
+        # range; those cells must not reach it.
+        tiny = np.finfo(float).smallest_subnormal
+        matrix = np.array([[1.7976931348623157e308, -1e300, 1e17, tiny, -1e-300, 0.0],
+                           [np.nan, np.inf, -np.inf, 1e-5, 0.5, -3.0]])
+        path = tmp_path / "m.txt"
+        with np.errstate(all="raise"):
+            matio.write_matrix(path, matrix)
+        assert path.read_text() == per_cell_text(matrix)
+
+    def test_write_memory_does_not_grow_with_the_matrix(self, tmp_path):
+        matrix = np.random.default_rng(21).standard_normal((4000, 1000))  # 32 MB
+        tracemalloc.start()
+        try:
+            matio.write_matrix(tmp_path / "m.txt", matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_write_rejects_observed_of_another_shape(self, tmp_path):
+        path = tmp_path / "m.txt"
+        with pytest.raises(ShapeError, match=r"observed shape \(2, 3\)"):
+            matio.write_matrix(path, np.ones((3, 2)), observed=np.ones((2, 3)))
+        assert not path.exists()
 
     def test_mask_validation(self, tmp_path):
         path = tmp_path / "mask.txt"
@@ -445,6 +574,70 @@ class TestSimulateCommand:
         assert main(["simulate", tiny_config, a]) == 0
         assert main(["simulate", tiny_config, b]) == 0
         assert (tmp_path / "a.y.txt").read_text() == (tmp_path / "b.y.txt").read_text()
+
+
+# Tokens a matrix file cannot carry: one that matches no cell, one that
+# splits into two cells, one that hides the cell end, one that turns its
+# row into a comment.
+BAD_NA_TOKENS = ["", "a b", "x\0y", "#x"]
+
+
+class TestNaTokenRules:
+    @pytest.mark.parametrize("token", BAD_NA_TOKENS)
+    def test_matio_rejects_token(self, tmp_path, token):
+        path = tmp_path / "m.txt"
+        with pytest.raises(ParseError, match="invalid NA token"):
+            matio.write_matrix(path, np.ones((2, 2)), observed=np.eye(2), na_token=token)
+        assert not path.exists()
+        matio.write_matrix(path, np.ones((2, 2)))
+        with pytest.raises(ParseError, match="invalid NA token"):
+            matio.read_matrix(path, na_token=token)
+
+    @pytest.mark.parametrize("command", ["denoise", "oos", "simulate"])
+    @pytest.mark.parametrize("token", BAD_NA_TOKENS)
+    def test_cli_rejects_token_before_any_file(self, tmp_path, capsys, tiny_config,
+                                               command, token):
+        # The input and model files do not exist: reading either would
+        # fail with another message.
+        missing, out = str(tmp_path / "missing.txt"), str(tmp_path / "out")
+        argv = {
+            "denoise": ["denoise", missing, out, "--rank", "1"],
+            "oos": ["oos", missing, out, "--model", str(tmp_path / "missing.json")],
+            "simulate": ["simulate", tiny_config, out],
+        }[command]
+        assert main(argv + ["--na-token", token]) == 2
+        assert f"invalid NA token {token!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_comment_token_no_longer_drops_rows(self, tmp_path, tiny_config, capsys):
+        # A row whose first cell is missing began with the token, so a
+        # '#'-led token made the reader skip that row as a comment.
+        rng = np.random.default_rng(22)
+        y = rng.standard_normal((40, 6))
+        observed = rng.random(y.shape) < 0.7
+        observed[::3, 0] = False
+        inp = tmp_path / "y.txt"
+        inp.write_text(per_cell_text(y, observed, "#x"))
+        out = tmp_path / "x.txt"
+        assert main(["denoise", str(inp), str(out), "--rank", "1", "--na-token", "#x"]) == 2
+        assert "invalid NA token '#x'" in capsys.readouterr().err
+        assert not out.exists()
+        # The simulator refuses to write such a file in the first place.
+        prefix = tmp_path / "sim"
+        assert main(["simulate", tiny_config, str(prefix), "--na-token", "#x"]) == 2
+        assert not (tmp_path / "sim.y.txt").exists()
+
+    def test_numeric_sentinel_allowed(self, tmp_path):
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal((30, 8))
+        observed = rng.random(y.shape) < 0.8
+        inp, out = tmp_path / "y.txt", tmp_path / "x.txt"
+        matio.write_matrix(inp, y, observed=observed, na_token="-999")
+        values, back = matio.read_matrix(inp, na_token="-999")
+        assert np.array_equal(back, observed)
+        assert np.array_equal(values, np.where(observed, y, 0.0))
+        assert main(["denoise", str(inp), str(out), "--rank", "1", "--na-token", "-999"]) == 0
+        assert matio.read_matrix(out)[0].shape == (30, 8)
 
 
 class TestBenchmarkCommand:

@@ -196,10 +196,8 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = np.array([float(10**m) for m in range(23)])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_n = np.arange(10000)
 # ASCII digits of 0..9999, one column per number.
-_DIGITS4 = (ord("0") + np.stack([_n // 1000, _n // 100 % 10, _n // 10 % 10, _n % 10])).astype(np.uint8)
-del _n
+_DIGITS4 = (ord("0") + np.indices((10,) * 4, dtype=np.uint8)).reshape(4, -1)
 
 
 def _times_pow10(a, m, prod=None, err=None, hi=None, lo=None, t1=None, t2=None):

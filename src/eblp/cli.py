@@ -50,8 +50,15 @@ def _load_observations(path, mask_path, na_token):
             raise ShapeError(
                 f"mask shape {mask.shape} does not match input {values.shape}"
             )
-        observed = mask
         values = values * mask
+        conflict = (mask != 0) & (observed == 0)
+        if conflict.any():
+            i, j = np.unravel_index(np.argmax(conflict), conflict.shape)
+            raise ParseError(
+                f"{path}: row {i + 1}, field {j + 1}: "
+                "missing but marked observed by the mask"
+            )
+        observed = mask
     return values, observed
 
 

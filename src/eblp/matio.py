@@ -7,6 +7,11 @@ number.  The NA token must be one field that no reader mistakes for
 something else: nonempty, without whitespace or NUL bytes, and not
 starting with ``#``.
 
+Every cell reads as exactly ``float(token)``.  Tokens spelled
+``[-]digits[.digits]`` are converted a block at a time by exact
+arithmetic on whole arrays; every other spelling, and every value the
+block arithmetic cannot certify, goes through ``float()`` itself.
+
 Every value is written as exactly the text of ``'%.17g' % value`` (17
 significant digits, so values round-trip).  Cells with
 1e-4 <= |x| < 1e16, where ``%.17g`` uses fixed notation, are formatted a
@@ -18,8 +23,11 @@ Fitted models are stored as JSON with finite numbers only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +65,26 @@ def check_na_token(na_token: str) -> None:
     raise ParseError(f"invalid NA token {na_token!r}: {problem}")
 
 
-def _data_lines(path) -> list[bytes]:
-    """The file's lines without blank lines and whole-line ``#`` comments."""
+def _data_lines(path) -> Iterator[bytes]:
+    """The file's lines without blank lines and whole-line ``#`` comments,
+    read a few at a time.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``."""
     try:
-        data = Path(path).read_bytes()
+        # Latin-1 maps bytes to characters one to one, and universal
+        # newlines split lines exactly as bytes.splitlines() does.
+        handle = open(path, encoding="latin-1", newline=None)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return [
-        line
-        for line in data.splitlines()
-        if line.strip() and not line.lstrip().startswith(b"#")
-    ]
+    with handle:
+        try:
+            for text in handle:
+                line = text.encode("latin-1")
+                if line.strip() and not line.lstrip().startswith(b"#"):
+                    yield line
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-_PARSE_CELLS = 1 << 18  # cells per parsed block of lines
+_PARSE_CELLS = 1 << 16  # cells per parsed block of lines
 
 
 def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
@@ -78,26 +92,31 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
     entries are 0 in ``values`` and 0 in the observed indicator.
 
     A cell is the NA token or a finite number in any spelling ``float()``
-    accepts; anything else raises ParseError naming its row and field.
+    accepts, read as exactly the value ``float()`` gives; anything else
+    raises ParseError naming its row and field.
     """
     check_na_token(na_token)
     lines = _data_lines(path)
-    if not lines:
+    head = next(lines, None)
+    if head is None:
         return np.zeros((0, 0)), np.zeros((0, 0))
     na = na_token.encode()
-    width = len(lines[0].split())
-    values = np.empty((len(lines), width))
-    observed = np.empty((len(lines), width))
+    width = len(head.split())
     step = max(1, _PARSE_CELLS // width)
-    for first in range(0, len(lines), step):
-        block = lines[first : first + step]
+    lines = itertools.chain([head], lines)
+    try:
+        size = os.stat(path).st_size
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    parser = _BlockParser(min(step * width, _PARSE_BLOCK))
+    values = observed = None
+    first = 0
+    while block := list(itertools.islice(lines, step)):
         try:
             tokens = _token_array(block)
             if tokens.shape[1] != width:
                 raise ValueError("rows of different lengths")
-            missing = tokens == na
-            tokens[missing] = b"0"
-            part = tokens.astype(float)
+            part, seen = parser(tokens, na)
         except ValueError as exc:
             _raise_first_bad_cell(path, block, na, width, first)
             raise ParseError(f"{path}: {exc}") from exc
@@ -107,8 +126,25 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(
                 _bad_cell(path, first + i, j, tokens[i, j], "not a finite number")
             )
-        values[first : first + len(block)] = part
-        np.logical_not(missing, out=observed[first : first + len(block)])
+        end = first + len(block)
+        if values is None:
+            # Rows are counted only at the end of the file, and growing an
+            # array may copy it: make room for the rows the file holds at
+            # the first block's bytes per row and a sixteenth more, grow by
+            # a quarter if that is short, and trim at the end.
+            text = sum(map(len, block)) + len(block)
+            rows = end + end * max(size - text, 0) // text
+            values = np.empty((rows + rows // 16, width))
+            observed = np.empty((rows + rows // 16, width))
+        if end > len(values):
+            rows = max(end, len(values) + len(values) // 4)
+            values.resize((rows, width), refcheck=False)
+            observed.resize((rows, width), refcheck=False)
+        values[first:end] = part
+        observed[first:end] = seen
+        first = end
+    values.resize((first, width), refcheck=False)
+    observed.resize((first, width), refcheck=False)
     return values, observed
 
 
@@ -202,7 +238,8 @@ _DIGITS4 = (ord("0") + np.indices((10,) * 4, dtype=np.uint8)).reshape(4, -1)
 
 def _times_pow10(a, m, prod=None, err=None, hi=None, lo=None, t1=None, t2=None):
     """(prod, err) with prod + err == a * 10**m exactly, for 0 <= m <= 22
-    and 1e-5 < a < 1e17; the other arguments are optional work arrays."""
+    and a = 0 or 1e-23 < a < 1e20; the other arguments are optional work
+    arrays."""
     hi = np.multiply(a, _SPLIT, out=hi)
     lo = np.subtract(hi, a, out=lo)
     np.subtract(hi, lo, out=hi)  # the high 26 bits of a
@@ -348,6 +385,182 @@ class _BlockFormatter:
         lengths = [len(t) for t in texts]
         block[lengths, np.arange(len(texts))] = separator[where]
         self.text[:, where] = block
+
+
+# The fast path of read_matrix.  A token spelled [-]digits[.digits], with
+# at most 19 digits from its first nonzero one and f <= 22 after the point,
+# is N / 10**f for an integer N < 10**19 (exact in uint64) and an exact
+# double 10**f.  For N <= 2**53, N is an exact double too, so one correctly
+# rounded division gives float(token) (Clinger's fast path).  Above 2**53,
+# q = fl(fl(N) / 10**f) lies within 1.5 ulps of the value, and its residual
+# N - q * 10**f is exact: TwoProduct gives q * 10**f as prod + err, prod is
+# then an integer below 2**64, and the residual is a multiple of
+# min(ulp(q) * 2**f, 1) that is fewer than 2**53 of them.  q is
+# float(token) when the residual is strictly inside half an ulp of q times
+# 10**f, and the neighbour the residual points to is when it is strictly
+# outside.  Exact ties, a q that is a power of two (whose ulp below is half
+# the one above) and every other spelling (exponents, '+', '_', 'inf',
+# 'nan', tokens of over 24 bytes) go through float() itself.
+_PARSE_BLOCK = 1 << 14  # observed cells converted at a time
+_TEXT = 24  # leading bytes of a token that the fast path reads
+_ROW = np.arange(_TEXT, dtype=np.uint8)[:, None]
+_EXPONENT = np.uint64(0x7FF0000000000000)
+_MANTISSA = np.uint64(0x000FFFFFFFFFFFFF)
+
+
+def _matches(cells: np.ndarray, token: bytes) -> np.ndarray:
+    """Which rows of ``cells``, NUL-padded bytes, spell ``token``."""
+    if len(token) >= cells.shape[1]:
+        return np.zeros(len(cells), bool)  # it would not fit with its padding
+    match = cells[:, len(token)] == 0
+    for i, byte in enumerate(token):
+        match &= cells[:, i] == byte
+    return match
+
+
+class _BlockParser:
+    """Converts the tokens of a block of rows, up to ``size`` observed
+    cells at a time, in work arrays reused from block to block."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.gathered = np.empty((size, 32), np.uint8)
+        self.text = np.empty((3, _TEXT + 1, size), np.uint8)
+        self.pairs = np.empty((2, _TEXT // 2, size), np.uint8)
+        self.quads = np.empty((2, _TEXT // 4, size), np.uint16)
+        self.octets = np.empty((2, _TEXT // 8, size), np.uint32)
+        self.flags = np.empty((2, _TEXT, size), bool)
+        self.counts = np.empty((5, size), np.uint8)
+        self.bools = np.empty((4, size), bool)
+        self.ints = np.empty((2, size), np.uint64)
+        self.f = np.empty(size, np.intp)
+        self.floats = np.empty((10, size))
+
+    def __call__(self, tokens: np.ndarray, na: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """(values, observed) of a 2-d array of fixed-width tokens, at
+        least 32 bytes wide, where ``na`` cells are missing; raises
+        ValueError at a cell that is neither ``na`` nor a number."""
+        cells = tokens.view(np.uint8).reshape(tokens.size, -1)
+        seen = np.logical_not(_matches(cells, na))
+        where = np.flatnonzero(seen)
+        values = np.zeros(tokens.size)
+        flat = tokens.reshape(-1)
+        for start in range(0, where.size, self.size):
+            index = where[start : start + self.size]
+            q, fast = self._convert(cells[:, :32], index)
+            slow = np.flatnonzero(~fast)
+            if slow.size:
+                q[slow] = [float(t) for t in flat[index[slow]].tolist()]
+            values[index] = q
+        return values.reshape(tokens.shape), seen.reshape(tokens.shape)
+
+    def _convert(self, cells: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of rows ``index`` of ``cells``, the first 32 bytes of
+        each token, and which of them the fast path certified; the others
+        are left to float()."""
+        k = index.size
+        fast, neg, flag, good = self.bools[:, :k]
+        ndig, npt, point, length, count = self.counts[:, :k]
+        n, t = self.ints[:, :k]
+        f = self.f[:k]
+        q, p, prod, err, hi, lo, t1, t2, half, res = self.floats[:, :k]
+
+        # Byte r of cell c is text[r, c], with a leading '-' dropped; a
+        # token of over 24 bytes has a 25th.
+        text, digit, mul = self.text[:, :, :k]
+        np.copyto(text, np.take(cells, index, axis=0, out=self.gathered[:k])[:, : _TEXT + 1].T)
+        np.equal(text[_TEXT], 0, out=fast)
+        text, digit, mul = text[:_TEXT], digit[:_TEXT], mul[:_TEXT]
+        np.equal(text[0], ord("-"), out=neg)
+        text[0] *= np.logical_not(neg, out=flag)
+        isdigit, other = self.flags[:, :, :k]
+
+        # The spelling holds when the bytes are digits and at most one
+        # point, with at least one digit; the point's row gives f.
+        np.subtract(text, ord("0"), out=digit)
+        np.less(digit, 10, out=isdigit)
+        np.add.reduce(isdigit, axis=0, dtype=np.uint8, out=ndig)
+        np.equal(text, ord("."), out=other)
+        np.add.reduce(other, axis=0, dtype=np.uint8, out=npt)
+        np.multiply(other, _ROW, out=mul)
+        np.add.reduce(mul, axis=0, out=point)
+        np.not_equal(text, 0, out=other)
+        np.add.reduce(other, axis=0, dtype=np.uint8, out=length)
+        fast &= np.equal(length, np.add(ndig, npt, out=count), out=flag)
+        fast &= np.less_equal(npt, 1, out=flag)
+        fast &= np.greater(ndig, 0, out=flag)
+        # f = ndig - (p - neg) digits after a point, and 0 without one.
+        np.add(ndig, neg, out=count)
+        count -= point
+        count *= npt
+        fast &= np.less_equal(count, 22, out=flag)
+        np.multiply(count, fast, out=f)
+        # Over 19 digits, leading zeros must make up the difference.
+        many = np.flatnonzero(fast & (ndig > 19))
+        if many.size:
+            nonzero = digit[:, many] - np.uint8(1) < 9
+            first = np.argmax(nonzero, axis=0)
+            leading = first - neg[many] - (npt[many] * (point[many] < first))
+            fast[many] = ~nonzero.any(axis=0) | (ndig[many] - leading <= 19)
+
+        # N by Horner's rule, n -> n * mul[r] + digit[r] with mul 10 at
+        # digits and 1 elsewhere, composed a pair of steps at a time: a
+        # pair is n -> n * (m1 * m2) + (d1 * m2 + d2).  Two steps fit in
+        # uint8, four in uint16 and eight in uint32; the last three octets
+        # give N modulo 2**64, which is N since N < 10**19.
+        digit *= isdigit
+        np.multiply(isdigit, np.uint8(9), out=mul)
+        mul += 1
+        for (v, m), (v2, m2) in zip(
+            ((digit, mul), self.pairs[:, :, :k], self.quads[:, :, :k]),
+            (self.pairs[:, :, :k], self.quads[:, :, :k], self.octets[:, :, :k]),
+        ):
+            np.multiply(v[0::2], m[1::2], out=v2, dtype=v2.dtype)
+            v2 += v[1::2]
+            np.multiply(m[0::2], m[1::2], out=m2, dtype=m2.dtype)
+        v, m = self.octets[:, :, :k]
+        np.multiply(v[0], m[1], out=n, dtype=np.uint64)
+        n += v[1]
+        n *= m[2]
+        n += v[2]
+        np.multiply(n, fast, out=n)
+
+        # q and its residual N - prod - err, in units of 10**-f.
+        np.copyto(q, n)
+        _POW10.take(f, out=p)
+        q /= p
+        _times_pow10(q, f, prod, err, hi, lo, t1, t2)
+        np.copyto(t, prod, casting="unsafe")
+        np.subtract(n, t, out=t)
+        np.copyto(res, t.view(np.int64))
+        res -= err
+        # Half an ulp of q, times 10**f.
+        bits = q.view(np.uint64)
+        np.bitwise_and(bits, _EXPONENT, out=t)
+        np.multiply(t.view(float), 2.0**-53, out=half)
+        half *= p
+        np.bitwise_and(bits, _MANTISSA, out=t)
+        np.not_equal(t, 0, out=flag)  # not a power of two
+        np.absolute(res, out=t1)
+        np.less(t1, half, out=good)
+        good &= flag
+        good |= n <= 2**53
+        # q is within 1.5 ulps of the value: fl(N) is off by less than one
+        # ulp of q, and the division by half of one.  So a residual over
+        # half an ulp puts the neighbour it points to within half an ulp,
+        # and that neighbour is float(token).
+        moved = np.flatnonzero(fast & ~good & flag & (t1 > half))
+        if moved.size:
+            qm = q[moved]
+            q[moved] = qm + np.copysign(
+                (qm.view(np.uint64) & _EXPONENT).view(float) * 2.0**-52, res[moved])
+            good[moved] = True
+        fast &= good
+        # The sign bit.
+        np.copyto(t, neg)
+        t <<= 63
+        bits |= t
+        return q, fast
 
 
 def read_mask(path) -> np.ndarray:

@@ -8,6 +8,8 @@ from scipy import integrate
 settings.register_profile(
     "eblp", derandomize=True, deadline=None, max_examples=50, database=None
 )
+# A longer run of the same properties: pytest --hypothesis-profile=ci
+settings.register_profile("ci", settings.get_profile("eblp"), max_examples=2000)
 settings.load_profile("eblp")
 
 

@@ -72,6 +72,63 @@ def float64_bits():
                      st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1))
 
 
+@st.composite
+def number_tokens(draw):
+    """Spellings of numbers, most of them ones float() accepts: digit
+    strings with signs, points and exponents, formatted doubles, and
+    neighbours of powers of two and ten."""
+    kind = draw(st.sampled_from(["digits", "format", "near", "junk"]))
+    if kind == "digits":
+        whole = draw(st.text("0123456789", max_size=25))
+        frac = draw(st.none() | st.text("0123456789", max_size=25))
+        if not whole and not frac:
+            whole = "0"
+        body = whole if frac is None else f"{whole}.{frac}"
+        exponent = draw(st.none() | st.integers(-340, 340))
+        if exponent is not None:
+            body += draw(st.sampled_from(["e", "E"])) + (
+                f"{exponent:+d}" if draw(st.booleans()) else str(exponent))
+        return draw(st.sampled_from(["", "-", "+"])) + body
+    if kind == "junk":
+        return draw(st.sampled_from([
+            "1.2.3", "--1", "-+1", "1-", "1e", "e5", ".", "-", "+", "-.", "0x10",
+            "1,5", "1__0", "_1", "1d5", "\u0661", "nan", "inf", "-Infinity", "1e400",
+            "5.e", "1.5e+", "--",
+        ]))
+    if kind == "near":
+        base = 2.0 ** draw(st.integers(-1074, 1023)) if draw(st.booleans()) else \
+            10.0 ** draw(st.integers(-307, 308))
+        x = base
+        for _ in range(draw(st.integers(0, 3))):
+            x = np.nextafter(x, draw(st.sampled_from([0.0, np.inf])))
+        x = float(x)
+    else:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    digits = draw(st.integers(1, 25))
+    return draw(st.sampled_from([
+        "%.17g" % x, repr(x), f"%.{digits}g" % x, f"%.{digits}e" % x,
+        f"%.{digits}f" % x if abs(x) < 1e25 else repr(x),
+    ]))
+
+
+def read_reference(tokens, width, path):
+    """What read_matrix must give for a file of ``tokens``, ``width`` to a
+    row: values equal to float(token), or the error text of the first bad
+    cell in reading order."""
+    for k, token in enumerate(tokens):
+        try:
+            value = float(token.encode())
+        except ValueError:
+            problem = "not a number"
+        else:
+            if np.isfinite(value):
+                continue
+            problem = "not a finite number"
+        i, j = divmod(k, width)
+        return f"{path}: row {i + 1}, field {j + 1}: {problem}: {token!r}"
+    return np.array([float(t) for t in tokens]).reshape(-1, width)
+
+
 EXTREMES = np.array([[-0.0, 5e-324, -2.2250738585072009e-308,
                       1.7976931348623157e308, -1.7976931348623157e308]])
 
@@ -171,6 +228,102 @@ class TestMatrixIO:
         values, observed = matio.read_matrix(path, na_token=na)
         assert np.array_equal(values, [[float(long_value), 2.0], [0.0, 1e40]])
         assert np.array_equal(observed, [[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize("length", [8190, 8191, 8192])
+    def test_line_layouts_across_read_chunks(self, tmp_path, length):
+        # Text is read in chunks of 8192 bytes: a '\r\n' split between two
+        # is one line end, and rows are counted from the top.
+        first = b"1 " + b"0" * (length - 3) + b"2"
+        text = first + b"\r\n\r\n# c\r3 4\r5 6\n\n7 8\r\n9 x\r\n"
+        path = tmp_path / "m.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as info:
+            matio.read_matrix(path)
+        assert str(info.value) == f"{path}: row 5, field 2: not a number: 'x'"
+        path.write_bytes(text.replace(b"x", b"10"))
+        values, observed = matio.read_matrix(path)
+        assert np.array_equal(values, np.arange(1.0, 11.0).reshape(5, 2))
+        assert observed.all()
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_read_matches_float_of_each_token(self, tmp_path_factory, width, rows, data):
+        tokens = data.draw(st.lists(number_tokens(), min_size=width * rows,
+                                    max_size=width * rows))
+        path = tmp_path_factory.mktemp("tokens") / "m.txt"
+        path.write_text("\n".join(" ".join(tokens[i : i + width])
+                                  for i in range(0, len(tokens), width)) + "\n")
+        want = read_reference(tokens, width, path)
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as info:
+                matio.read_matrix(path)
+            assert str(info.value) == want
+        else:
+            values, observed = matio.read_matrix(path)
+            assert observed.all()
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+    HARD_TOKENS = [
+        # 2**53 and its neighbours; 2**53 + 1 is a tie that rounds to even.
+        "9007199254740991", "9007199254740992", "9007199254740993",
+        "9007199254740994", "9007199254740995", "-9007199254740993",
+        "9007199254740993.0", "9007199254740992.5", "900719925474099.35",
+        # Exact midpoints between neighbouring doubles (ties) and one off
+        # them, with 17 to 19 significant digits.
+        "4503599627370496.5", "4503599627370497.5", "18014398509481986",
+        "1152921504606847104", "1152921504606847103", "1152921504606847105",
+        "1152921504606847232", "115292150460684710.4", "0.1152921504606847104",
+        "9223372036854775808", "9223372036854776832", "9999999999999999999",
+        # The smallest normal, the largest double, subnormals, signed zeros.
+        "2.2250738585072011e-308", "2.2250738585072012e-308", "1.7976931348623157e308",
+        "4.9406564584124654e-324", "5e-324", "1e-400", "-0", "-0.0", "0.000",
+        # Leading zeros, bare points, and digit counts around the limits.
+        ".5", "5.", "-.5", "+.5", "007", "-00.50", "0.0000000000000000000001",
+        ".00000000000000000000001", "1234567890123456789", "12345678901234567890",
+        "123456789012345678.9", "1234567890123456789.0", "0.00012345678901234567",
+        "0.000000012345678901234567", "1.0000000000000000000000", "0.1", "0.3",
+    ]
+
+    def test_read_matches_float_on_hard_tokens(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(" ".join(self.HARD_TOKENS) + "\n")
+        values, observed = matio.read_matrix(path)
+        want = np.array([[float(t) for t in self.HARD_TOKENS]])
+        assert observed.all()
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(values[0, self.HARD_TOKENS.index("-0")])
+
+    def test_read_matches_float_next_to_powers_of_two_and_ten(self, tmp_path):
+        centres = [2.0**k for k in range(-30, 64)] + [10.0**k for k in range(-22, 20)]
+        values = []
+        for centre in centres:
+            below = above = centre
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                values += [below, above]
+            values.append(centre)
+        tokens = ["%.17g" % v for v in values] + ["%.19g" % v for v in values]
+        tokens += ["%.20f" % v for v in values if v < 1e3]
+        path = tmp_path / "m.txt"
+        path.write_text(" ".join(tokens) + "\n")
+        back, _ = matio.read_matrix(path)
+        want = np.array([[float(t) for t in tokens]])
+        assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+    def test_read_matches_float_on_a_million_random_doubles(self, tmp_path):
+        rng = np.random.default_rng(22)
+        bits = rng.integers(0, 2**64, size=(1000, 1000), dtype=np.uint64, endpoint=False)
+        # Half the rows uniform over bit patterns, half over fixed notation.
+        bits[::2] = (rng.standard_normal((500, 1000))
+                     * 10.0 ** rng.uniform(-6, 18, (500, 1000))).view(np.uint64)
+        matrix = bits.view(np.float64)
+        observed = (rng.random(matrix.shape) < 0.9) & np.isfinite(matrix)
+        path = tmp_path / "m.txt"
+        matio.write_matrix(path, matrix, observed=observed)
+        values, back = matio.read_matrix(path)
+        assert np.array_equal(back, observed)
+        # '%.17g' round-trips, so float(token) is the written value.
+        expected = np.where(observed, matrix, 0.0)
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
     @given(masked_matrices(st.floats(allow_nan=False, allow_infinity=False)),
            st.sampled_from(["NA", "?", "-"]))
@@ -278,6 +431,18 @@ class TestMatrixIO:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_read_memory_is_the_result_and_a_block(self, tmp_path):
+        path = tmp_path / "m.txt"
+        matio.write_matrix(path, np.random.default_rng(21).standard_normal((4000, 1000)))
+        tracemalloc.start()
+        try:
+            values, observed = matio.read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes + observed.nbytes == 64e6
+        assert peak < 96e6
 
     def test_write_rejects_observed_of_another_shape(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -410,6 +575,22 @@ class TestDenoiseCommand:
             # The NA token is matched before the cell is parsed.
             assert main(["denoise", str(inp), out, "--rank", "1", "--na-token", "nan"]) == 0
 
+    def test_missing_cell_marked_observed_exit_2(self, tmp_path, capsys):
+        # A mask cannot supply a value the input lacks; the first such cell
+        # in reading order is named.
+        rng = np.random.default_rng(5)
+        observed = np.ones((30, 8), bool)
+        observed[6, 3] = observed[2, 5] = False
+        inp, maskf = tmp_path / "y.txt", tmp_path / "mask.txt"
+        matio.write_matrix(inp, rng.standard_normal((30, 8)), observed=observed)
+        matio.write_matrix(maskf, np.ones((30, 8)))
+        out = str(tmp_path / "o.txt")
+        assert main(["denoise", str(inp), out, "--rank", "1", "--mask", str(maskf)]) == 2
+        assert capsys.readouterr().err == (
+            f"eblp: parse error: {inp}: row 3, field 6: missing but marked observed by the mask\n")
+        matio.write_matrix(maskf, observed)
+        assert main(["denoise", str(inp), out, "--rank", "1", "--mask", str(maskf)]) == 0
+
     def test_all_missing_column_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         y = rng.standard_normal((10, 4))
@@ -531,6 +712,22 @@ class TestOosCommand:
         pred, _ = matio.read_matrix(out)
         want = loop_predict(matio.read_model(model_path), y * mask, mask)
         assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_missing_cell_marked_observed_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        _, _, model_path, _ = self.fit_and_save(tmp_path, rng, n=100, p=40)
+        observed = np.ones((12, 40), bool)
+        observed[9, 0] = False
+        inp, maskf, out = tmp_path / "f.txt", tmp_path / "f.mask", tmp_path / "p.txt"
+        matio.write_matrix(inp, rng.standard_normal((12, 40)), observed=observed)
+        matio.write_matrix(maskf, np.ones((12, 40)))
+        capsys.readouterr()
+        code = main(["oos", str(inp), str(out), "--model", str(model_path),
+                     "--mask", str(maskf)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"eblp: parse error: {inp}: row 10, field 1: missing but marked observed by the mask\n")
+        assert not out.exists()
 
     def test_empty_input_empty_output(self, tmp_path):
         rng = np.random.default_rng(9)

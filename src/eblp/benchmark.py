@@ -26,6 +26,9 @@ replicate), so methods see identical draws.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import functools
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -189,7 +192,10 @@ def _nnrls_calibration(exp: BenchmarkExperiment) -> tuple[float | None, np.ndarr
     Uniform sampling with white noise uses the closed formula per
     replicate (returns None); anything else is calibrated by Monte Carlo
     on masked pure noise, with C^-1 applied for the weighted variant.
+    Experiments without NNRLS return (None, None).
     """
+    if "nnrls" not in exp.methods:
+        return None, None
     cfg = exp.config
     column_weights = None
     if cfg.sampling.kind == "linear":
@@ -292,25 +298,60 @@ def run_benchmark(
     timings: bool = True,
 ) -> list[dict]:
     """Run every (experiment, sigma, replicate) point and return the rows
-    in deterministic order."""
-    tasks = []
-    for exp in experiments:
-        w_base, column_weights = (
-            _nnrls_calibration(exp) if "nnrls" in exp.methods else (None, None)
-        )
-        for sigma_index in range(len(exp.sigma_grid)):
-            for replicate in range(exp.config.replicates):
-                tasks.append(
-                    _Task(exp, sigma_index, replicate, w_base, column_weights, timings)
-                )
+    in deterministic order.
 
+    With ``jobs > 1`` the NNRLS weight calibrations and the grid points run
+    in ``jobs`` worker processes with one BLAS thread each, so the table
+    equals a ``jobs=1`` run under one BLAS thread, byte for byte.  The
+    workers are spawned, so a script that calls this with ``jobs > 1``
+    needs an ``if __name__ == "__main__":`` guard.
+    """
     if jobs <= 1:
-        results = [_run_task(task) for task in tasks]
-    else:
-        # Imported here: single-process runs and other commands never load
-        # the process-pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
+        return _run_grid(experiments, timings, map)
+    with _worker_pool(jobs) as pool:
+        return _run_grid(experiments, timings, functools.partial(pool.map, chunksize=1))
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=1))
-    return [row for rows in results for row in rows]
+
+def _run_grid(experiments: list[BenchmarkExperiment], timings: bool, mapper) -> list[dict]:
+    calibrations = list(mapper(_nnrls_calibration, experiments))
+    tasks = [
+        _Task(exp, sigma_index, replicate, w_base, column_weights, timings)
+        for exp, (w_base, column_weights) in zip(experiments, calibrations)
+        for sigma_index in range(len(exp.sigma_grid))
+        for replicate in range(exp.config.replicates)
+    ]
+    return [row for rows in mapper(_run_task, tasks) for row in rows]
+
+
+# Environment of each campaign worker.  OpenBLAS (and an OpenMP or MKL
+# build) reads its thread count once, when numpy loads, so the variables
+# must be set before a worker starts: one BLAS thread per worker keeps
+# `jobs` workers from oversubscribing the cores.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """A pool of ``jobs`` spawned workers with one BLAS thread each.
+
+    Spawned workers copy this process's environment when they start, so it
+    holds `_WORKER_ENV` while the pool is open and is restored after; this
+    process's BLAS is already loaded and keeps its thread count.
+    """
+    # Imported here: single-process runs and other commands never load
+    # the process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value

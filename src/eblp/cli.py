@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``denoise`` (in-sample fit of a matrix with missing or
-weighted entries), ``oos`` (stream fresh rows through a saved model),
-``simulate`` (dump a synthetic dataset), ``benchmark`` (method comparison
-grid producing a results table).
+weighted entries), ``oos`` (predict a file of fresh rows, read whole, with
+a saved model), ``simulate`` (dump a synthetic dataset), ``benchmark``
+(method comparison grid producing a results table).
+
+Importing this module loads only what ``denoise`` and ``oos`` run;
+``simulate`` and ``benchmark`` import the simulator, the NNRLS baseline and
+the config parser when they run.
 
 Exit codes: 0 success, 2 parse/usage, 3 degenerate data, 4 numeric.
 """
@@ -16,7 +20,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .benchmark import parse_benchmark_config, run_benchmark
 from .errors import (
     DegenerateCoordinateError,
     EblpError,
@@ -34,7 +37,6 @@ from .pipeline import (
     predict_out_of_sample,
 )
 from .shrinkage import amse
-from .simulate import simulate_dataset
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,7 +48,7 @@ def _load_observations(path, mask_path, na_token):
     values, observed = matio.read_matrix(path, na_token=na_token)
     if mask_path is not None:
         mask = matio.read_mask(mask_path)
-        if values.size and mask.shape != values.shape:
+        if mask.shape != values.shape:
             raise ShapeError(
                 f"mask shape {mask.shape} does not match input {values.shape}"
             )
@@ -114,6 +116,9 @@ def cmd_oos(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .benchmark import parse_benchmark_config
+    from .simulate import simulate_dataset
+
     matio.check_na_token(args.na_token)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     exp = experiments[0]
@@ -131,6 +136,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .benchmark import parse_benchmark_config, run_benchmark
+
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     rows = run_benchmark(experiments, jobs=args.jobs, timings=args.timings)
     matio.write_results(args.output, rows)

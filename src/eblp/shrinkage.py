@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy  # unused here; bench/tracing.py install() proxies shrinkage.scipy
 
 from .errors import RankError, ShapeError
 from .spectral import (
@@ -33,6 +32,18 @@ __all__ = [
     "shrink_matrix",
     "shrink_triplets",
 ]
+
+
+def __getattr__(name):
+    # No fit uses SciPy.  bench/tracing.py install() still proxies
+    # ``shrinkage.scipy``, so that one name imports SciPy when it is read;
+    # delete this function once the tracer stops proxying it (ROADMAP,
+    # numpy-only runtime).
+    if name == "scipy":
+        import scipy
+
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +25,8 @@ from eblp import (
 from eblp import matio
 from eblp.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 TINY_CONFIG = """
 [tiny]
 p = 40
@@ -34,6 +40,25 @@ replicates = 2
 seed = 11
 methods = eblp,unwhitened,nnrls
 random_mean = true
+"""
+
+# Desk-sized: at p = 300 OpenBLAS splits the products and eigensolves over
+# threads, which can change the last bits of a result.  Linear sampling
+# makes NNRLS calibrate its weight by Monte Carlo.
+DESK_CONFIG = """
+[desk]
+p = 300
+gamma = 0.8
+ell = 10,5
+rank = 2
+sampling = linear:0.1
+noise = white
+sigma_grid = 2
+replicates = 2
+seed = 7
+methods = eblp,unwhitened,nnrls
+nnrls_max_iters = 40
+weight_replicates = 4
 """
 
 
@@ -504,6 +529,29 @@ class TestModelIO:
         assert predict_out_of_sample(model, row).tobytes() == \
             predict_out_of_sample(back, row).tobytes()
 
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(40, 12), (12, 40), (30, 30)]),
+        rank=st.integers(0, 3),
+        whiten=st.booleans(),
+        mode=st.sampled_from(["plugin", "white"]),
+        scale=st.sampled_from([1e-100, 1.0, 1e100]),
+    )
+    def test_write_read_write_same_bytes(self, tmp_path_factory, seed, shape, rank,
+                                         whiten, mode, scale):
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        d = (rng.random((n, p)) < 0.8) * rng.uniform(0.2, 2.0, (n, p))
+        d[rng.integers(n, size=p), np.arange(p)] = 1.0   # no empty column
+        x = 4.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) + rng.standard_normal(p)
+        y = scale * d * (x + rng.standard_normal((n, p)))
+        model, _ = fit_in_sample(dataset_from_arrays(y, d), rank, whiten=whiten, mode=mode)
+        first, second = (tmp_path_factory.mktemp("model") / "model.json" for _ in range(2))
+        matio.write_model(first, model)
+        matio.write_model(second, matio.read_model(first))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_corrupted_file(self, tmp_path, rng):
         path = tmp_path / "model.json"
         path.write_text("{not json")
@@ -590,6 +638,16 @@ class TestDenoiseCommand:
             f"eblp: parse error: {inp}: row 3, field 6: missing but marked observed by the mask\n")
         matio.write_matrix(maskf, observed)
         assert main(["denoise", str(inp), out, "--rank", "1", "--mask", str(maskf)]) == 0
+
+    def test_empty_input_with_mask_exit_2(self, tmp_path, capsys):
+        empty, maskf = tmp_path / "empty.txt", tmp_path / "mask.txt"
+        empty.write_text("")
+        matio.write_matrix(maskf, np.ones((2, 3)))
+        out = tmp_path / "o.txt"
+        assert main(["denoise", str(empty), str(out), "--rank", "1", "--mask", str(maskf)]) == 2
+        assert capsys.readouterr().err == (
+            "eblp: input mismatch: mask shape (2, 3) does not match input (0, 0)\n")
+        assert not out.exists()
 
     def test_all_missing_column_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -738,6 +796,21 @@ class TestOosCommand:
         assert main(["oos", str(empty), str(out), "--model", str(model_path)]) == 0
         values, _ = matio.read_matrix(out)
         assert values.shape == (0, 0)
+
+    def test_empty_input_with_mask_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        _, _, model_path, _ = self.fit_and_save(tmp_path, rng, n=100, p=40)
+        empty, maskf = tmp_path / "empty.txt", tmp_path / "f.mask"
+        empty.write_text("")
+        matio.write_matrix(maskf, np.ones((3, 40)))
+        out = tmp_path / "oos.txt"
+        capsys.readouterr()
+        code = main(["oos", str(empty), str(out), "--model", str(model_path),
+                     "--mask", str(maskf)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "eblp: input mismatch: mask shape (3, 40) does not match input (0, 0)\n")
+        assert not out.exists()
 
     def test_corrupted_model_exit_2(self, tmp_path, rng):
         model_path = tmp_path / "model.json"
@@ -898,6 +971,24 @@ class TestBenchmarkCommand:
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert main(["benchmark", tiny_config, str(a), "--no-timings"]) == 0
         assert main(["benchmark", tiny_config, str(b), "--no-timings", "--jobs", "2"]) == 0
+        assert a.read_text() == b.read_text()
+
+    def test_jobs_workers_match_one_blas_thread(self, tmp_path):
+        # Campaign workers run with one BLAS thread each, so a --jobs 2
+        # table equals a --jobs 1 table from a single-threaded process.
+        cfg, a, b = tmp_path / "desk.cfg", tmp_path / "a.txt", tmp_path / "b.txt"
+        cfg.write_text(DESK_CONFIG)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        serial = subprocess.run(
+            [sys.executable, "-m", "eblp.cli", "benchmark", str(cfg), str(a),
+             "--no-timings", "--jobs", "1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert serial.returncode == 0, serial.stderr
+        assert main(["benchmark", str(cfg), str(b), "--no-timings", "--jobs", "2"]) == 0
+        assert len(matio.read_results(b)) == 6
         assert a.read_text() == b.read_text()
 
     def test_seed_override_changes_rows(self, tmp_path, tiny_config):

@@ -2,7 +2,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_predict, reference_fit
@@ -179,26 +179,35 @@ class TestFitInSample:
         resid = basis @ coeffs - centered.T
         assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(centered), 1e-12)
 
+    @settings(max_examples=200)
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.sampled_from([(60, 40), (40, 60), (50, 50)]),
         rank=st.integers(1, 2),
         whiten=st.booleans(),
         mode=st.sampled_from(["plugin", "white"]),
+        permute=st.sampled_from(["rows", "columns", "both"]),
     )
-    def test_row_permutation_equivariance(self, seed, shape, rank, whiten, mode):
-        # Permuting samples and coordinates permutes every fitted output;
-        # only summation order changes.
+    def test_row_permutation_equivariance(self, seed, shape, rank, whiten, mode, permute):
+        # Permuting samples, coordinates or both permutes every fitted
+        # output and leaves the spike estimates alone; only summation order
+        # changes, so values agree to rounding, not bit for bit.
         rng = np.random.default_rng(seed)
         n, p = shape
         ds, _, _ = make_dataset(rng, n, p, [40.0, 15.0], delta=0.7, mean=rng.standard_normal(p))
-        rows, cols = rng.permutation(n), rng.permutation(p)
+        rows = rng.permutation(n) if permute != "columns" else np.arange(n)
+        cols = rng.permutation(p) if permute != "rows" else np.arange(p)
         model, x_hat = fit_in_sample(ds, rank, whiten=whiten, mode=mode)
         permuted = dataset_from_arrays(ds.y[rows][:, cols], ds.d[rows][:, cols])
         model_perm, x_perm = fit_in_sample(permuted, rank, whiten=whiten, mode=mode)
         assert max_rel_err(x_perm, x_hat[rows][:, cols]) <= 1e-12
         assert max_rel_err(model_perm.m_hat_diag, model.m_hat_diag[cols]) <= 1e-12
+        assert max_rel_err(model_perm.w_diag, model.w_diag[cols]) <= 1e-12
         assert max_rel_err(model_perm.mean, model.mean[cols]) <= 1e-12
+        fields = lambda m: np.array([astuple(e) for e in m.estimates], dtype=float)  # noqa: E731
+        want = fields(model)
+        for column in range(want.shape[1]):
+            assert max_rel_err(fields(model_perm)[:, column], want[:, column]) <= 1e-12
 
     def test_m_diag_override(self, rng):
         ds, _, _ = make_dataset(rng, 200, 100, [10.0], delta=0.5)

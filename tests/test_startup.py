@@ -1,8 +1,10 @@
-"""Start-up cost guard: no path loads SciPy's ARPACK module
+"""Start-up cost guard: ``denoise`` and ``oos`` load neither SciPy nor the
+campaign's modules (the runner, the simulator, the NNRLS baseline and
+``configparser``), no path loads SciPy's ARPACK module
 (``scipy.sparse.linalg``, about 0.3 s to import), and only a multi-job
 campaign loads the process pool (``concurrent.futures.process``).  The
 checks run in a fresh interpreter, because this test process may have
-loaded either."""
+loaded any of them."""
 
 import json
 import os
@@ -39,11 +41,14 @@ from eblp import TransformedObservation, dataset_from_arrays, fit_in_sample
 from eblp import matio, predict_out_of_sample
 
 y_path, model, fresh, pred, xhat, config, table, prefix = sys.argv[1:]
+campaign = ("scipy", "eblp.benchmark", "eblp.simulate", "eblp.baselines", "configparser")
+lean = lambda: [name for name in campaign if name in sys.modules]
+seen = {"lean_import": lean()}
 loaded = lambda: "scipy.sparse.linalg" in sys.modules
 pool = lambda: "concurrent.futures.process" in sys.modules
 y = np.load(y_path)
 dataset = dataset_from_arrays(y, np.ones_like(y))
-seen = {"import": loaded(), "pool_import": pool()}
+seen.update({"import": loaded(), "pool_import": pool()})
 plugin, _ = fit_in_sample(dataset, 2, mode="plugin")
 predict_out_of_sample(plugin, TransformedObservation(y=y[:5], d=np.ones_like(y[:5])))
 seen["plugin"] = loaded()
@@ -56,9 +61,12 @@ seen["oos"] = loaded()
 seen["pool_oos"] = pool()
 assert eblp.cli.main(["denoise", fresh, xhat, "--rank", "2", "--mode", "white"]) == 0
 seen["denoise_white"] = loaded()
+seen["lean_commands"] = lean()
 assert eblp.cli.main(["benchmark", config, table, "--no-timings"]) == 0
 assert eblp.cli.main(["simulate", config, prefix]) == 0
 seen["benchmark"] = loaded()
+seen["pool_benchmark"] = pool()
+seen["rows"] = len(matio.read_results(table))
 seen["estimates"] = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
                      for e in white.estimates]
 print(json.dumps(seen))
@@ -86,9 +94,69 @@ def test_sparse_linalg_never_loads(tmp_path, rng):
     for path in ("import", "plugin", "white", "oos", "denoise_white", "benchmark"):
         assert not seen[path], path
     assert not (seen["pool_import"] or seen["pool_fit"] or seen["pool_oos"])
+    assert not seen["pool_benchmark"]
+    assert seen["lean_import"] == seen["lean_commands"] == []
+    assert seen["rows"] == 3
+    assert (tmp_path / "sim.y.txt").exists()
 
     white, _ = fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 2, mode="white")
     assert all(e.supercritical for e in white.estimates)
     expected = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
                 for e in white.estimates]
     np.testing.assert_allclose(seen["estimates"], expected, rtol=1e-12)
+
+
+# Every public name the package exports, those it loads on first access
+# included.
+EXPORTED = (
+    "DegenerateCoordinateError", "EblpError", "EblpModel", "EigenSpectrum",
+    "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
+    "NotFittedError", "ParseError", "RankError", "SamplingSpec", "ShapeError",
+    "SignalModel", "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
+    "SpikeEstimate", "TransformedObservation", "amse", "backproject",
+    "baselines", "blp_oracle", "companion_stieltjes",
+    "companion_stieltjes_derivative", "d_transform", "d_transform_derivative",
+    "dataset_from_arrays", "empirical_stieltjes",
+    "empirical_stieltjes_derivative", "errors", "estimate_spike",
+    "fit_in_sample", "generate_masks", "generate_noise", "generate_signals",
+    "mp_bulk_edge", "nnrls", "nnrls_weight_colored", "nnrls_weight_white",
+    "pipeline", "predict_out_of_sample", "rmse", "shrink_matrix", "shrinkage",
+    "simple_blp_uniform", "simulate", "simulate_dataset", "spectral",
+    "spectral_estimates", "white_spike_forward", "white_spike_inverse",
+)
+
+LAZY_SCRIPT = """
+import json, sys
+import eblp
+seen = {"baselines": "eblp.baselines" in sys.modules,
+        "simulate": "eblp.simulate" in sys.modules,
+        "dir": dir(eblp)}
+from eblp import nnrls, NnrlsConfig, simulate_dataset
+import eblp.baselines, eblp.simulate
+seen["same"] = (nnrls is eblp.baselines.nnrls and NnrlsConfig is eblp.baselines.NnrlsConfig
+                and simulate_dataset is eblp.simulate.simulate_dataset)
+star = {}
+exec("from eblp import *", star)
+seen["star"] = sorted(name for name in star if not name.startswith("_"))
+try:
+    eblp.no_such_name
+except AttributeError as exc:
+    seen["missing"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+def test_package_names_resolve_on_first_access():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert not (seen["baselines"] or seen["simulate"])
+    assert set(EXPORTED) <= set(seen["dir"])
+    assert seen["same"]
+    assert seen["star"] == sorted(EXPORTED)
+    assert seen["missing"] == "module 'eblp' has no attribute 'no_such_name'"

@@ -14,12 +14,6 @@ from .errors import (
 from .spectral import (
     EigenSpectrum,
     SpectralEstimates,
-    companion_stieltjes,
-    companion_stieltjes_derivative,
-    d_transform,
-    d_transform_derivative,
-    empirical_stieltjes,
-    empirical_stieltjes_derivative,
     mp_bulk_edge,
     spectral_estimates,
 )

@@ -42,13 +42,14 @@ from .simulate import (
     ExperimentConfig,
     NoiseSpec,
     SamplingSpec,
+    SimulatedData,
     generate_masks,
     generate_noise,
     rmse,
     simulate_dataset,
 )
 
-__all__ = ["BenchmarkExperiment", "parse_benchmark_config", "run_benchmark"]
+__all__ = ["BenchmarkExperiment", "parse_benchmark_config", "run_benchmark", "simulate_replicate"]
 
 KNOWN_METHODS = ("eblp", "unwhitened", "nnrls")
 
@@ -69,6 +70,7 @@ _KEYS = {
     "nnrls_tol": False,
     "weight_replicates": False,
 }
+_SOLVER_KEYS = (("nnrls_max_iters", int), ("nnrls_tol", float), ("weight_replicates", int))
 
 # Entropy tag mixed into the seed sequence used for weight calibration so
 # it never collides with a (sigma index, replicate) pair.
@@ -82,8 +84,8 @@ class BenchmarkExperiment:
     sigma_grid: tuple[float, ...]
     methods: tuple[str, ...]
     rank: int
-    nnrls_max_iters: int = 500
-    nnrls_tol: float = 1e-7
+    nnrls_max_iters: int = NnrlsConfig.max_iters
+    nnrls_tol: float = NnrlsConfig.tol
     weight_replicates: int = 20
 
 
@@ -148,7 +150,7 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
                 ell=_floats(items["ell"]),
                 pc_sparsity=None if sparsity_kind == "dense" else int(sparsity_val),
                 sampling=SamplingSpec(sampling_kind, sampling_val),
-                noise=NoiseSpec(noise_kind, 1.0, noise_val if noise_val else 1.0),
+                noise=NoiseSpec(noise_kind, 1.0, 1.0 if noise_val is None else noise_val),
                 replicates=int(items["replicates"]),
                 seed=int(items["seed"]) if seed_override is None else seed_override,
                 random_mean=items.get("random_mean", "false").strip().lower()
@@ -160,15 +162,15 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
                     raise ParseError(
                         f"unknown method {m!r} (expected one of {KNOWN_METHODS})"
                     )
+            # Solver keys left out keep the BenchmarkExperiment defaults.
+            solver = {key: kind(items[key]) for key, kind in _SOLVER_KEYS if key in items}
             experiment = BenchmarkExperiment(
                 name=section,
                 config=config,
                 sigma_grid=_floats(items["sigma_grid"]),
                 methods=methods,
                 rank=int(items["rank"]),
-                nnrls_max_iters=int(items.get("nnrls_max_iters", 500)),
-                nnrls_tol=float(items.get("nnrls_tol", 1e-7)),
-                weight_replicates=int(items.get("weight_replicates", 20)),
+                **solver,
             )
         except ParseError:
             raise
@@ -227,14 +229,21 @@ class _Task:
     timings: bool
 
 
+def simulate_replicate(
+    exp: BenchmarkExperiment, sigma_index: int, replicate: int
+) -> tuple[ExperimentConfig, SimulatedData]:
+    """The config at the ``sigma_index``-th grid noise level and its data,
+    drawn from the seed sequence (experiment seed, sigma index, replicate)."""
+    noise = replace(exp.config.noise, sigma=exp.sigma_grid[sigma_index])
+    cfg = replace(exp.config, noise=noise)
+    seed = np.random.SeedSequence([exp.config.seed, sigma_index, replicate])
+    return cfg, simulate_dataset(cfg, np.random.default_rng(seed))
+
+
 def _run_task(task: _Task) -> list[dict]:
     exp = task.experiment
-    sigma = exp.sigma_grid[task.sigma_index]
-    cfg = replace(exp.config, noise=replace(exp.config.noise, sigma=sigma))
-    seed = np.random.SeedSequence(
-        [exp.config.seed, task.sigma_index, task.replicate]
-    )
-    data = simulate_dataset(cfg, np.random.default_rng(seed))
+    cfg, data = simulate_replicate(exp, task.sigma_index, task.replicate)
+    sigma = cfg.noise.sigma
 
     noise_profile = (
         cfg.noise.variance_profile(cfg.p) if cfg.noise.kind == "colored" else None

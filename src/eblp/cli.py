@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -116,18 +115,12 @@ def cmd_oos(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .benchmark import parse_benchmark_config
-    from .simulate import simulate_dataset
+    from .benchmark import parse_benchmark_config, simulate_replicate
 
     matio.check_na_token(args.na_token)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
-    exp = experiments[0]
-    # Reproduce benchmark replicate 0 at the first grid noise level.
-    cfg = replace(
-        exp.config, noise=replace(exp.config.noise, sigma=exp.sigma_grid[0])
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([exp.config.seed, 0, 0]))
-    data = simulate_dataset(cfg, rng)
+    # Benchmark replicate 0 of the first experiment at its first noise level.
+    _, data = simulate_replicate(experiments[0], 0, 0)
     matio.write_matrix(args.prefix + ".y.txt", data.y, observed=data.masks,
                        na_token=args.na_token)
     matio.write_matrix(args.prefix + ".mask.txt", data.masks)

@@ -28,6 +28,7 @@ import json
 import math
 import os
 from collections.abc import Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -587,18 +588,7 @@ def write_model(path, model: EblpModel) -> None:
         "w_diag": model.w_diag.tolist(),
         "mean": model.mean.tolist(),
         "u_hat": model.u_hat.T.tolist(),     # one list per component
-        "estimates": [
-            {
-                "ell_hat": e.ell_hat,
-                "c2_hat": e.c2_hat,
-                "ct2_hat": e.ct2_hat,
-                "lambda_star": e.lambda_star,
-                "sigma_obs": e.sigma_obs,
-                "supercritical": e.supercritical,
-                "clamped": e.clamped,
-            }
-            for e in model.estimates
-        ],
+        "estimates": [asdict(e) for e in model.estimates],
     }
     Path(path).write_text(json.dumps(payload, allow_nan=False))
 

@@ -70,6 +70,22 @@ class SpikeEstimate:
             supercritical=False,
         )
 
+    @classmethod
+    def supercritical_at(
+        cls, sigma2: float, ell: float, c2: float, ct2: float, clamped: bool = False
+    ) -> "SpikeEstimate":
+        """Estimate of a spike ``ell`` with squared cosines ``c2``, ``ct2``
+        seen at the squared singular value ``sigma2``."""
+        return cls(
+            ell_hat=float(ell),
+            c2_hat=float(c2),
+            ct2_hat=float(ct2),
+            lambda_star=float(np.sqrt(ell * c2 * ct2)),
+            sigma_obs=float(np.sqrt(sigma2)),
+            supercritical=True,
+            clamped=clamped,
+        )
+
 
 def amse(estimates: list[SpikeEstimate]) -> float:
     """Estimated asymptotic mean squared error sum_k ell_k (1 - c_k^2 ct_k^2)."""
@@ -100,15 +116,7 @@ def estimate_spike(spectrum: EigenSpectrum, r: int, k: int) -> SpikeEstimate:
     clamped = not (0.0 <= c2 <= 1.0 and 0.0 <= ct2 <= 1.0)
     c2 = float(min(max(c2, 0.0), 1.0))
     ct2 = float(min(max(ct2, 0.0), 1.0))
-    return SpikeEstimate(
-        ell_hat=float(ell),
-        c2_hat=c2,
-        ct2_hat=ct2,
-        lambda_star=float(np.sqrt(ell * c2 * ct2)),
-        sigma_obs=float(np.sqrt(sigma2)),
-        supercritical=True,
-        clamped=clamped,
-    )
+    return SpikeEstimate.supercritical_at(sigma2, ell, c2, ct2, clamped)
 
 
 def white_spike_forward(
@@ -150,14 +158,7 @@ def _white_estimate(sigma2: float, gamma: float, noise_var: float) -> SpikeEstim
     if ell <= 0.0:
         return SpikeEstimate.subcritical(sigma_obs=np.sqrt(sigma2))
     _, c2, ct2 = white_spike_forward(ell, gamma, noise_var)
-    return SpikeEstimate(
-        ell_hat=float(ell),
-        c2_hat=float(c2),
-        ct2_hat=float(ct2),
-        lambda_star=float(np.sqrt(ell * c2 * ct2)),
-        sigma_obs=float(np.sqrt(sigma2)),
-        supercritical=True,
-    )
+    return SpikeEstimate.supercritical_at(sigma2, ell, c2, ct2)
 
 
 def shrink_triplets(

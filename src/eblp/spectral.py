@@ -5,6 +5,10 @@ Everything here operates on the eigenvalues of the normalized covariance
 ``gamma = p / n``.  When p > n the covariance has p - n structural zero
 eigenvalues which are never stored explicitly: the plug-in sums account
 for them (zero-padding policy).
+
+``spectral_estimates`` evaluates the sample Stieltjes transform, its
+companion and the D-transform of Benaych-Georges & Nadakuditi (2012),
+with derivatives, in one pass over the residual spectrum.
 """
 
 from __future__ import annotations
@@ -19,12 +23,6 @@ __all__ = [
     "EigenSpectrum",
     "SpectralEstimates",
     "gram_eigh",
-    "empirical_stieltjes",
-    "empirical_stieltjes_derivative",
-    "companion_stieltjes",
-    "companion_stieltjes_derivative",
-    "d_transform",
-    "d_transform_derivative",
     "spectral_estimates",
     "mp_bulk_edge",
     "guard_epsilon",
@@ -137,69 +135,34 @@ def _check_eval_point(resid: np.ndarray, n_zeros: int, x: float) -> None:
     )
 
 
-def empirical_stieltjes(spectrum: EigenSpectrum, r: int, x: float) -> float:
-    """Sample Stieltjes transform of the residual spectrum at ``x``:
-    ``(p - r)^-1 sum_{k>r} 1 / (lambda_k - x)``, zeros included."""
+def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEstimates:
+    """Plug-in m, m_comp, D and D' at ``x`` of the spectrum less its top ``r``.
+
+    m(x) = (p - r)^-1 sum_{k>r} 1 / (lambda_k - x), implicit zeros included;
+    m_comp = gamma m - (1 - gamma) / x is the transform of the companion
+    law gamma F + (1 - gamma) delta_0; D = x m m_comp.  ``x`` must lie
+    outside the residual bulk and its guard band, and not at 0.
+    """
     resid, n_zeros = spectrum.residual(r)
     _check_eval_point(resid, n_zeros, x)
-    total = float(np.sum(1.0 / (resid - x)))
-    if n_zeros:
-        total += n_zeros * (1.0 / (0.0 - x))
-    return total / (spectrum.p - r)
-
-
-def empirical_stieltjes_derivative(spectrum: EigenSpectrum, r: int, x: float) -> float:
-    """Derivative of the sample Stieltjes transform:
-    ``(p - r)^-1 sum_{k>r} 1 / (lambda_k - x)^2``; always positive."""
-    resid, n_zeros = spectrum.residual(r)
-    _check_eval_point(resid, n_zeros, x)
-    total = float(np.sum(1.0 / (resid - x) ** 2))
-    if n_zeros:
-        total += n_zeros / (x * x)
-    return total / (spectrum.p - r)
-
-
-def companion_stieltjes(m_val: float, x: float, gamma: float) -> float:
-    """Stieltjes transform of the companion law gamma*F + (1-gamma)*delta_0."""
     if x == 0:
         raise SpectrumDomainError("companion transform undefined at x = 0")
-    return gamma * m_val - (1.0 - gamma) / x
-
-
-def companion_stieltjes_derivative(m_prime: float, x: float, gamma: float) -> float:
-    if x == 0:
-        raise SpectrumDomainError("companion derivative undefined at x = 0")
-    return gamma * m_prime + (1.0 - gamma) / (x * x)
-
-
-def d_transform(x: float, m_val: float, m_comp_val: float) -> float:
-    """D(x) = x * m(x) * m_comp(x)."""
-    return x * m_val * m_comp_val
-
-
-def d_transform_derivative(
-    x: float,
-    m_val: float,
-    m_comp_val: float,
-    m_prime: float,
-    m_comp_prime: float,
-) -> float:
-    """Product-rule derivative of D(x) = x * m(x) * m_comp(x)."""
-    return m_val * m_comp_val + x * m_prime * m_comp_val + x * m_val * m_comp_prime
-
-
-def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEstimates:
-    """Evaluate all plug-in functionals (m, companion m, D, D') at ``x``."""
+    gap = resid - x
+    m_sum = float(np.sum(1.0 / gap))
+    m_prime_sum = float(np.sum(1.0 / gap ** 2))
+    if n_zeros:
+        m_sum += n_zeros * (1.0 / (0.0 - x))
+        m_prime_sum += n_zeros / (x * x)
+    m_hat = m_sum / (spectrum.p - r)
+    m_prime = m_prime_sum / (spectrum.p - r)
     gamma = spectrum.gamma
-    m_hat = empirical_stieltjes(spectrum, r, x)
-    m_prime = empirical_stieltjes_derivative(spectrum, r, x)
-    m_comp = companion_stieltjes(m_hat, x, gamma)
-    m_comp_prime = companion_stieltjes_derivative(m_prime, x, gamma)
+    m_comp = gamma * m_hat - (1.0 - gamma) / x
+    m_comp_prime = gamma * m_prime + (1.0 - gamma) / (x * x)
     return SpectralEstimates(
         m_hat=m_hat,
         m_comp_hat=m_comp,
-        d_hat=d_transform(x, m_hat, m_comp),
-        d_prime_hat=d_transform_derivative(x, m_hat, m_comp, m_prime, m_comp_prime),
+        d_hat=x * m_hat * m_comp,
+        d_prime_hat=m_hat * m_comp + x * m_prime * m_comp + x * m_hat * m_comp_prime,
         eval_point=x,
     )
 

@@ -17,7 +17,6 @@ from eblp import (
     amse,
     blp_oracle,
     dataset_from_arrays,
-    empirical_stieltjes,
     fit_in_sample,
     mp_bulk_edge,
     nnrls,
@@ -96,7 +95,8 @@ def test_02_plugin_spectral_estimators():
     n = int(round(p / gamma))
     spectrum = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
     x_eval = mp_bulk_edge(gamma) + 1.0
-    gap = abs(empirical_stieltjes(spectrum, 0, x_eval) - mp_white_stieltjes(x_eval, gamma))
+    m_hat = spectral_estimates(spectrum, 0, x_eval).m_hat
+    gap = abs(m_hat - mp_white_stieltjes(x_eval, gamma))
 
     monotone = True
     for spec in (

@@ -845,6 +845,18 @@ class TestSimulateCommand:
         assert main(["simulate", tiny_config, b]) == 0
         assert (tmp_path / "a.y.txt").read_text() == (tmp_path / "b.y.txt").read_text()
 
+    def test_dumps_benchmark_replicate_zero(self, tmp_path, tiny_config):
+        from eblp.benchmark import parse_benchmark_config, simulate_replicate
+
+        prefix = str(tmp_path / "dump")
+        assert main(["simulate", tiny_config, prefix, "--seed", "5"]) == 0
+        exp = parse_benchmark_config(tiny_config, seed_override=5)[0]
+        cfg, data = simulate_replicate(exp, 0, 0)
+        assert cfg.noise.sigma == exp.sigma_grid[0]
+        assert np.array_equal(matio.read_matrix(prefix + ".x.txt")[0], data.x)
+        assert np.array_equal(matio.read_matrix(prefix + ".y.txt")[0], data.y)
+        assert np.array_equal(matio.read_matrix(prefix + ".mask.txt")[0], data.masks)
+
 
 # Tokens a matrix file cannot carry: one that matches no cell, one that
 # splits into two cells, one that hides the cell end, one that turns its
@@ -966,6 +978,27 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert "[tiny]" in err and setting.split()[0] in err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("kappa", ["0", "0.5"])
+    def test_colored_kappa_below_one_exit_2(self, tmp_path, capsys, kappa):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG.replace("noise = white", f"noise = colored:{kappa}"))
+        assert main(["benchmark", str(cfg), str(tmp_path / "r.txt")]) == 2
+        assert "kappa must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_nnrls_settings_default_to_solver(self, tmp_path, tiny_config):
+        from eblp import NnrlsConfig
+        from eblp.benchmark import parse_benchmark_config
+
+        exp = parse_benchmark_config(tiny_config)[0]
+        solver = NnrlsConfig(w=1.0)
+        assert (exp.nnrls_max_iters, exp.nnrls_tol) == (solver.max_iters, solver.tol)
+        assert exp.weight_replicates == 20
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text(DESK_CONFIG + "nnrls_tol = 1e-5\n")
+        exp = parse_benchmark_config(str(cfg))[0]
+        assert (exp.nnrls_max_iters, exp.nnrls_tol, exp.weight_replicates) == (40, 1e-5, 4)
 
     def test_jobs_parallel_matches_serial(self, tmp_path, tiny_config):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

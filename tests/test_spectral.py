@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,16 +10,10 @@ from eblp import (
     RankError,
     ShapeError,
     SpectrumDomainError,
-    companion_stieltjes,
-    companion_stieltjes_derivative,
-    d_transform,
-    d_transform_derivative,
-    empirical_stieltjes,
-    empirical_stieltjes_derivative,
     mp_bulk_edge,
     spectral_estimates,
 )
-from eblp.spectral import gram_eigh
+from eblp.spectral import gram_eigh, guard_epsilon
 from conftest import mp_stieltjes_quadrature, mp_white_stieltjes
 
 
@@ -26,6 +22,44 @@ def spec(values, n=None, p=None):
     n = n if n is not None else values.size
     p = p if p is not None else values.size
     return EigenSpectrum(values=np.sort(values)[::-1], n=n, p=p)
+
+
+@dataclass
+class Reference:
+    m: float
+    m_prime: float
+    m_comp: float
+    m_comp_prime: float
+    d: float
+    d_prime: float
+
+
+def reference_m(s: EigenSpectrum, r: int, x: float) -> tuple[float, float]:
+    """m(x) = (p - r)^-1 sum_{k>r} 1 / (lambda_k - x) and its derivative,
+    the p - n implicit zeros included, with no domain checks."""
+    resid = s.values[r:]
+    n_zeros = max(s.p - s.n, 0)
+    m = float(np.sum(1.0 / (resid - x)))
+    if n_zeros:
+        m += n_zeros * (1.0 / (0.0 - x))
+    m_prime = float(np.sum(1.0 / (resid - x) ** 2))
+    if n_zeros:
+        m_prime += n_zeros / (x * x)
+    return m / (s.p - r), m_prime / (s.p - r)
+
+
+def reference(s: EigenSpectrum, r: int, x: float) -> Reference:
+    """The plug-in functionals written out one formula at a time, in the
+    order spectral_estimates evaluates them: m_comp = gamma m - (1 - gamma)
+    / x is the transform of the companion law gamma F + (1 - gamma)
+    delta_0, and D = x m m_comp."""
+    m, m_prime = reference_m(s, r, x)
+    gamma = s.p / s.n
+    m_comp = gamma * m - (1.0 - gamma) / x
+    m_comp_prime = gamma * m_prime + (1.0 - gamma) / (x * x)
+    d = x * m * m_comp
+    d_prime = m * m_comp + x * m_prime * m_comp + x * m * m_comp_prime
+    return Reference(m, m_prime, m_comp, m_comp_prime, d, d_prime)
 
 
 class TestEigenSpectrum:
@@ -78,9 +112,31 @@ class TestGramEigh:
             gram_eigh(np.ones(3))
 
 
+class TestSpectralReference:
+    @given(
+        st.integers(1, 12), st.integers(0, 12), st.booleans(), st.data(),
+        st.floats(0.0, 1e6),
+    )
+    def test_matches_reference_bit_for_bit(self, short, extra, wide, data, offset):
+        # n < p (implicit zeros), n > p, or square; any valid rank; any
+        # point at or above the guard band over the residual bulk.
+        n, p = (short, short + extra) if wide else (short + extra, short)
+        values = data.draw(st.lists(st.floats(0.0, 1e6), min_size=short, max_size=short))
+        s = spec(values, n=n, p=p)
+        r = data.draw(st.integers(0, short - 1))
+        top = s.values[r]
+        x = (top + guard_epsilon(top)) + offset
+        est = spectral_estimates(s, r, x)
+        ref = reference(s, r, x)
+        got = (est.m_hat, est.m_comp_hat, est.d_hat, est.d_prime_hat)
+        want = (ref.m, ref.m_comp, ref.d, ref.d_prime)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert est.eval_point == x
+
+
 class TestEmpiricalStieltjes:
     def test_single_eigenvalue_below_support(self):
-        assert empirical_stieltjes(spec([1.0]), 0, 0.0) == pytest.approx(1.0)
+        assert reference_m(spec([1.0]), 0, 0.0)[0] == pytest.approx(1.0)
 
     def test_direct_sum(self):
         # brute-force oracle: (1/(2-6) + 1/(4-6)) / 2
@@ -88,109 +144,128 @@ class TestEmpiricalStieltjes:
         x = 6.0
         expected = sum(1.0 / (v - x) for v in values) / 2
         assert expected == pytest.approx(-0.375)
-        assert empirical_stieltjes(spec(values), 0, x) == pytest.approx(expected)
+        assert reference(spec(values), 0, x).m == pytest.approx(expected)
 
     def test_top_eigenvalue_excluded(self):
-        assert empirical_stieltjes(spec([10.0, 4.0, 2.0]), 1, 6.0) == pytest.approx(-0.375)
+        assert reference(spec([10.0, 4.0, 2.0]), 1, 6.0).m == pytest.approx(-0.375)
 
     def test_exclusion_invariance(self):
-        base = empirical_stieltjes(spec([10.0, 4.0, 2.0]), 1, 6.0)
+        base = spectral_estimates(spec([10.0, 4.0, 2.0]), 1, 6.0)
         for top in (11.0, 99.0, 1e6):
-            assert empirical_stieltjes(spec([top, 4.0, 2.0]), 1, 6.0) == base
+            assert spectral_estimates(spec([top, 4.0, 2.0]), 1, 6.0) == base
 
     def test_zero_padding_when_p_exceeds_n(self):
         # p = 4, n = 2: two stored eigenvalues plus two implicit zeros.
         s = EigenSpectrum(values=np.array([4.0, 2.0]), n=2, p=4)
         x = 6.0
         expected = (1.0 / (4 - x) + 1.0 / (2 - x) + 2 * (1.0 / (0 - x))) / 4
-        assert empirical_stieltjes(s, 0, x) == pytest.approx(expected)
+        assert reference(s, 0, x).m == pytest.approx(expected)
 
     def test_inside_bulk_rejected(self):
         with pytest.raises(SpectrumDomainError):
-            empirical_stieltjes(spec([4.0, 2.0]), 0, 3.0)
+            spectral_estimates(spec([4.0, 2.0]), 0, 3.0)
 
     def test_guard_band_rejected(self):
         s = spec([10.0, 4.0, 2.0])
         with pytest.raises(SpectrumDomainError):
-            empirical_stieltjes(s, 1, 4.0 + 1e-12)
+            spectral_estimates(s, 1, 4.0 + 1e-12)
 
     def test_invalid_rank(self):
         with pytest.raises(RankError):
-            empirical_stieltjes(spec([4.0, 2.0]), 2, 6.0)
+            spectral_estimates(spec([4.0, 2.0]), 2, 6.0)
 
     def test_monotone_increasing_above_bulk(self, rng):
         s = EigenSpectrum.from_matrix(rng.standard_normal((60, 40)))
         top = s.values[0]
         xs = np.linspace(top + 0.1, top + 30, 50)
-        vals = [empirical_stieltjes(s, 0, x) for x in xs]
+        vals = [spectral_estimates(s, 0, x).m_hat for x in xs]
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] < 0
-        assert empirical_stieltjes(s, 0, 1e9) == pytest.approx(0.0, abs=1e-8)
+        assert spectral_estimates(s, 0, 1e9).m_hat == pytest.approx(0.0, abs=1e-8)
 
 
 class TestDerivative:
     def test_single_eigenvalue(self):
-        assert empirical_stieltjes_derivative(spec([1.0]), 0, 0.0) == pytest.approx(1.0)
+        assert reference_m(spec([1.0]), 0, 0.0)[1] == pytest.approx(1.0)
 
     def test_direct_sum(self):
         # (1/16 + 1/4) / 2
-        assert empirical_stieltjes_derivative(spec([4.0, 2.0]), 0, 6.0) == pytest.approx(0.15625)
+        assert reference(spec([4.0, 2.0]), 0, 6.0).m_prime == pytest.approx(0.15625)
 
     def test_top_excluded(self):
-        assert empirical_stieltjes_derivative(spec([10.0, 4.0, 2.0]), 1, 6.0) == pytest.approx(0.15625)
+        assert reference(spec([10.0, 4.0, 2.0]), 1, 6.0).m_prime == pytest.approx(0.15625)
 
     def test_matches_finite_differences(self, rng):
         s = EigenSpectrum.from_matrix(rng.standard_normal((50, 40)))
+        m_at = lambda t: spectral_estimates(s, 0, t).m_hat
         for x in (s.values[0] + 0.5, s.values[0] + 2.0, s.values[0] + 10.0):
             h = 1e-4 * x
-            fd = (
-                empirical_stieltjes(s, 0, x + h) - empirical_stieltjes(s, 0, x - h)
-            ) / (2 * h)
-            d = empirical_stieltjes_derivative(s, 0, x)
+            fd = (m_at(x + h) - m_at(x - h)) / (2 * h)
+            d = reference(s, 0, x).m_prime
             assert abs(d - fd) / abs(fd) < 1e-6
 
     def test_positive(self, rng):
         s = EigenSpectrum.from_matrix(rng.standard_normal((30, 45)))
-        assert empirical_stieltjes_derivative(s, 0, s.values[0] + 1.0) > 0
+        assert reference(s, 0, s.values[0] + 1.0).m_prime > 0
 
 
 class TestCompanion:
     def test_gamma_one_is_identity(self):
-        assert companion_stieltjes(-0.375, 6.0, 1.0) == pytest.approx(-0.375)
+        ref = reference(spec([4.0, 2.0]), 0, 6.0)
+        assert ref.m_comp == ref.m == pytest.approx(-0.375)
+        assert ref.m_comp_prime == ref.m_prime
 
     def test_direct_formula(self):
-        assert companion_stieltjes(-0.375, 6.0, 0.5) == pytest.approx(
+        # gamma = 1/2: m = -0.375 as above.
+        s = EigenSpectrum(values=np.array([4.0, 2.0]), n=4, p=2)
+        assert spectral_estimates(s, 0, 6.0).m_comp_hat == pytest.approx(
             0.5 * -0.375 - 0.5 / 6.0
         )
 
     def test_gamma_above_one(self):
-        assert companion_stieltjes(-1.0, 1.0, 2.0) == pytest.approx(-1.0)
+        # gamma = 2, one stored zero and one implicit: m(1) = -1.
+        est = spectral_estimates(EigenSpectrum(values=np.array([0.0]), n=1, p=2), 0, 1.0)
+        assert est.m_hat == pytest.approx(-1.0)
+        assert est.m_comp_hat == pytest.approx(2.0 * -1.0 + 1.0)
 
     def test_x_zero_rejected(self):
+        # x = 0 lies below the bulk, where m is defined; m_comp is not.
         with pytest.raises(SpectrumDomainError):
-            companion_stieltjes(-1.0, 0.0, 1.0)
+            spectral_estimates(spec([1.0]), 0, 0.0)
 
     def test_derivative_relation(self):
         # d/dx [gamma m - (1-gamma)/x] = gamma m' + (1-gamma)/x^2
-        assert companion_stieltjes_derivative(0.25, 2.0, 0.5) == pytest.approx(
-            0.5 * 0.25 + 0.5 / 4.0
+        s = EigenSpectrum(values=np.array([4.0, 2.0]), n=4, p=2)
+        assert reference(s, 0, 6.0).m_comp_prime == pytest.approx(
+            0.5 * 0.15625 + 0.5 / 36.0
         )
 
 
 class TestDTransform:
     def test_values(self):
-        assert d_transform(4.0, -0.5, -0.5) == pytest.approx(1.0)
-        assert d_transform(1.0, 0.0, -1.0) == 0.0
-        assert d_transform(6.0, -0.375, -0.270833333) == pytest.approx(0.609375, abs=1e-5)
+        # D = x m m_comp at x = 6: gamma = 1, then gamma = 1/2.
+        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0).d_hat == pytest.approx(0.84375)
+        half = EigenSpectrum(values=np.array([4.0, 2.0]), n=4, p=2)
+        assert spectral_estimates(half, 0, 6.0).d_hat == pytest.approx(0.609375)
 
     def test_derivative_terms(self):
-        assert d_transform_derivative(0.0, -1.0, -1.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert d_transform_derivative(4.0, -0.5, -0.5, 0.25, 0.25) == pytest.approx(-0.75)
+        # gamma = 1: D' = m^2 + 2 x m m' = 0.140625 - 12 * 0.375 * 0.15625.
+        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0).d_prime_hat == pytest.approx(
+            -0.5625
+        )
 
-    def test_derivative_symmetric_in_pairs(self):
-        a = d_transform_derivative(3.0, -0.4, -0.7, 0.2, 0.9)
-        b = d_transform_derivative(3.0, -0.7, -0.4, 0.9, 0.2)
-        assert a == pytest.approx(b)
+    def test_derivative_symmetric_in_pairs(self, rng):
+        # Exchanging n and p (the transposed data) exchanges m and m_comp,
+        # so D and D' are unchanged.
+        for shape in ((30, 20), (20, 30)):
+            s = EigenSpectrum.from_matrix(rng.standard_normal(shape))
+            t = EigenSpectrum(values=s.values, n=s.p, p=s.n)
+            x = s.values[0] + 1.0
+            a, b = spectral_estimates(s, 0, x), spectral_estimates(t, 0, x)
+            assert a.m_hat == pytest.approx(b.m_comp_hat, rel=1e-12)
+            assert a.m_comp_hat == pytest.approx(b.m_hat, rel=1e-12)
+            assert a.d_hat == pytest.approx(b.d_hat, rel=1e-12)
+            assert a.d_prime_hat == pytest.approx(b.d_prime_hat, rel=1e-12)
 
     def test_derivative_matches_finite_differences(self, rng):
         s = EigenSpectrum.from_matrix(rng.standard_normal((80, 50)))
@@ -247,7 +322,7 @@ class TestWhiteOracle:
         p, n = 1000, 1250
         s = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
         x = mp_bulk_edge(0.8) + 1.0
-        assert abs(empirical_stieltjes(s, 0, x) - mp_white_stieltjes(x, 0.8)) < 0.02
+        assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, 0.8)) < 0.02
 
     def test_agrees_with_plugin_p_larger_than_n(self):
         rng = np.random.default_rng(8)
@@ -255,4 +330,4 @@ class TestWhiteOracle:
         s = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
         gamma = p / n
         x = mp_bulk_edge(gamma) + 1.0
-        assert abs(empirical_stieltjes(s, 0, x) - mp_white_stieltjes(x, gamma)) < 0.02
+        assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, gamma)) < 0.02

@@ -114,10 +114,7 @@ EXPORTED = (
     "NotFittedError", "ParseError", "RankError", "SamplingSpec", "ShapeError",
     "SignalModel", "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
     "SpikeEstimate", "TransformedObservation", "amse", "backproject",
-    "baselines", "blp_oracle", "companion_stieltjes",
-    "companion_stieltjes_derivative", "d_transform", "d_transform_derivative",
-    "dataset_from_arrays", "empirical_stieltjes",
-    "empirical_stieltjes_derivative", "errors", "estimate_spike",
+    "baselines", "blp_oracle", "dataset_from_arrays", "errors", "estimate_spike",
     "fit_in_sample", "generate_masks", "generate_noise", "generate_signals",
     "mp_bulk_edge", "nnrls", "nnrls_weight_colored", "nnrls_weight_white",
     "pipeline", "predict_out_of_sample", "rmse", "shrink_matrix", "shrinkage",

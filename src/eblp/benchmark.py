@@ -28,6 +28,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -89,29 +90,33 @@ class BenchmarkExperiment:
     weight_replicates: int = 20
 
 
-def _parse_spec(value: str, kinds: dict[str, bool]) -> tuple[str, float | None]:
-    """Parse 'kind' or 'kind:number' where kinds maps kind -> needs value."""
+def _parse_spec(key: str, value: str, kinds: dict[str, bool]) -> tuple[str, float | None]:
+    """Parse setting ``key``, 'kind' or 'kind:number', where kinds maps kind -> needs value."""
     kind, sep, arg = value.partition(":")
     kind = kind.strip()
     if kind not in kinds:
-        raise ParseError(f"unknown kind {kind!r} (expected one of {sorted(kinds)})")
+        raise ParseError(f"{key}: unknown kind {kind!r} (expected one of {sorted(kinds)})")
     if kinds[kind]:
         if not sep:
-            raise ParseError(f"{kind!r} needs a value, e.g. {kind}:0.5")
-        try:
-            return kind, float(arg)
-        except ValueError as exc:
-            raise ParseError(f"bad numeric value in {value!r}") from exc
+            raise ParseError(f"{key}: {kind!r} needs a value, e.g. {kind}:0.5")
+        return kind, _finite(key, arg)
     if sep:
-        raise ParseError(f"{kind!r} takes no value")
+        raise ParseError(f"{key}: {kind!r} takes no value")
     return kind, None
 
 
-def _floats(value: str) -> tuple[float, ...]:
+def _finite(key: str, text: str) -> float:
     try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad numeric list {value!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{key}: bad number {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{key}: {text.strip()!r} is not a finite number")
+    return value
+
+
+def _floats(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_finite(key, tok) for tok in value.split(",") if tok.strip())
 
 
 def parse_benchmark_config(path, seed_override: int | None = None) -> list[BenchmarkExperiment]:
@@ -136,18 +141,20 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
 
         try:
             sampling_kind, sampling_val = _parse_spec(
-                items.get("sampling", "uniform:1"), {"uniform": True, "linear": True}
+                "sampling", items.get("sampling", "uniform:1"), {"uniform": True, "linear": True}
             )
             noise_kind, noise_val = _parse_spec(
-                items.get("noise", "white"), {"white": False, "colored": True}
+                "noise", items.get("noise", "white"), {"white": False, "colored": True}
             )
             sparsity_kind, sparsity_val = _parse_spec(
-                items.get("sparsity", "dense"), {"dense": False, "sparse": True}
+                "sparsity", items.get("sparsity", "dense"), {"dense": False, "sparse": True}
             )
+            if sparsity_kind == "sparse" and not sparsity_val.is_integer():
+                raise ParseError(f"sparsity: sparse:<m> needs a whole number m, not {sparsity_val}")
             config = ExperimentConfig(
                 p=int(items["p"]),
-                gamma=float(items["gamma"]),
-                ell=_floats(items["ell"]),
+                gamma=_finite("gamma", items["gamma"]),
+                ell=_floats("ell", items["ell"]),
                 pc_sparsity=None if sparsity_kind == "dense" else int(sparsity_val),
                 sampling=SamplingSpec(sampling_kind, sampling_val),
                 noise=NoiseSpec(noise_kind, 1.0, 1.0 if noise_val is None else noise_val),
@@ -167,17 +174,17 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
             experiment = BenchmarkExperiment(
                 name=section,
                 config=config,
-                sigma_grid=_floats(items["sigma_grid"]),
+                sigma_grid=_floats("sigma_grid", items["sigma_grid"]),
                 methods=methods,
                 rank=int(items["rank"]),
                 **solver,
             )
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(f"{path}: [{section}]: {exc}") from exc
         if not experiment.sigma_grid:
             raise ParseError(f"{path}: [{section}]: empty sigma_grid")
+        if min(experiment.sigma_grid) < 0:
+            raise ParseError(f"{path}: [{section}]: sigma_grid values must be nonnegative")
         if experiment.nnrls_max_iters < 1:
             raise ParseError(f"{path}: [{section}]: nnrls_max_iters must be at least 1")
         if not (np.isfinite(experiment.nnrls_tol) and experiment.nnrls_tol > 0):

@@ -18,6 +18,10 @@ significant digits, so values round-trip).  Cells with
 block at a time by exact arithmetic on whole arrays; every other cell,
 and every exact rounding tie, goes through ``'%.17g'`` itself.
 
+Both kernels are plain functions of one block (``_parse_block`` and
+``_format_block``): every array they use is made for that block, and
+nothing is kept from one block to the next.
+
 Fitted models are stored as JSON with finite numbers only.
 """
 
@@ -109,7 +113,6 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
         size = os.stat(path).st_size
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    parser = _BlockParser(min(step * width, _PARSE_BLOCK))
     values = observed = None
     first = 0
     while block := list(itertools.islice(lines, step)):
@@ -117,7 +120,7 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
             tokens = _token_array(block)
             if tokens.shape[1] != width:
                 raise ValueError("rows of different lengths")
-            part, seen = parser(tokens, na)
+            part, seen = _parse_block(tokens, na)
         except ValueError as exc:
             _raise_first_bad_cell(path, block, na, width, first)
             raise ParseError(f"{path}: {exc}") from exc
@@ -205,16 +208,15 @@ def write_matrix(path, matrix, observed=None, na_token: str = "NA") -> None:
                 f"observed shape {observed.shape} does not match matrix {matrix.shape}"
             )
         observed = np.ascontiguousarray(observed).reshape(-1)
+    na = na_token.encode()
     with open(path, "wb") as handle:
         if width == 0:
             handle.write(b"\n" * rows)
             return
-        formatter = _BlockFormatter(min(cells.size, _BLOCK), na_token.encode())
         for first in range(0, cells.size, _BLOCK):
             block = slice(first, first + _BLOCK)
-            handle.write(formatter(
-                cells[block], first, width, None if observed is None else observed[block]
-            ))
+            seen = None if observed is None else observed[block]
+            handle.write(_format_block(cells[block], first, width, seen, na))
 
 
 # The fast path of write_matrix.  For 1e-4 <= |x| < 1e16, '%.17g' prints x
@@ -237,155 +239,99 @@ _POW10_LO = _POW10 - _POW10_HI
 _DIGITS4 = (ord("0") + np.indices((10,) * 4, dtype=np.uint8)).reshape(4, -1)
 
 
-def _times_pow10(a, m, prod=None, err=None, hi=None, lo=None, t1=None, t2=None):
+def _times_pow10(a, m):
     """(prod, err) with prod + err == a * 10**m exactly, for 0 <= m <= 22
-    and a = 0 or 1e-23 < a < 1e20; the other arguments are optional work
-    arrays."""
-    hi = np.multiply(a, _SPLIT, out=hi)
-    lo = np.subtract(hi, a, out=lo)
-    np.subtract(hi, lo, out=hi)  # the high 26 bits of a
-    np.subtract(a, hi, out=lo)  # and the rest
-    prod = np.multiply(a, _POW10.take(m, out=t1, mode="clip"), out=prod)
-    ph = _POW10_HI.take(m, out=t1, mode="clip")
-    pl = _POW10_LO.take(m, out=t2, mode="clip")
-    err = np.multiply(hi, ph, out=err)
+    and a = 0 or 1e-23 < a < 1e20."""
+    hi = a * _SPLIT
+    hi -= hi - a  # the high 26 bits of a
+    lo = a - hi  # and the rest
+    prod = a * _POW10.take(m, mode="clip")
+    ph, pl = _POW10_HI.take(m, mode="clip"), _POW10_LO.take(m, mode="clip")
+    err = hi * ph
     err -= prod
-    err += np.multiply(hi, pl, out=hi)
-    err += np.multiply(lo, ph, out=ph)
-    err += np.multiply(lo, pl, out=lo)
+    err += hi * pl
+    err += lo * ph
+    err += lo * pl
     return prod, err
 
 
-class _BlockFormatter:
-    """Formats blocks of up to ``size`` cells as text.  The work arrays
-    are reused from block to block: fresh ones would page-fault on every
-    block."""
+def _format_block(x, first: int, width: int, seen, na: bytes) -> np.ndarray:
+    """The text of cells ``first, first + 1, ...`` of a matrix with
+    ``width`` columns, whose values are ``x``; cells where ``seen`` (if
+    given) is false read ``na``."""
+    s = x.size
+    slot = max(_SLOT, len(na) + 1)
+    rows = np.arange(slot, dtype=np.uint8)[:, None]
+    index = np.arange(s)
+    a = np.absolute(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    if seen is not None:
+        fast &= seen
+    a[~fast] = 2.0  # replaced below
 
-    def __init__(self, size: int, na: bytes):
-        self.size, self.na = size, na
-        self.slot = slot = max(_SLOT, len(na) + 1)
-        self.floats = np.empty((7, size))
-        self.ints = np.empty((5, size), np.intp)
-        self.flags = np.empty((2, size), bool)
-        self.bytes = np.empty((3, size), np.uint8)
-        # Column c of `digits` is '0000' then cell c's 17 digits, from row 2.
-        self.digits = np.zeros((slot + 1, size), np.uint8)
-        self.digits[:7] = ord("0")
-        # Cell c's text is column c of `text`, from its first nonzero byte
-        # to its separator; the transpose `cells` holds it as one row.
-        self.text = np.empty((slot, size), np.uint8)
-        self.mask = np.empty((slot, size), np.uint8)
-        self.cells = np.empty((size, slot), np.uint8)
-        self.keep = np.empty(size * slot, bool)
-        self.rows = np.arange(slot, dtype=np.uint8)[:, None]
-        self.index = np.arange(size)
+    # k = floor(log10(a)), which log10 may miss by one next to a power
+    # of ten: step k until 10**16 <= N < 10**17.
+    k = np.floor(np.log10(a)).astype(np.intp)
+    prod, err = _times_pow10(a, 16 - k)
+    off = np.flatnonzero((prod <= 1e16) | (prod >= 1e17))
+    while off.size:
+        p, e = prod[off], err[off]
+        step = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+        step -= (p < 1e16) | ((p == 1e16) & (e < 0))
+        off = off[step != 0]
+        k[off] += step[step != 0]
+        prod[off], err[off] = _times_pow10(a[off], 16 - k[off])
+    carry = np.rint(err)
+    fast &= np.absolute(err - carry) != 0.5
+    n = prod.astype(np.intp) + carry.astype(np.intp)
 
-    def __call__(self, x, first: int, width: int, seen) -> np.ndarray:
-        """The text of cells ``first, first + 1, ...`` of a matrix with
-        ``width`` columns, whose values are ``x``."""
-        s = x.size
-        a, prod, err, hi, lo, t1, t2 = self.floats[:, :s]
-        k, n, g, pos = self.ints[:4, :s]
-        fast, flag = self.flags[:, :s]
-        start, point, end = self.bytes[:, :s]
-        digits, text, mask = self.digits[:, :s], self.text[:, :s], self.mask[:, :s]
+    # Column c of `digits` is '0000' then cell c's 17 digits, from row 2:
+    # N's first digit ('000' before it) and four groups of four.
+    digits = np.zeros((slot + 1, s), np.uint8)
+    digits[:3] = ord("0")
+    for row, scale in ((3, 10**16), (7, 10**12), (11, 10**8), (15, 10**4), (19, 1)):
+        group = n // scale
+        digits[row : row + 4] = _DIGITS4.take(group, axis=1, mode="clip")
+        n -= group * scale
 
-        np.absolute(x, out=a)
-        np.greater_equal(a, 1e-4, out=fast)
-        fast &= np.less(a, 1e16, out=flag)
-        if seen is not None:
-            fast &= seen
-        np.copyto(a, 2.0, where=np.logical_not(fast, out=flag))  # replaced below
+    # Cell c's text is column c of `text`, from its first nonzero byte to
+    # its separator.  Text rows: digits shifted up by one before the
+    # point's row 6 + k, so that k + 1 digits (or '0' for k < 0) precede
+    # the point.
+    point = (k + 6).astype(np.uint8)
+    text = digits[:-1] ^ digits[1:]
+    text &= np.negative((rows < point).view(np.uint8))
+    text ^= digits[:-1]
+    text.reshape(-1)[(k + 6) * s + index] = ord(".")
+    # The text starts at row 4 + min(k, 0), or a '-' one row before.
+    minus = np.minimum(k, 0) + 4
+    start = minus.astype(np.uint8) + (x >= 0)
+    text.reshape(-1)[minus * s + index] = ord("-")
 
-        # k = floor(log10(a)), which log10 may miss by one next to a power
-        # of ten: step k until 10**16 <= N < 10**17.
-        np.floor(np.log10(a, out=t1), out=t1)
-        np.copyto(k, t1, casting="unsafe")
-        np.subtract(16, k, out=g)
-        _times_pow10(a, g, prod, err, hi, lo, t1, t2)
-        off = np.flatnonzero((prod <= 1e16) | (prod >= 1e17))
-        while off.size:
-            p, e = prod[off], err[off]
-            step = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
-            step -= (p < 1e16) | ((p == 1e16) & (e < 0))
-            off = off[step != 0]
-            k[off] += step[step != 0]
-            prod[off], err[off] = _times_pow10(a[off], 16 - k[off])
-        np.rint(err, out=t1)
-        fast &= np.not_equal(np.absolute(np.subtract(err, t1, out=t2), out=t2), 0.5, out=flag)
-        np.copyto(n, prod, casting="unsafe")
-        np.copyto(g, t1, casting="unsafe")
-        n += g
+    # It ends after its last nonzero digit, or before the point if that
+    # digit precedes it; the separator goes there.
+    end = np.maximum.reduce((text > ord("0")).view(np.uint8) * rows, axis=0)
+    end += end > point
+    np.maximum(end, point, out=end)
+    newline = (index + (first + 1)) % width == 0
+    separator = np.where(newline, np.uint8(ord("\n")), np.uint8(ord(" ")))
+    text.reshape(-1)[end.astype(np.intp) * s + index] = separator
+    # Zero every byte outside the text: rows start..end, both taken
+    # relative to the start, modulo 256.
+    text &= np.negative(((rows - start) <= (end - start)).view(np.uint8))
 
-        # The digits: N's first digit ('000' before it) and four groups of four.
-        for row, scale in ((3, 10**16), (7, 10**12), (11, 10**8), (15, 10**4), (19, 1)):
-            np.floor_divide(n, scale, out=g)
-            np.take(_DIGITS4, g, axis=1, out=digits[row : row + 4], mode="clip")
-            n -= np.multiply(g, scale, out=g)
-
-        # Text rows: digits shifted up by one before the point's row
-        # 6 + k, so that k + 1 digits (or '0' for k < 0) precede the point.
-        np.add(k, 6, out=pos)
-        np.copyto(point, pos, casting="unsafe")
-        np.negative(np.less(self.rows, point, out=mask.view(bool)).view(np.uint8), out=mask)
-        np.bitwise_xor(digits[:-1], digits[1:], out=text)
-        text &= mask
-        text ^= digits[:-1]
-        self._set(pos, ord("."))
-        # The text starts at row 4 + min(k, 0), or a '-' one row before.
-        np.minimum(k, 0, out=pos)
-        pos += 4
-        np.copyto(start, pos, casting="unsafe")
-        start += np.greater_equal(x, 0, out=flag)
-        self._set(pos, ord("-"))
-
-        # It ends after its last nonzero digit, or before the point if that
-        # digit precedes it; the separator goes there.
-        np.greater(text, ord("0"), out=mask.view(bool))
-        mask *= self.rows
-        np.maximum.reduce(mask, axis=0, out=end)
-        end += np.greater(end, point, out=flag)
-        np.maximum(end, point, out=end)
-        np.add(self.index[:s], first + 1, out=g)
-        newline = np.equal(np.remainder(g, width, out=g), 0, out=flag)
-        separator = np.where(newline, np.uint8(ord("\n")), np.uint8(ord(" ")))
-        np.copyto(pos, end)
-        self._set(pos, separator)
-        # Zero every byte outside the text: rows start..end.
-        np.subtract(self.rows, start, out=mask)
-        end -= start  # both relative to the start, modulo 256
-        np.negative(np.less_equal(mask, end, out=mask.view(bool)).view(np.uint8), out=mask)
-        text &= mask
-
-        slow = np.flatnonzero(~fast)
-        if slow.size:
-            if seen is not None:
-                gone = ~seen[slow]
-                self._put(slow[gone], [self.na] * int(gone.sum()), separator)
-                slow = slow[~gone]
-            self._put(slow, [(_FMT % v).encode() for v in x[slow].tolist()], separator)
-
-        cells = self.cells[:s]
-        np.copyto(cells, text.T)
-        flat = cells.reshape(-1)
-        keep = np.not_equal(flat, 0, out=self.keep[: flat.size])
-        return flat[keep]
-
-    def _set(self, rows, value) -> None:
-        """Set row ``rows[c]`` of the text of cell c to ``value``."""
-        cell = self.ints[4, : rows.size]
-        np.multiply(rows, self.size, out=cell)
-        cell += self.index[: rows.size]
-        self.text.reshape(-1)[cell] = value
-
-    def _put(self, where, texts: list[bytes], separator) -> None:
-        """Replace the text of cells ``where`` by ``texts``."""
-        if not texts:
-            return
-        block = np.array(texts, dtype=f"S{self.slot}").view(np.uint8).reshape(-1, self.slot).T
-        lengths = [len(t) for t in texts]
-        block[lengths, np.arange(len(texts))] = separator[where]
-        self.text[:, where] = block
+    # One row per cell; the cells the fast path left take their text
+    # from '%.17g' or the NA token.
+    cells = np.ascontiguousarray(text.T)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        shown = itertools.repeat(True) if seen is None else seen[slow].tolist()
+        texts = [(_FMT % v).encode() if ok else na for v, ok in zip(x[slow].tolist(), shown)]
+        block = np.array(texts, dtype=f"S{slot}").view(np.uint8).reshape(-1, slot)
+        block[np.arange(slow.size), [len(t) for t in texts]] = separator[slow]
+        cells[slow] = block
+    cells = cells.reshape(-1)
+    return cells[cells != 0]
 
 
 # The fast path of read_matrix.  A token spelled [-]digits[.digits], with
@@ -419,149 +365,103 @@ def _matches(cells: np.ndarray, token: bytes) -> np.ndarray:
     return match
 
 
-class _BlockParser:
-    """Converts the tokens of a block of rows, up to ``size`` observed
-    cells at a time, in work arrays reused from block to block."""
+def _parse_block(tokens: np.ndarray, na: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(values, observed) of a 2-d array of fixed-width tokens, at least
+    32 bytes wide, where ``na`` cells are missing; raises ValueError at a
+    cell that is neither ``na`` nor a number."""
+    cells = tokens.view(np.uint8).reshape(tokens.size, -1)
+    seen = ~_matches(cells, na)
+    where = np.flatnonzero(seen)
+    values = np.zeros(tokens.size)
+    flat = tokens.reshape(-1)
+    for start in range(0, where.size, _PARSE_BLOCK):
+        index = where[start : start + _PARSE_BLOCK]
+        q, fast = _convert(np.ascontiguousarray(cells[index, : _TEXT + 1].T))
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            q[slow] = [float(t) for t in flat[index[slow]].tolist()]
+        values[index] = q
+    return values.reshape(tokens.shape), seen.reshape(tokens.shape)
 
-    def __init__(self, size: int):
-        self.size = size
-        self.gathered = np.empty((size, 32), np.uint8)
-        self.text = np.empty((3, _TEXT + 1, size), np.uint8)
-        self.pairs = np.empty((2, _TEXT // 2, size), np.uint8)
-        self.quads = np.empty((2, _TEXT // 4, size), np.uint16)
-        self.octets = np.empty((2, _TEXT // 8, size), np.uint32)
-        self.flags = np.empty((2, _TEXT, size), bool)
-        self.counts = np.empty((5, size), np.uint8)
-        self.bools = np.empty((4, size), bool)
-        self.ints = np.empty((2, size), np.uint64)
-        self.f = np.empty(size, np.intp)
-        self.floats = np.empty((10, size))
 
-    def __call__(self, tokens: np.ndarray, na: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """(values, observed) of a 2-d array of fixed-width tokens, at
-        least 32 bytes wide, where ``na`` cells are missing; raises
-        ValueError at a cell that is neither ``na`` nor a number."""
-        cells = tokens.view(np.uint8).reshape(tokens.size, -1)
-        seen = np.logical_not(_matches(cells, na))
-        where = np.flatnonzero(seen)
-        values = np.zeros(tokens.size)
-        flat = tokens.reshape(-1)
-        for start in range(0, where.size, self.size):
-            index = where[start : start + self.size]
-            q, fast = self._convert(cells[:, :32], index)
-            slow = np.flatnonzero(~fast)
-            if slow.size:
-                q[slow] = [float(t) for t in flat[index[slow]].tolist()]
-            values[index] = q
-        return values.reshape(tokens.shape), seen.reshape(tokens.shape)
+def _convert(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of tokens whose first 25 bytes are the columns of
+    ``text``, and which of them the fast path certified; the others are
+    left to float().  ``text`` is overwritten."""
+    # Byte r of a token is text[r], with a leading '-' dropped; a token
+    # of over 24 bytes has a 25th.
+    fast = text[_TEXT] == 0
+    text = text[:_TEXT]
+    neg = text[0] == ord("-")
+    text[0] *= ~neg
 
-    def _convert(self, cells: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The values of rows ``index`` of ``cells``, the first 32 bytes of
-        each token, and which of them the fast path certified; the others
-        are left to float()."""
-        k = index.size
-        fast, neg, flag, good = self.bools[:, :k]
-        ndig, npt, point, length, count = self.counts[:, :k]
-        n, t = self.ints[:, :k]
-        f = self.f[:k]
-        q, p, prod, err, hi, lo, t1, t2, half, res = self.floats[:, :k]
+    # The spelling holds when the bytes are digits and at most one
+    # point, with at least one digit; the point's row gives f.
+    digit = text - ord("0")
+    isdigit = digit < 10
+    ndig = np.add.reduce(isdigit, axis=0, dtype=np.uint8)
+    dot = text == ord(".")
+    npt = np.add.reduce(dot, axis=0, dtype=np.uint8)
+    point = np.add.reduce(dot * _ROW, axis=0, dtype=np.uint8)
+    length = np.add.reduce(text != 0, axis=0, dtype=np.uint8)
+    fast &= length == ndig + npt
+    fast &= npt <= 1
+    fast &= ndig > 0
+    # f = ndig - (p - neg) digits after a point, and 0 without one.
+    count = ndig + neg
+    count -= point
+    count *= npt
+    fast &= count <= 22
+    f = (count * fast).astype(np.intp)
+    # Over 19 digits, leading zeros must make up the difference.
+    many = np.flatnonzero(fast & (ndig > 19))
+    if many.size:
+        nonzero = digit[:, many] - np.uint8(1) < 9
+        first = np.argmax(nonzero, axis=0)
+        leading = first - neg[many] - (npt[many] * (point[many] < first))
+        fast[many] = ~nonzero.any(axis=0) | (ndig[many] - leading <= 19)
 
-        # Byte r of cell c is text[r, c], with a leading '-' dropped; a
-        # token of over 24 bytes has a 25th.
-        text, digit, mul = self.text[:, :, :k]
-        np.copyto(text, np.take(cells, index, axis=0, out=self.gathered[:k])[:, : _TEXT + 1].T)
-        np.equal(text[_TEXT], 0, out=fast)
-        text, digit, mul = text[:_TEXT], digit[:_TEXT], mul[:_TEXT]
-        np.equal(text[0], ord("-"), out=neg)
-        text[0] *= np.logical_not(neg, out=flag)
-        isdigit, other = self.flags[:, :, :k]
+    # N by Horner's rule, n -> n * mul[r] + digit[r] with mul 10 at
+    # digits and 1 elsewhere, composed a pair of steps at a time: a
+    # pair is n -> n * (m1 * m2) + (d1 * m2 + d2).  Two steps fit in
+    # uint8, four in uint16 and eight in uint32; the last three octets
+    # give N modulo 2**64, which is N since N < 10**19.
+    v = digit * isdigit
+    m = isdigit * np.uint8(9) + np.uint8(1)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        v = np.multiply(v[0::2], m[1::2], dtype=dtype) + v[1::2]
+        m = np.multiply(m[0::2], m[1::2], dtype=dtype)
+    n = (np.multiply(v[0], m[1], dtype=np.uint64) + v[1]) * m[2] + v[2]
+    n *= fast
 
-        # The spelling holds when the bytes are digits and at most one
-        # point, with at least one digit; the point's row gives f.
-        np.subtract(text, ord("0"), out=digit)
-        np.less(digit, 10, out=isdigit)
-        np.add.reduce(isdigit, axis=0, dtype=np.uint8, out=ndig)
-        np.equal(text, ord("."), out=other)
-        np.add.reduce(other, axis=0, dtype=np.uint8, out=npt)
-        np.multiply(other, _ROW, out=mul)
-        np.add.reduce(mul, axis=0, out=point)
-        np.not_equal(text, 0, out=other)
-        np.add.reduce(other, axis=0, dtype=np.uint8, out=length)
-        fast &= np.equal(length, np.add(ndig, npt, out=count), out=flag)
-        fast &= np.less_equal(npt, 1, out=flag)
-        fast &= np.greater(ndig, 0, out=flag)
-        # f = ndig - (p - neg) digits after a point, and 0 without one.
-        np.add(ndig, neg, out=count)
-        count -= point
-        count *= npt
-        fast &= np.less_equal(count, 22, out=flag)
-        np.multiply(count, fast, out=f)
-        # Over 19 digits, leading zeros must make up the difference.
-        many = np.flatnonzero(fast & (ndig > 19))
-        if many.size:
-            nonzero = digit[:, many] - np.uint8(1) < 9
-            first = np.argmax(nonzero, axis=0)
-            leading = first - neg[many] - (npt[many] * (point[many] < first))
-            fast[many] = ~nonzero.any(axis=0) | (ndig[many] - leading <= 19)
-
-        # N by Horner's rule, n -> n * mul[r] + digit[r] with mul 10 at
-        # digits and 1 elsewhere, composed a pair of steps at a time: a
-        # pair is n -> n * (m1 * m2) + (d1 * m2 + d2).  Two steps fit in
-        # uint8, four in uint16 and eight in uint32; the last three octets
-        # give N modulo 2**64, which is N since N < 10**19.
-        digit *= isdigit
-        np.multiply(isdigit, np.uint8(9), out=mul)
-        mul += 1
-        for (v, m), (v2, m2) in zip(
-            ((digit, mul), self.pairs[:, :, :k], self.quads[:, :, :k]),
-            (self.pairs[:, :, :k], self.quads[:, :, :k], self.octets[:, :, :k]),
-        ):
-            np.multiply(v[0::2], m[1::2], out=v2, dtype=v2.dtype)
-            v2 += v[1::2]
-            np.multiply(m[0::2], m[1::2], out=m2, dtype=m2.dtype)
-        v, m = self.octets[:, :, :k]
-        np.multiply(v[0], m[1], out=n, dtype=np.uint64)
-        n += v[1]
-        n *= m[2]
-        n += v[2]
-        np.multiply(n, fast, out=n)
-
-        # q and its residual N - prod - err, in units of 10**-f.
-        np.copyto(q, n)
-        _POW10.take(f, out=p)
-        q /= p
-        _times_pow10(q, f, prod, err, hi, lo, t1, t2)
-        np.copyto(t, prod, casting="unsafe")
-        np.subtract(n, t, out=t)
-        np.copyto(res, t.view(np.int64))
-        res -= err
-        # Half an ulp of q, times 10**f.
-        bits = q.view(np.uint64)
-        np.bitwise_and(bits, _EXPONENT, out=t)
-        np.multiply(t.view(float), 2.0**-53, out=half)
-        half *= p
-        np.bitwise_and(bits, _MANTISSA, out=t)
-        np.not_equal(t, 0, out=flag)  # not a power of two
-        np.absolute(res, out=t1)
-        np.less(t1, half, out=good)
-        good &= flag
-        good |= n <= 2**53
-        # q is within 1.5 ulps of the value: fl(N) is off by less than one
-        # ulp of q, and the division by half of one.  So a residual over
-        # half an ulp puts the neighbour it points to within half an ulp,
-        # and that neighbour is float(token).
-        moved = np.flatnonzero(fast & ~good & flag & (t1 > half))
-        if moved.size:
-            qm = q[moved]
-            q[moved] = qm + np.copysign(
-                (qm.view(np.uint64) & _EXPONENT).view(float) * 2.0**-52, res[moved])
-            good[moved] = True
-        fast &= good
-        # The sign bit.
-        np.copyto(t, neg)
-        t <<= 63
-        bits |= t
-        return q, fast
+    # q and its residual N - prod - err, in units of 10**-f.
+    p = _POW10.take(f)
+    q = n / p
+    prod, err = _times_pow10(q, f)
+    res = (n - prod.astype(np.uint64)).view(np.int64).astype(float)
+    res -= err
+    # Half an ulp of q, times 10**f.
+    bits = q.view(np.uint64)
+    half = (bits & _EXPONENT).view(float) * 2.0**-53
+    half *= p
+    flag = (bits & _MANTISSA) != 0  # not a power of two
+    size = np.absolute(res)
+    good = (size < half) & flag
+    good |= n <= 2**53
+    # q is within 1.5 ulps of the value: fl(N) is off by less than one
+    # ulp of q, and the division by half of one.  So a residual over
+    # half an ulp puts the neighbour it points to within half an ulp,
+    # and that neighbour is float(token).
+    moved = np.flatnonzero(fast & ~good & flag & (size > half))
+    if moved.size:
+        qm = q[moved]
+        q[moved] = qm + np.copysign(
+            (qm.view(np.uint64) & _EXPONENT).view(float) * 2.0**-52, res[moved])
+        good[moved] = True
+    fast &= good
+    # The sign bit.
+    bits |= neg.astype(np.uint64) << np.uint64(63)
+    return q, fast
 
 
 def read_mask(path) -> np.ndarray:

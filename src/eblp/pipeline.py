@@ -151,7 +151,6 @@ def fit_in_sample(
     mode: str = "plugin",
     *,
     center: bool = True,
-    m_floor: float = DEFAULT_M_FLOOR,
     m_diag: np.ndarray | None = None,
     noise_var_diag: np.ndarray | None = None,
     noise_var: float = 1.0,
@@ -170,7 +169,8 @@ def fit_in_sample(
     are known up to scale, folds them into the whitening so the effective
     noise is isotropic: W = sqrt(M-hat / v).  ``noise_var`` is the white
     -mode effective noise variance.  A coordinate whose M-hat falls below
-    ``m_floor`` raises DegenerateCoordinateError naming every such one.
+    ``DEFAULT_M_FLOOR`` raises DegenerateCoordinateError naming every such
+    one.
 
     Returns (model, X-hat) with X-hat of shape n x p.
     """
@@ -193,9 +193,9 @@ def fit_in_sample(
     else:
         m_hat = weight / n
     # Written so that a NaN weight counts as below the floor.
-    bad = np.flatnonzero(~(m_hat >= m_floor))
+    bad = np.flatnonzero(~(m_hat >= DEFAULT_M_FLOOR))
     if bad.size:
-        raise DegenerateCoordinateError(bad.tolist(), m_floor)
+        raise DegenerateCoordinateError(bad.tolist(), DEFAULT_M_FLOOR)
 
     # One working buffer: backproject, center, then normalize and whiten.
     b = np.sqrt(d)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -134,6 +135,14 @@ def number_tokens(draw):
         "%.17g" % x, repr(x), f"%.{digits}g" % x, f"%.{digits}e" % x,
         f"%.{digits}f" % x if abs(x) < 1e25 else repr(x),
     ]))
+
+
+def finite_token(token):
+    """Whether float() reads ``token``'s bytes as a finite number."""
+    try:
+        return math.isfinite(float(token.encode()))
+    except ValueError:
+        return False
 
 
 def read_reference(tokens, width, path):
@@ -387,6 +396,52 @@ class TestMatrixIO:
         path = tmp_path_factory.mktemp("bits") / "m.txt"
         matio.write_matrix(path, matrix, observed=observed, na_token="?")
         assert path.read_text() == per_cell_text(matrix, observed, "?")
+
+    SEAM_NA_TOKENS = ["NA", "?", "MISSING_" + "x" * 40]  # the last is wider than a slot
+
+    @given(st.integers(2, 7), st.integers(1, 5), st.integers(2, 9), st.data())
+    def test_write_matches_per_cell_format_across_block_seams(
+            self, tmp_path_factory, width, rows, block, data):
+        # Blocks of a few cells that do not divide the row width, so that
+        # rows, NA cells and '%.17g' fallbacks (0, subnormals, 1e20) meet
+        # block boundaries at every offset.
+        assume(width % block)
+        cells = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                          st.sampled_from([0.0, -0.0, 5e-324, -2e-310, 1e20, -1e-5, 0.5]))
+        values = data.draw(st.lists(cells, min_size=width * rows, max_size=width * rows))
+        matrix = np.array(values).reshape(rows, width)
+        observed = data.draw(st.none() | hnp.arrays(np.bool_, matrix.shape))
+        na_token = data.draw(st.sampled_from(self.SEAM_NA_TOKENS))
+        path = tmp_path_factory.mktemp("seams") / "m.txt"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matio, "_BLOCK", block)
+            matio.write_matrix(path, matrix, observed=observed, na_token=na_token)
+        assert path.read_text() == per_cell_text(matrix, observed, na_token)
+
+    @given(st.integers(2, 7), st.integers(1, 5), st.integers(2, 9), st.integers(1, 12),
+           st.data())
+    def test_read_matches_float_across_parse_block_seams(
+            self, tmp_path_factory, width, rows, block, lines, data):
+        # A few observed cells converted at a time and a few rows parsed at
+        # a time: NA cells and float() fallbacks (exponents, long tokens)
+        # meet both kinds of boundary at every offset.
+        assume(width % block)
+        na_token = data.draw(st.sampled_from(self.SEAM_NA_TOKENS))
+        fallback = st.sampled_from(["1e20", "5e-324", "-0", "+7", "0." + "0" * 40 + "15",
+                                    "1" + "0" * 30, "2.5E-3"])
+        cells = st.one_of(number_tokens().filter(finite_token), fallback, st.just(na_token))
+        tokens = data.draw(st.lists(cells, min_size=width * rows, max_size=width * rows))
+        path = tmp_path_factory.mktemp("seams") / "m.txt"
+        path.write_text("\n".join(" ".join(tokens[i : i + width])
+                                  for i in range(0, len(tokens), width)) + "\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matio, "_PARSE_BLOCK", block)
+            patch.setattr(matio, "_PARSE_CELLS", lines * width)
+            values, observed = matio.read_matrix(path, na_token=na_token)
+        seen = np.array([t != na_token for t in tokens]).reshape(rows, width)
+        want = np.array([float(t) if t != na_token else 0.0 for t in tokens])
+        assert np.array_equal(observed, seen)
+        assert np.array_equal(values.view(np.uint64), want.reshape(rows, width).view(np.uint64))
 
     def test_write_matches_per_cell_format_next_to_fast_range_edges(self, tmp_path):
         # log10 may miss the exponent by one next to a power of ten, where
@@ -970,14 +1025,23 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("setting", [
         "nnrls_tol = nan", "nnrls_tol = inf", "nnrls_tol = 0", "nnrls_tol = -1e-7",
         "nnrls_max_iters = 0", "weight_replicates = 0",
+        "sigma_grid = -1", "sigma_grid = 1,nan", "sigma_grid = inf", "gamma = nan",
+        "ell = 8,nan", "ell = inf", "noise = colored:nan", "noise = colored:inf",
+        "sparsity = sparse:inf", "sparsity = sparse:1.5",
     ])
     def test_bad_nnrls_setting_exit_2(self, tmp_path, capsys, setting):
+        # The setting replaces the line of its key, if the config has one.
+        key = setting.split()[0]
+        lines = [line for line in TINY_CONFIG.splitlines() if line.split(" = ")[0] != key]
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY_CONFIG + setting + "\n")
-        assert main(["benchmark", str(cfg), str(tmp_path / "r.txt")]) == 2
-        err = capsys.readouterr().err
-        assert "[tiny]" in err and setting.split()[0] in err
+        cfg.write_text("\n".join(lines + [setting]) + "\n")
+        for command in (["benchmark", str(cfg), str(tmp_path / "r.txt")],
+                        ["simulate", str(cfg), str(tmp_path / "sim")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "[tiny]" in err and key in err
         assert not (tmp_path / "r.txt").exists()
+        assert not list(tmp_path.glob("sim*"))
 
     @pytest.mark.parametrize("kappa", ["0", "0.5"])
     def test_colored_kappa_below_one_exit_2(self, tmp_path, capsys, kappa):

@@ -20,22 +20,29 @@ and every exact rounding tie, goes through ``'%.17g'`` itself.
 
 Both kernels are plain functions of one block (``_parse_block`` and
 ``_format_block``): every array they use is made for that block, and
-nothing is kept from one block to the next.
+nothing is kept from one block to the next.  So a file of more than two
+blocks is parsed or formatted on up to two threads (as many as the CPUs
+the process may run on, at most two), and its blocks are taken in file
+order: the bytes written, the values read and the bad cell named do not
+depend on the thread count.
 
 Fitted models are stored as JSON with finite numbers only.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ShapeError
 from .pipeline import EblpModel
@@ -49,7 +56,6 @@ __all__ = [
     "write_model",
     "read_model",
     "write_results",
-    "read_results",
     "RESULT_COLUMNS",
 ]
 
@@ -89,6 +95,32 @@ def _data_lines(path) -> Iterator[bytes]:
             raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _in_order(work: Callable, items: Iterable) -> Iterator[tuple]:
+    """``(item, result)`` for each of ``items`` in order, where ``result()``
+    gives ``work(item)`` or raises what it raised.  Given more items than
+    two and two CPUs or more, the calls run on two threads, with at most
+    three items in flight: two being worked on and one with the caller.
+    Fewer items run inline, where starting the threads costs about what
+    they would save."""
+    items = iter(items)
+    head = list(itertools.islice(items, 3))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    if len(head) < 3 or len(cpus) < 2:
+        for item in itertools.chain(head, items):
+            yield item, functools.partial(work, item)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(2) as pool:
+        pending = collections.deque()
+        for item in itertools.chain(head, items):
+            pending.append((item, pool.submit(work, item).result))
+            if len(pending) > 2:
+                yield pending.popleft()
+        while pending:
+            yield pending.popleft()
+
+
 _PARSE_CELLS = 1 << 16  # cells per parsed block of lines
 
 
@@ -113,23 +145,15 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
         size = os.stat(path).st_size
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    blocks = iter(lambda: list(itertools.islice(lines, step)), [])
     values = observed = None
     first = 0
-    while block := list(itertools.islice(lines, step)):
+    for block, result in _in_order(lambda block: _parse_block(block, na, width), blocks):
         try:
-            tokens = _token_array(block)
-            if tokens.shape[1] != width:
-                raise ValueError("rows of different lengths")
-            part, seen = _parse_block(tokens, na)
+            part, seen = result()
         except ValueError as exc:
             _raise_first_bad_cell(path, block, na, width, first)
             raise ParseError(f"{path}: {exc}") from exc
-        bad = ~np.isfinite(part)
-        if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ParseError(
-                _bad_cell(path, first + i, j, tokens[i, j], "not a finite number")
-            )
         end = first + len(block)
         if values is None:
             # Rows are counted only at the end of the file, and growing an
@@ -150,20 +174,6 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
     values.resize((first, width), refcheck=False)
     observed.resize((first, width), refcheck=False)
     return values, observed
-
-
-def _token_array(lines: list[bytes]) -> np.ndarray:
-    """Every whitespace-separated token as fixed-width bytes, one row per line."""
-    if any(b"\0" in line for line in lines):
-        # Fixed-width bytes drop trailing NULs, which would hide the bad cell.
-        raise ValueError("NUL byte in matrix text")
-    width = 32  # %.17g tokens take at most 24 bytes
-    while True:
-        tokens = np.loadtxt(lines, dtype=f"S{width}", comments=None, ndmin=2)
-        # A token that fills its slot may have been cut short: read wider.
-        if not tokens.view(np.uint8)[:, width - 1 :: width].any():
-            return tokens
-        width *= 2
 
 
 def _raise_first_bad_cell(path, lines: list[bytes], na: bytes, width: int, first: int) -> None:
@@ -213,10 +223,13 @@ def write_matrix(path, matrix, observed=None, na_token: str = "NA") -> None:
         if width == 0:
             handle.write(b"\n" * rows)
             return
-        for first in range(0, cells.size, _BLOCK):
-            block = slice(first, first + _BLOCK)
-            seen = None if observed is None else observed[block]
-            handle.write(_format_block(cells[block], first, width, seen, na))
+
+        def block(first):
+            seen = None if observed is None else observed[first : first + _BLOCK]
+            return _format_block(cells[first : first + _BLOCK], first, width, seen, na)
+
+        for _, text in _in_order(block, range(0, cells.size, _BLOCK)):
+            handle.write(text())
 
 
 # The fast path of write_matrix.  For 1e-4 <= |x| < 1e16, '%.17g' prints x
@@ -351,37 +364,53 @@ def _format_block(x, first: int, width: int, seen, na: bytes) -> np.ndarray:
 _PARSE_BLOCK = 1 << 14  # observed cells converted at a time
 _TEXT = 24  # leading bytes of a token that the fast path reads
 _ROW = np.arange(_TEXT, dtype=np.uint8)[:, None]
+_COLUMN = np.arange(_TEXT + 1)[:, None]
 _EXPONENT = np.uint64(0x7FF0000000000000)
 _MANTISSA = np.uint64(0x000FFFFFFFFFFFFF)
 
 
-def _matches(cells: np.ndarray, token: bytes) -> np.ndarray:
-    """Which rows of ``cells``, NUL-padded bytes, spell ``token``."""
-    if len(token) >= cells.shape[1]:
-        return np.zeros(len(cells), bool)  # it would not fit with its padding
-    match = cells[:, len(token)] == 0
-    for i, byte in enumerate(token):
-        match &= cells[:, i] == byte
-    return match
-
-
-def _parse_block(tokens: np.ndarray, na: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(values, observed) of a 2-d array of fixed-width tokens, at least
-    32 bytes wide, where ``na`` cells are missing; raises ValueError at a
-    cell that is neither ``na`` nor a number."""
-    cells = tokens.view(np.uint8).reshape(tokens.size, -1)
-    seen = ~_matches(cells, na)
+def _parse_block(lines: list[bytes], na: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, observed) of ``lines`` of ``width`` cells each, where
+    ``na`` cells are missing; raises ValueError at a ragged row or at a
+    cell that is neither ``na`` nor a finite number."""
+    # The text framed by spaces, with NUL bytes after it so that every
+    # token's window runs on.
+    text = b"".join([b" ", *lines, b" " + bytes(_TEXT + 1)])
+    if text.find(b"\0") < len(text) - _TEXT - 1:
+        # _convert takes NUL bytes for padding, which would hide the cell.
+        raise ValueError("NUL byte in matrix text")
+    buf = np.frombuffer(text, np.uint8)
+    # Whitespace is what bytes.split() splits on: '\t', '\n', '\x0b',
+    # '\x0c', '\r' and ' '.
+    code = buf[: -_TEXT - 1]
+    edges = np.flatnonzero(np.diff((code - np.uint8(9) < 5) | (code == ord(" ")))) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # Row i holds tokens i * width to (i + 1) * width - 1 when there are
+    # that many and each row's first and last token lie on its line.
+    line_ends = np.cumsum([len(line) for line in lines]) + 1
+    if (starts.size != len(lines) * width or (starts[width::width] < line_ends[:-1]).any()
+            or (ends[width - 1 :: width] > line_ends).any()):
+        raise ValueError("rows of different lengths")
+    length = ends - starts
+    seen = length != len(na)
+    maybe = np.flatnonzero(~seen)
+    for i, byte in enumerate(na):
+        seen[maybe] |= buf[starts[maybe] + i] != byte
     where = np.flatnonzero(seen)
-    values = np.zeros(tokens.size)
-    flat = tokens.reshape(-1)
+    values = np.zeros(starts.size)
+    windows = sliding_window_view(buf, _TEXT + 1)
     for start in range(0, where.size, _PARSE_BLOCK):
         index = where[start : start + _PARSE_BLOCK]
-        q, fast = _convert(np.ascontiguousarray(cells[index, : _TEXT + 1].T))
-        slow = np.flatnonzero(~fast)
+        cells = np.ascontiguousarray(windows[starts[index]].T)
+        cells *= _COLUMN < length[index]  # zero the bytes after each token
+        q, fast = _convert(cells)
+        slow = index[~fast]
         if slow.size:
-            q[slow] = [float(t) for t in flat[index[slow]].tolist()]
+            q[~fast] = [float(text[a:b]) for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
+            if not np.isfinite(q).all():
+                raise ValueError("not a finite number")
         values[index] = q
-    return values.reshape(tokens.shape), seen.reshape(tokens.shape)
+    return values.reshape(-1, width), seen.reshape(-1, width)
 
 
 def _convert(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,19 +607,3 @@ def write_results(path, rows: list[dict]) -> None:
                 fields.append(str(val))
         lines.append(" ".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_results(path) -> list[dict]:
-    rows = [line.decode().split() for line in _data_lines(path)]
-    if not rows or tuple(rows[0]) != RESULT_COLUMNS:
-        raise ParseError(f"{path}: missing or unexpected results header")
-    out = []
-    for tokens in rows[1:]:
-        if len(tokens) != len(RESULT_COLUMNS):
-            raise ParseError(f"{path}: malformed results row: {tokens}")
-        row = dict(zip(RESULT_COLUMNS, tokens))
-        row["replicate"] = int(row["replicate"])
-        for col in _NUMERIC_COLUMNS:
-            row[col] = float(row[col])
-        out.append(row)
-    return out

@@ -96,6 +96,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.p < 1 or self.gamma <= 0:
             raise ValueError("need p >= 1 and gamma > 0")
+        if not (np.isfinite(self.p / self.gamma) and self.n * self.p <= np.iinfo(np.intp).max):
+            raise ValueError(f"gamma = {self.gamma} makes n = p / gamma too large for an n x p matrix")
         ell = tuple(float(v) for v in self.ell)
         object.__setattr__(self, "ell", ell)
         if not ell or any(v <= 0 for v in ell):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -152,3 +154,22 @@ def reference_fit(
         w_diag=w_diag, rank=r, whitened=whiten, mean=mean, n=n,
     )
     return model, x_hat
+
+
+def read_results(path) -> list[dict]:
+    """The rows of a results table that ``eblp benchmark`` wrote, with its
+    numbers as numbers."""
+    from eblp.matio import _NUMERIC_COLUMNS, RESULT_COLUMNS
+
+    header, *lines = Path(path).read_text().splitlines()
+    assert tuple(header.split()) == RESULT_COLUMNS, header
+    rows = []
+    for line in lines:
+        tokens = line.split()
+        assert len(tokens) == len(RESULT_COLUMNS), line
+        row = dict(zip(RESULT_COLUMNS, tokens))
+        row["replicate"] = int(row["replicate"])
+        for col in _NUMERIC_COLUMNS:
+            row[col] = float(row[col])
+        rows.append(row)
+    return rows

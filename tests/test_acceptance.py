@@ -27,8 +27,7 @@ from eblp import (
     spectral_estimates,
     white_spike_forward,
 )
-from eblp.matio import read_results
-from conftest import mp_white_stieltjes
+from conftest import mp_white_stieltjes, read_results
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import loop_predict
+from conftest import loop_predict, read_results
 from eblp import (
     ParseError,
     ShapeError,
@@ -163,6 +164,13 @@ def read_reference(tokens, width, path):
     return np.array([float(t) for t in tokens]).reshape(-1, width)
 
 
+def on_cpus(patch, cpus):
+    """Make matio see ``cpus`` usable CPUs, whatever the machine has: with
+    1 every block runs inline, with 2 an input of more than two blocks
+    runs on two threads."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 EXTREMES = np.array([[-0.0, 5e-324, -2.2250738585072009e-308,
                       1.7976931348623157e308, -1.7976931348623157e308]])
 
@@ -236,14 +244,51 @@ class TestMatrixIO:
         path.write_text("\n".join(text) + "\n")
         whole = matio.read_matrix(path)
         monkeypatch.setattr(matio, "_PARSE_CELLS", 7)
-        blocks = matio.read_matrix(path)
-        assert np.array_equal(blocks[0], whole[0]) and np.array_equal(blocks[1], whole[1])
+        for cpus in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            blocks = matio.read_matrix(path)
+            assert np.array_equal(blocks[0], whole[0]) and np.array_equal(blocks[1], whole[1])
         assert whole[0][4, 0] == 1.5e-61
+
+    def test_first_bad_cell_named_when_a_later_block_fails_first(self, tmp_path, monkeypatch):
+        # Rows 1-2 and 3-4 are parsed on two threads; the first block is
+        # held back until the second has failed.
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n3 x\n5 6\ny 8\n9 10\n")
+        on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(matio, "_PARSE_CELLS", 4)
+        parse, failed = matio._parse_block, threading.Event()
+
+        def parse_slowly(lines, na, width):
+            if lines[0].startswith(b"1 "):
+                assert failed.wait(timeout=30)
+            try:
+                return parse(lines, na, width)
+            except ValueError:
+                failed.set()
+                raise
+
+        monkeypatch.setattr(matio, "_parse_block", parse_slowly)
+        with pytest.raises(ParseError) as info:
+            matio.read_matrix(path)
+        assert str(info.value) == f"{path}: row 2, field 2: not a number: 'x'"
+
+    @pytest.mark.parametrize("byte", [b"\x1c", b"\x1f", b"\x85", b"\xa0"])
+    def test_only_ascii_whitespace_separates_cells(self, tmp_path, byte):
+        # Cells are split where bytes.split() splits; other separators of
+        # str.split() are part of a cell, which is then not a number.
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1 2\n3" + byte + b" 4\n")
+        with pytest.raises(ParseError) as info:
+            matio.read_matrix(path)
+        shown = (b"3" + byte).decode(errors="backslashreplace")
+        assert str(info.value) == f"{path}: row 2, field 1: not a number: {shown!r}"
 
     @pytest.mark.parametrize("text", [
         "1.5 NA\r\nNA 2.5\r\n",
         "  # indented comment\n1.5 NA\n\t#tabbed\n\nNA 2.5",
         "\t1.5   NA \n NA\t2.5\n   \n",
+        "1.5\x0bNA\x0c\nNA\x0b\x0c2.5\n",
         "15e-1 NA\n NA +2_5e-1\n",
     ])
     def test_line_layouts(self, tmp_path, text):
@@ -399,12 +444,14 @@ class TestMatrixIO:
 
     SEAM_NA_TOKENS = ["NA", "?", "MISSING_" + "x" * 40]  # the last is wider than a slot
 
-    @given(st.integers(2, 7), st.integers(1, 5), st.integers(2, 9), st.data())
+    @given(st.integers(2, 7), st.integers(1, 5), st.integers(2, 9), st.sampled_from([1, 2]),
+           st.data())
     def test_write_matches_per_cell_format_across_block_seams(
-            self, tmp_path_factory, width, rows, block, data):
+            self, tmp_path_factory, width, rows, block, cpus, data):
         # Blocks of a few cells that do not divide the row width, so that
         # rows, NA cells and '%.17g' fallbacks (0, subnormals, 1e20) meet
-        # block boundaries at every offset.
+        # block boundaries at every offset, with blocks formatted inline
+        # or on two threads.
         assume(width % block)
         cells = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
                           st.sampled_from([0.0, -0.0, 5e-324, -2e-310, 1e20, -1e-5, 0.5]))
@@ -414,17 +461,19 @@ class TestMatrixIO:
         na_token = data.draw(st.sampled_from(self.SEAM_NA_TOKENS))
         path = tmp_path_factory.mktemp("seams") / "m.txt"
         with pytest.MonkeyPatch.context() as patch:
+            on_cpus(patch, cpus)
             patch.setattr(matio, "_BLOCK", block)
             matio.write_matrix(path, matrix, observed=observed, na_token=na_token)
         assert path.read_text() == per_cell_text(matrix, observed, na_token)
 
     @given(st.integers(2, 7), st.integers(1, 5), st.integers(2, 9), st.integers(1, 12),
-           st.data())
+           st.sampled_from([1, 2]), st.data())
     def test_read_matches_float_across_parse_block_seams(
-            self, tmp_path_factory, width, rows, block, lines, data):
+            self, tmp_path_factory, width, rows, block, lines, cpus, data):
         # A few observed cells converted at a time and a few rows parsed at
         # a time: NA cells and float() fallbacks (exponents, long tokens)
-        # meet both kinds of boundary at every offset.
+        # meet both kinds of boundary at every offset, with blocks parsed
+        # inline or on two threads.
         assume(width % block)
         na_token = data.draw(st.sampled_from(self.SEAM_NA_TOKENS))
         fallback = st.sampled_from(["1e20", "5e-324", "-0", "+7", "0." + "0" * 40 + "15",
@@ -435,6 +484,7 @@ class TestMatrixIO:
         path.write_text("\n".join(" ".join(tokens[i : i + width])
                                   for i in range(0, len(tokens), width)) + "\n")
         with pytest.MonkeyPatch.context() as patch:
+            on_cpus(patch, cpus)
             patch.setattr(matio, "_PARSE_BLOCK", block)
             patch.setattr(matio, "_PARSE_CELLS", lines * width)
             values, observed = matio.read_matrix(path, na_token=na_token)
@@ -981,7 +1031,7 @@ class TestBenchmarkCommand:
     def test_table_structure(self, tmp_path, tiny_config):
         out = tmp_path / "results.txt"
         assert main(["benchmark", tiny_config, str(out)]) == 0
-        rows = matio.read_results(out)
+        rows = read_results(out)
         # methods x sigma grid x replicates
         assert len(rows) == 3 * 2 * 2
         methods = {row["method"] for row in rows}
@@ -1000,7 +1050,7 @@ class TestBenchmarkCommand:
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert main(["benchmark", tiny_config, str(a)]) == 0
         assert main(["benchmark", tiny_config, str(b)]) == 0
-        rows_a, rows_b = matio.read_results(a), matio.read_results(b)
+        rows_a, rows_b = read_results(a), read_results(b)
         for ra, rb in zip(rows_a, rows_b):
             ra.pop("seconds"), rb.pop("seconds")
             va, vb = ra.pop("amse_est"), rb.pop("amse_est")
@@ -1012,7 +1062,7 @@ class TestBenchmarkCommand:
         cfg.write_text(TINY_CONFIG.replace("replicates = 2", "replicates = 0"))
         out = tmp_path / "results.txt"
         assert main(["benchmark", str(cfg), str(out)]) == 0
-        assert matio.read_results(out) == []
+        assert read_results(out) == []
         assert out.read_text().splitlines()[0].startswith("experiment method")
 
     def test_unknown_keys_listed(self, tmp_path, capsys):
@@ -1041,6 +1091,16 @@ class TestBenchmarkCommand:
             err = capsys.readouterr().err
             assert "[tiny]" in err and key in err
         assert not (tmp_path / "r.txt").exists()
+        assert not list(tmp_path.glob("sim*"))
+
+    @pytest.mark.parametrize("gamma", ["1e-300", "1e-320"])
+    def test_gamma_too_small_for_a_matrix_exit_2(self, tmp_path, capsys, gamma):
+        # n = round(p / gamma) rows of p = 40: n * p would not fit an index.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG.replace("gamma = 0.8", f"gamma = {gamma}"))
+        assert main(["simulate", str(cfg), str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: [tiny]: gamma = {float(gamma)} makes n = p / gamma too large" in err
         assert not list(tmp_path.glob("sim*"))
 
     @pytest.mark.parametrize("kappa", ["0", "0.5"])
@@ -1085,7 +1145,7 @@ class TestBenchmarkCommand:
         )
         assert serial.returncode == 0, serial.stderr
         assert main(["benchmark", str(cfg), str(b), "--no-timings", "--jobs", "2"]) == 0
-        assert len(matio.read_results(b)) == 6
+        assert len(read_results(b)) == 6
         assert a.read_text() == b.read_text()
 
     def test_seed_override_changes_rows(self, tmp_path, tiny_config):
@@ -1103,7 +1163,7 @@ class TestBenchmarkCommand:
         )
         out = tmp_path / "results.txt"
         assert main(["benchmark", str(cfg), str(out)]) == 0
-        rows = matio.read_results(out)
+        rows = read_results(out)
         assert {row["method"] for row in rows} == {"eblp", "unwhitened", "nnrls"}
         assert {row["sigma"] for row in rows} == {1.0, 2.0}
         assert all(row["sparsity"] == "10" for row in rows)

@@ -69,11 +69,11 @@ def soft_threshold_singular_values(
     """Prox of the nuclear norm: shrink every singular value by
     ``threshold`` (floored at zero).  Returns (matrix, nuclear norm).
 
-    Only the singular pairs above the threshold survive, so the short-side
-    Gram eigendecomposition suffices: ``B V diag((s - t) / s) V'`` over the
-    kept right vectors, or ``U diag((s - t) / s) U' B`` over the kept left
-    vectors when p > n.  The factor lies in [0, 1); nothing is divided by a
-    small number.
+    Only the singular pairs above the threshold survive, so only the
+    short-side Gram eigenpairs above ``threshold**2`` are computed:
+    ``B V diag((s - t) / s) V'`` over the kept right vectors, or
+    ``U diag((s - t) / s) U' B`` over the kept left vectors when p > n.
+    The factor lies in [0, 1); nothing is divided by a small number.
     """
     matrix = np.asarray(matrix, dtype=float)
     if threshold < 0:
@@ -83,10 +83,8 @@ def soft_threshold_singular_values(
         # (numerically) zero singular values only to sqrt(eps).
         s2, _, _ = gram_eigh(matrix, vectors=False)
         return matrix.copy(), float(np.sqrt(s2).sum())
-    s2, vecs, side = gram_eigh(matrix)
-    kept = int(np.count_nonzero(s2 > threshold * threshold))
-    s = np.sqrt(s2[:kept])
-    vecs = vecs[:, :kept]
+    s2, vecs, side = gram_eigh(matrix, above=threshold * threshold)
+    s = np.sqrt(s2)
     factor = (s - threshold) / s
     if side == "right":
         shrunk = ((matrix @ vecs) * factor) @ vecs.T
@@ -101,13 +99,20 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     Iterates are monotone in the objective (momentum restarts on a
     violation); stops when the relative objective decrease drops below
     ``config.tol`` or after ``config.max_iters`` iterations, in which case
-    the best iterate is returned with ``converged=False``.
+    the best iterate is returned with ``converged=False``.  ``mask`` must
+    be finite and nonnegative, and ``y_masked`` finite where ``mask`` is
+    nonzero; its other cells are ignored (NaN may mark them missing).
     """
     y_masked = np.asarray(y_masked, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if y_masked.shape != mask.shape or y_masked.ndim != 2:
         raise ShapeError("y_masked and mask must be 2-d arrays of equal shape")
-    y = y_masked * mask
+    bad_mask = ~(np.isfinite(mask) & (mask >= 0))
+    _reject_first(bad_mask, mask, "mask is not a finite nonnegative number")
+    observed = mask != 0
+    bad_y = observed & ~np.isfinite(y_masked)
+    _reject_first(bad_y, y_masked, "y_masked is not finite where observed")
+    y = np.where(observed, y_masked, 0.0) * mask
 
     cw = config.column_weights
     if cw is not None and cw.size != y.shape[1]:
@@ -169,6 +174,13 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     )
 
 
+def _reject_first(bad: np.ndarray, values: np.ndarray, problem: str) -> None:
+    """Raise ValueError naming the first cell (row-major) where ``bad``."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{problem}: {float(values[i, j])!r} at index ({i}, {j})")
+
+
 def nnrls_weight_white(sigma: float, p: int, n: int, n_obs: int) -> float:
     """Null-calibrated weight sigma (sqrt(p) + sqrt(n)) sqrt(|Omega|/(p n))
     for white noise of variance sigma^2."""
@@ -194,6 +206,6 @@ def nnrls_weight_colored(
         masked = mask_sampler(rng) * noise_sampler(rng)
         if c_inv is not None:
             masked = masked * c_inv[None, :]
-        s2, _, _ = gram_eigh(masked, vectors=False)
+        s2, _, _ = gram_eigh(masked, vectors=False, top=1)
         norms.append(np.sqrt(s2[0]))
     return float(np.mean(norms))

@@ -3,9 +3,9 @@
 Two calibration paths are provided: a generic plug-in path that reads the
 whole residual spectrum (``mode="plugin"``), and closed forms valid when
 the effective noise is white with unit variance (``mode="white"``), which
-only needs the top singular triplets.  Both take their singular values and
-vectors from one short-side Gram eigendecomposition (``gram_eigh``) of the
-input prescaled by a power of two.
+only needs, and only computes, the top singular triplets.  Both take their
+singular values and vectors from one short-side Gram eigendecomposition
+(``gram_eigh``) of the input prescaled by a power of two.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def shrink_triplets(
     Both modes run one ``gram_eigh`` on ``matrix / sqrt(n)`` times the
     power of two that brings its largest entry into [0.5, 1), calibrate in
     those units and map the estimates back.  Plug-in mode reads the whole
-    prescaled spectrum; white mode applies the closed forms to the top r
-    values with the effective noise variance ``noise_var`` prescaled alike.
+    prescaled spectrum of a dense ``eigh``; white mode computes the top r
+    pairs alone and applies the closed forms to their values, with the
+    effective noise variance ``noise_var`` prescaled alike.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -195,7 +196,7 @@ def shrink_triplets(
             f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
         )
 
-    left, right, s2, shift = _prescaled_triplets(matrix / np.sqrt(n), r)
+    left, right, s2, shift = _prescaled_triplets(matrix / np.sqrt(n), r, mode == "plugin")
     if mode == "plugin":
         spectrum = EigenSpectrum(values=s2, n=n, p=p)
         estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
@@ -204,25 +205,27 @@ def shrink_triplets(
         # overflow to inf; the closed forms take both limits.
         with np.errstate(over="ignore"):
             scaled_noise = float(np.ldexp(noise_var, -2 * shift))
-        estimates = [_white_estimate(s2k, p / n, scaled_noise) for s2k in s2[:r]]
+        estimates = [_white_estimate(s2k, p / n, scaled_noise) for s2k in s2]
     return left, right, [_ldexp_estimate(est, shift) for est in estimates]
 
 
 def _prescaled_triplets(
-    scaled: np.ndarray, r: int
+    scaled: np.ndarray, r: int, whole: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Top-r singular vectors of ``scaled`` from one short-side Gram
-    eigendecomposition.
+    eigendecomposition: of the whole spectrum if ``whole``, else of the
+    top r pairs alone.
 
     ``scaled`` is first multiplied in place by 2**-shift, the power of two
     that brings its largest entry into [0.5, 1): the Gram matrix then
     neither overflows nor underflows, and the scaling is exact.  Returns
-    the left (n, r) and right (p, r) vectors, all min(n, p) squared
-    singular values of the prescaled matrix (descending), and ``shift``.
+    the left (n, r) and right (p, r) vectors, the squared singular values
+    of the prescaled matrix (descending; all min(n, p), or the top r), and
+    ``shift``.
     """
     shift = int(np.frexp(max(scaled.max(), -scaled.min()))[1])
     normed = np.ldexp(scaled, -shift, out=scaled)
-    s2, vecs, side = gram_eigh(normed)
+    s2, vecs, side = gram_eigh(normed, top=None if whole else r)
 
     # Short-side vectors are copied column-contiguous, because prediction
     # reads u_hat one column at a time; the other side is B v / s (or

@@ -9,10 +9,17 @@ for them (zero-padding policy).
 ``spectral_estimates`` evaluates the sample Stieltjes transform, its
 companion and the D-transform of Benaych-Georges & Nadakuditi (2012),
 with derivatives, in one pass over the residual spectrum.
+
+``gram_eigh`` is the one decomposition routine.  Plug-in fits and
+``EigenSpectrum.from_matrix`` read the whole spectrum of a dense ``eigh``.
+The NNRLS prox (``above=t**2``), white-mode fits (``top=r``) and the NNRLS
+weight calibration (``top=1``, no vectors) get only the pairs they keep,
+from LAPACK ``dsyevr``: Sturm bisection, then inverse iteration.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +37,94 @@ __all__ = [
 
 
 def gram_eigh(
-    matrix: np.ndarray, vectors: bool = True
+    matrix: np.ndarray,
+    vectors: bool = True,
+    *,
+    above: float | None = None,
+    top: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, str]:
     """Squared singular values of an n x p matrix from its short-side Gram
     matrix (``B' B`` if n >= p, else ``B B'``).
 
-    Returns the min(n, p) squared singular values, descending and floored
-    at 0; the matching singular vectors as columns (None when ``vectors``
-    is false); and their side: ``"right"`` (p x min) or ``"left"``
-    (n x min).  Forming the Gram matrix squares the condition number:
-    values below about eps * max(values) carry no relative accuracy, and
-    neither do their vectors.
+    Returns the squared singular values, descending and floored at 0; the
+    matching singular vectors as columns (None when ``vectors`` is false);
+    and their side: ``"right"`` (p rows) or ``"left"`` (n rows).  A dense
+    ``eigh`` gives all min(n, p) pairs; ``above=t`` (values > t) or
+    ``top=k`` (the k largest) computes only those, by ``dsyevr`` where
+    numpy's LAPACK has it.  Forming the Gram matrix squares the condition
+    number: values below about eps * max(values) carry no relative
+    accuracy, and neither do their vectors.  A Gram matrix that is not
+    finite raises LinAlgError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ShapeError("expected a 2-d data matrix")
+    if above is not None and top is not None:
+        raise ValueError("pass at most one of above and top")
     n, p = matrix.shape
+    if top is not None and not 0 <= top <= min(n, p):
+        raise ValueError(f"top={top} out of range for a {n} x {p} matrix")
     side = "right" if n >= p else "left"
     gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
-    if not vectors:
-        return np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0), None, side
-    values, vecs = np.linalg.eigh(gram)
-    return np.maximum(values[::-1], 0.0), vecs[:, ::-1], side
+    if not np.isfinite(gram).all():
+        # LAPACKE screens out NaN only; on inf, dsyevr misreports the pairs.
+        raise np.linalg.LinAlgError("Gram matrix is not finite")
+    found = None if above is None and top is None else _partial_eigh(gram, vectors, above, top)
+    if found is None:
+        found = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    # Ascending from either path; the slice keeps the selection exact.
+    values = np.maximum(found[0][::-1], 0.0)
+    kept = top if above is None else int(np.count_nonzero(values > above))
+    vecs = None if found[1] is None else found[1][:, ::-1][:, :kept]
+    return values[:kept], vecs, side
+
+
+def _load_dsyevr():
+    """LAPACKE ``dsyevr`` (ILP64) of the LAPACK numpy.linalg links, so that
+    it shares numpy's BLAS threads; None on builds without it (MKL,
+    Accelerate)."""
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    except (AttributeError, OSError):
+        return None
+    i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w,
+    # z, ldz, isuppz
+    fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64,
+                   i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+_DSYEVR = _load_dsyevr()
+
+
+def _partial_eigh(gram, vectors, above, top):
+    """The eigenpairs of ``gram`` with values in (above, inf] (RANGE 'V')
+    or its ``top`` largest (RANGE 'I'), ascending like ``eigh``; None when
+    ``dsyevr`` is missing or reports failure, or nothing is asked for."""
+    m = gram.shape[0]
+    if _DSYEVR is None or m == 0 or top == 0:
+        return None
+    if top is None:
+        select, vl, il, iu, cols = b"V", above, 0, 0, m
+    else:
+        select, vl, il, iu, cols = b"I", 0.0, m - top + 1, m, top
+    a = gram.copy()  # destroyed by the call; the fallback reads `gram`
+    w, count = np.empty(m), ctypes.c_int64(0)
+    # Column-major output: a C-ordered z gets wrong vectors, silently.
+    z = np.empty((m, cols if vectors else 1), order="F")
+    isuppz = np.empty(2 * m, dtype=np.int64)
+    # Layout 102 is column-major, so uplo 'U' reads the lower triangle of
+    # the C-ordered matrix, as eigh does.
+    info = _DSYEVR(
+        102, b"V" if vectors else b"N", select, b"U", m, a.ctypes.data, m,
+        vl, np.inf, il, iu, 0.0,
+        ctypes.byref(count), w.ctypes.data, z.ctypes.data, m, isuppz.ctypes.data,
+    )
+    if info != 0:
+        return None
+    return w[: count.value], z[:, : count.value] if vectors else None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from eblp import (
     shrink_matrix,
     simulate_dataset,
 )
-from eblp import baselines
+from eblp import baselines, spectral
 from eblp.baselines import soft_threshold_singular_values
 
 
@@ -138,6 +138,31 @@ class TestNnrls:
         with pytest.raises(Exception):
             nnrls(np.ones((3, 2)), np.ones((2, 3)), NnrlsConfig(w=1.0))
 
+    def test_unobserved_cells_are_not_read(self, rng):
+        # NaN, inf or anything else where the mask is 0 marks a missing cell.
+        mask = (rng.random((20, 15)) < 0.6).astype(float)
+        y = mask * rng.standard_normal((20, 15))
+        config = NnrlsConfig(w=1.0)
+        want = nnrls(y, mask, config)
+        for missing in (np.nan, np.inf, 1e300):
+            got = nnrls(np.where(mask == 0, missing, y), mask, config)
+            assert np.array_equal(got.x_hat, want.x_hat)
+            assert got.objective_history == want.objective_history
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_value_named(self, bad):
+        y, mask = np.ones((4, 3)), np.ones((4, 3))
+        y[2, 1] = y[3, 0] = bad
+        with pytest.raises(ValueError, match=r"y_masked .* at index \(2, 1\)"):
+            nnrls(y, mask, NnrlsConfig(w=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+    def test_bad_mask_entry_named(self, bad):
+        y, mask = np.ones((4, 3)), np.ones((4, 3))
+        mask[1, 2] = mask[3, 0] = bad
+        with pytest.raises(ValueError, match=r"mask .* at index \(1, 2\)"):
+            nnrls(y, mask, NnrlsConfig(w=1.0))
+
     def test_config_validation(self):
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
@@ -150,10 +175,21 @@ class TestNnrls:
                 NnrlsConfig(w=1.0, column_weights=np.array([1.0, bad]))
 
     def test_same_iterates_as_full_svd_prox(self, monkeypatch):
+        self.assert_same_iterates_as_full_svd_prox(monkeypatch, p=60)
+
+    @pytest.mark.parametrize("binding", ["dsyevr", "dense"])
+    def test_same_iterates_at_desk_scale(self, monkeypatch, binding):
+        # 375 x 300, through the partial dsyevr prox and its dense fallback.
+        if binding == "dense":
+            monkeypatch.setattr(spectral, "_DSYEVR", None)
+        self.assert_same_iterates_as_full_svd_prox(monkeypatch, p=300)
+
+    @staticmethod
+    def assert_same_iterates_as_full_svd_prox(monkeypatch, p):
         # Weighted NNRLS on a draw of the uneven-sampling law: the Gram
         # prox and the full-SVD prox take the same path to rounding.
         cfg = ExperimentConfig(
-            p=60, gamma=0.8, ell=(10.0, 6.0, 3.0),
+            p=p, gamma=0.8, ell=(10.0, 6.0, 3.0),
             sampling=SamplingSpec("linear", 0.1),
             noise=NoiseSpec("white", 2.0), seed=7, random_mean=True,
         )
@@ -289,6 +325,11 @@ class TestSoftThreshold:
             ref, ref_nuclear = svd_prox(matrix, threshold)
             assert np.max(np.abs(shrunk - ref)) <= 1e-12 * norm
             assert abs(nuclear - ref_nuclear) <= 1e-12 * norm * min(shape)
+
+    @pytest.mark.parametrize("shape", [(375, 300), (300, 375), (300, 300)])
+    def test_desk_shapes_on_the_dense_fallback(self, rng, shape, monkeypatch):
+        monkeypatch.setattr(spectral, "_DSYEVR", None)
+        self.test_desk_shapes_across_the_spectrum(rng, shape)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

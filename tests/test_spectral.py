@@ -1,8 +1,9 @@
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eblp import (
@@ -13,6 +14,7 @@ from eblp import (
     mp_bulk_edge,
     spectral_estimates,
 )
+from eblp import spectral
 from eblp.spectral import gram_eigh, guard_epsilon
 from conftest import mp_stieltjes_quadrature, mp_white_stieltjes
 
@@ -106,6 +108,102 @@ class TestGramEigh:
         only_values, none, same_side = gram_eigh(matrix, vectors=False)
         assert none is None and same_side == side
         assert np.max(np.abs(only_values - values)) <= 1e-13 * top
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
+        st.integers(0, 2**32 - 1), st.booleans(),
+        st.sampled_from(["at", "between", "below", "above"]),
+        st.integers(0, 11), st.integers(0, 12),
+    )
+    @example(1, 1, 1, 0, True, "at", 0, 1)  # 1 x 1
+    @example(1, 1, 1, 0, True, "between", 0, 0)
+    @example(4, 3, 0, 0, False, "at", 0, 2)  # the zero matrix
+    @example(4, 3, 0, 0, False, "below", 0, 3)
+    def test_partial_selections_match_dense(self, n, p, rank, seed, square, where, i, top):
+        # ``above`` at, between, below and above the dense eigenvalues and
+        # every ``top`` from 0 to min(n, p), through dsyevr and through the
+        # dense fallback alike.
+        p = n if square else p
+        rank, m = min(rank, n, p), min(n, p)
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        dense, _, side = gram_eigh(matrix)
+        tiny = np.finfo(float).tiny
+        scale = max(dense[0], tiny)
+        # Rounding relative to the largest value; dsyevr's bisection also
+        # resolves no value finer than its pivot floor, the smallest normal.
+        tol = 1e-13 * scale + 2 * tiny
+        gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
+        i, top = i % m, min(top, m)
+        above = {
+            "at": dense[i],
+            "between": (dense[i] + dense[min(i + 1, m - 1)]) / 2,
+            "below": -scale,
+            "above": 2 * scale,
+        }[where]
+        for binding in (spectral._DSYEVR, None):
+            with mock.patch.object(spectral, "_DSYEVR", binding):
+                values, vecs, got_side = gram_eigh(matrix, above=above)
+                k = values.size
+                assert got_side == side and vecs.shape == (gram.shape[0], k)
+                assert np.all(values > above) and np.all(np.diff(values) <= 0)
+                # Only values within rounding of the threshold may differ.
+                assert np.count_nonzero(dense > above + tol) <= k
+                assert k <= np.count_nonzero(dense > above - tol)
+                self.assert_pairs(gram, values, vecs, dense, tol)
+
+                values, vecs, _ = gram_eigh(matrix, top=top)
+                assert values.size == top and vecs.shape == (gram.shape[0], top)
+                self.assert_pairs(gram, values, vecs, dense, tol)
+                only, none, _ = gram_eigh(matrix, vectors=False, top=top)
+                assert none is None
+                assert np.max(np.abs(only - dense[:top]), initial=0.0) <= tol
+
+    @staticmethod
+    def assert_pairs(gram, values, vecs, dense, tol):
+        k = values.size
+        assert np.all(values >= 0)
+        assert np.max(np.abs(values - dense[:k]), initial=0.0) <= tol
+        assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-12)
+        assert np.max(np.abs(gram @ vecs - vecs * values), initial=0.0) <= 1e3 * tol
+
+    def test_binding_resolves_on_numpy_openblas(self):
+        # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbol, so the
+        # partial path is the one that runs there.
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack["openblas configuration"]:
+            assert spectral._DSYEVR is not None
+
+    def test_failed_dsyevr_falls_back_to_dense(self, rng):
+        matrix = rng.standard_normal((9, 6))
+        dense, dense_vecs, _ = gram_eigh(matrix)
+        calls = []
+        failing = lambda *args: calls.append(args) or 1  # info > 0
+        with mock.patch.object(spectral, "_DSYEVR", failing):
+            values, vecs, _ = gram_eigh(matrix, above=dense[3])
+            top, _, _ = gram_eigh(matrix, vectors=False, top=2)
+        assert len(calls) == 2
+        assert np.array_equal(values, dense[:3]) and np.array_equal(vecs, dense_vecs[:, :3])
+        assert np.array_equal(top, gram_eigh(matrix, vectors=False)[0][:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kwargs", [{}, {"above": 1.0}, {"top": 1}])
+    def test_non_finite_gram_raises(self, bad, kwargs):
+        # Unchecked, dsyevr misreports the pairs of an inf matrix, and
+        # the dense path returns NaN.
+        matrix = np.ones((4, 3))
+        matrix[2, 1] = bad
+        for binding in (spectral._DSYEVR, None):
+            with mock.patch.object(spectral, "_DSYEVR", binding):
+                with pytest.raises(np.linalg.LinAlgError):
+                    gram_eigh(matrix, **kwargs)
+
+    def test_rejects_bad_selections(self):
+        with pytest.raises(ValueError):
+            gram_eigh(np.ones((3, 2)), above=1.0, top=1)
+        for top in (-1, 3):
+            with pytest.raises(ValueError):
+                gram_eigh(np.ones((3, 2)), top=top)
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):

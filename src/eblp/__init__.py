@@ -21,20 +21,15 @@ from .shrinkage import (
     SpikeEstimate,
     amse,
     estimate_spike,
-    shrink_matrix,
     white_spike_forward,
     white_spike_inverse,
 )
 from .pipeline import (
     EblpModel,
-    SignalModel,
     TransformedObservation,
-    backproject,
-    blp_oracle,
     dataset_from_arrays,
     fit_in_sample,
     predict_out_of_sample,
-    simple_blp_uniform,
 )
 
 # The simulator and the NNRLS baseline serve the campaign, not a fit, so
@@ -44,6 +39,7 @@ _LAZY = {
         "ExperimentConfig",
         "NoiseSpec",
         "SamplingSpec",
+        "SignalModel",
         "SimulatedData",
         "generate_masks",
         "generate_noise",

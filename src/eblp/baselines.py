@@ -191,7 +191,7 @@ def nnrls_weight_colored(
     noise_sampler: Callable[[np.random.Generator], np.ndarray],
     mask_sampler: Callable[[np.random.Generator], np.ndarray],
     replicates: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     column_weights: np.ndarray | None = None,
 ) -> float:
     """Monte Carlo weight calibration: mean operator norm of a masked
@@ -199,7 +199,6 @@ def nnrls_weight_colored(
     The operator norm is the square root of the top Gram eigenvalue."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
     c_inv = None if column_weights is None else 1.0 / np.asarray(column_weights)
     norms = []
     for _ in range(replicates):

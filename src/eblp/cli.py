@@ -9,7 +9,8 @@ Importing this module loads only what ``denoise`` and ``oos`` run;
 ``simulate`` and ``benchmark`` import the simulator, the NNRLS baseline and
 the config parser when they run.
 
-Exit codes: 0 success, 2 parse/usage, 3 degenerate data, 4 numeric.
+Exit codes: 0 success, 2 parse/usage or an unwritable output, 3
+degenerate data, 4 numeric.
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ShapeError as exc:
         print(f"eblp: input mismatch: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        # Readers report their own OSErrors as ParseError.
+        print(f"eblp: cannot write: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateCoordinateError as exc:
         print(f"eblp: degenerate data: {exc}", file=sys.stderr)

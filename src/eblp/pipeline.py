@@ -23,12 +23,8 @@ from .shrinkage import SpikeEstimate, shrink_triplets
 __all__ = [
     "TransformedObservation",
     "EblpModel",
-    "SignalModel",
-    "backproject",
     "fit_in_sample",
     "predict_out_of_sample",
-    "blp_oracle",
-    "simple_blp_uniform",
     "dataset_from_arrays",
 ]
 
@@ -43,8 +39,8 @@ class TransformedObservation:
     ``d[j] == 0``); ``d[j] >= 0`` is the squared transform weight there
     (NaN is rejected).  Coordinate-selection masks use d in {0, 1}.  ``y``
     and ``d`` may also be (k, p) arrays holding k samples as rows: the
-    dataset of :func:`fit_in_sample`, or a batch for :func:`backproject`
-    and :func:`predict_out_of_sample`.
+    dataset of :func:`fit_in_sample`, or a batch for
+    :func:`predict_out_of_sample`.
     """
 
     y: np.ndarray
@@ -69,11 +65,6 @@ def dataset_from_arrays(y: np.ndarray, d: np.ndarray) -> TransformedObservation:
     if batch.y.ndim != 2:
         raise ShapeError("y and d must be 2-d arrays of identical shape")
     return batch
-
-
-def backproject(obs: TransformedObservation) -> np.ndarray:
-    """A' y for the diagonal transform with diag(A'A) = d, i.e. sqrt(d) * y."""
-    return np.sqrt(obs.d) * obs.y
 
 
 @dataclass(frozen=True)
@@ -161,8 +152,9 @@ def fit_in_sample(
     built by :func:`dataset_from_arrays`; its arrays are read, never
     written.  Steps: backproject, normalize by the mean transform weight
     M-hat, optionally whiten by W = M-hat^(1/2), shrink singular values
-    (``mode`` as in :func:`shrink_matrix`), unwhiten, restore the
-    available-case column mean sum(backprojected) / sum(d).
+    (``mode="plugin"``: calibrated on the residual spectrum; ``"white"``:
+    by the white-noise closed forms), unwhiten, restore the available-case
+    column mean sum(backprojected) / sum(d).
 
     ``m_diag`` overrides the estimated M-hat (for testing against known
     transforms).  ``noise_var_diag``, when the sample-space noise variances
@@ -268,75 +260,3 @@ def predict_out_of_sample(model: EblpModel, obs: TransformedObservation) -> np.n
     out = (b @ model._inward) @ model._outward
     out += model.mean
     return out
-
-
-@dataclass(frozen=True)
-class SignalModel:
-    """Ground-truth low-rank signal law: strengths, directions, mean."""
-
-    ell: np.ndarray              # (r,), strictly decreasing positive
-    u: np.ndarray                # (p, r), orthonormal columns
-    mean: np.ndarray | None = None
-
-    def __post_init__(self):
-        ell = np.asarray(self.ell, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "u", u)
-        if ell.ndim != 1 or u.ndim != 2 or u.shape[1] != ell.size:
-            raise ShapeError("need ell of length r and u of shape (p, r)")
-        if np.any(ell <= 0) or np.any(np.diff(ell) >= 0):
-            raise ShapeError("ell must be strictly decreasing and positive")
-        if self.mean is not None:
-            mean = np.asarray(self.mean, dtype=float)
-            object.__setattr__(self, "mean", mean)
-            if mean.shape != (u.shape[0],):
-                raise ShapeError("mean must have length p")
-
-
-def blp_oracle(
-    obs: TransformedObservation,
-    signal: SignalModel,
-    noise_cov_diag: np.ndarray,
-) -> np.ndarray:
-    """Exact best linear predictor given the true signal law (test oracle).
-
-    Evaluates Sigma_X A' (A Sigma_X A' + Sigma_eps)^-1 (y - A mean) + mean
-    with a dense solve restricted to the observed coordinates.
-    """
-    p = obs.y.size
-    noise_cov_diag = np.asarray(noise_cov_diag, dtype=float)
-    if signal.u.shape[0] != p or noise_cov_diag.shape != (p,):
-        raise ShapeError("signal/noise dimensions do not match the observation")
-    mean = signal.mean if signal.mean is not None else np.zeros(p)
-
-    observed = np.flatnonzero(obs.d > 0)
-    if observed.size == 0:
-        return mean.copy()
-    a = np.sqrt(obs.d[observed])                       # diagonal of A on support
-    u_s = signal.u[observed, :]                        # (q, r)
-    y_c = obs.y[observed] - a * mean[observed]
-
-    # K = A Sigma_X A' + Sigma_eps on the support
-    k = (a[:, None] * u_s) * signal.ell[None, :] @ u_s.T * a[None, :]
-    k[np.diag_indices_from(k)] += noise_cov_diag[observed]
-    w = np.linalg.solve(k, y_c)
-
-    coeff = signal.ell * (u_s.T @ (a * w))             # (r,)
-    return signal.u @ coeff + mean
-
-
-def simple_blp_uniform(
-    obs: TransformedObservation,
-    signal: SignalModel,
-    m: float,
-) -> np.ndarray:
-    """Inverse-free reduction of the BLP valid in the uniform model
-    (E A'A = m I, unit noise): sum_k ell_k/(1 + m ell_k) u_k u_k' A'y."""
-    p = obs.y.size
-    if signal.u.shape[0] != p:
-        raise ShapeError("signal dimension does not match the observation")
-    mean = signal.mean if signal.mean is not None else np.zeros(p)
-    b = backproject(obs) - obs.d * mean
-    coeff = (signal.ell / (1.0 + m * signal.ell)) * (signal.u.T @ b)
-    return signal.u @ coeff + mean

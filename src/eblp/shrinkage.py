@@ -29,7 +29,6 @@ __all__ = [
     "amse",
     "white_spike_forward",
     "white_spike_inverse",
-    "shrink_matrix",
     "shrink_triplets",
 ]
 
@@ -251,26 +250,3 @@ def _ldexp_estimate(est: SpikeEstimate, shift: int) -> SpikeEstimate:
             sigma_obs=float(np.ldexp(est.sigma_obs, shift)),
         )
 
-
-def shrink_matrix(
-    matrix: np.ndarray,
-    r: int,
-    mode: str = "plugin",
-    noise_var: float = 1.0,
-) -> tuple[np.ndarray, list[SpikeEstimate]]:
-    """Denoise an n x p matrix (rows are samples) by optimal singular-value
-    shrinkage of ``matrix / sqrt(n)``.
-
-    Both modes decompose the short-side Gram matrix once.
-    ``mode="plugin"`` calibrates every component from the residual
-    eigenvalues; ``mode="white"`` uses only the top r singular values and
-    applies the white-noise closed forms, assuming effective noise variance
-    ``noise_var``.
-
-    Returns the denoised matrix and the per-component estimates.
-    """
-    left, right, estimates = shrink_triplets(matrix, r, mode=mode, noise_var=noise_var)
-    n = np.asarray(matrix).shape[0]
-    lam = np.array([e.lambda_star for e in estimates])
-    denoised = np.sqrt(n) * (left * lam) @ right.T
-    return denoised, estimates

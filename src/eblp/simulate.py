@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .pipeline import SignalModel, TransformedObservation
+from .pipeline import TransformedObservation
 
 __all__ = [
+    "SignalModel",
     "SamplingSpec",
     "NoiseSpec",
     "ExperimentConfig",
@@ -26,6 +27,30 @@ __all__ = [
     "simulate_dataset",
     "rmse",
 ]
+
+
+@dataclass(frozen=True)
+class SignalModel:
+    """Ground-truth low-rank signal law: strengths, directions, mean."""
+
+    ell: np.ndarray              # (r,), strictly decreasing positive
+    u: np.ndarray                # (p, r), orthonormal columns
+    mean: np.ndarray | None = None
+
+    def __post_init__(self):
+        ell = np.asarray(self.ell, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "u", u)
+        if ell.ndim != 1 or u.ndim != 2 or u.shape[1] != ell.size:
+            raise ShapeError("need ell of length r and u of shape (p, r)")
+        if np.any(ell <= 0) or np.any(np.diff(ell) >= 0):
+            raise ShapeError("ell must be strictly decreasing and positive")
+        if self.mean is not None:
+            mean = np.asarray(self.mean, dtype=float)
+            object.__setattr__(self, "mean", mean)
+            if mean.shape != (u.shape[0],):
+                raise ShapeError("mean must have length p")
 
 
 @dataclass(frozen=True)
@@ -118,12 +143,8 @@ class ExperimentConfig:
         return len(self.ell)
 
 
-def _rng(config: ExperimentConfig, rng: np.random.Generator | None) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng(config.seed)
-
-
 def generate_signals(
-    config: ExperimentConfig, n: int, rng: np.random.Generator | None = None
+    config: ExperimentConfig, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, SignalModel]:
     """Draw n signal rows sum_k sqrt(ell_k) z_ik u_k (plus the optional
     random mean row), with orthonormal directions u_k.
@@ -132,7 +153,6 @@ def generate_signals(
     share one random size-m coordinate support (m >= r required) and are
     orthonormalized within it, so every u_k has at most m nonzeros.
     """
-    rng = _rng(config, rng)
     p, r = config.p, config.rank
     if config.pc_sparsity is not None:
         m = config.pc_sparsity
@@ -154,20 +174,14 @@ def generate_signals(
     return x, SignalModel(ell=ell, u=u, mean=mean)
 
 
-def generate_masks(
-    config: ExperimentConfig, n: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def generate_masks(config: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Independent 0/1 coordinate-selection masks, one row per sample."""
-    rng = _rng(config, rng)
     probs = config.sampling.column_probabilities(config.p)
     return (rng.random((n, config.p)) < probs[None, :]).astype(float)
 
 
-def generate_noise(
-    config: ExperimentConfig, n: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def generate_noise(config: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample-space Gaussian noise with the configured variance profile."""
-    rng = _rng(config, rng)
     profile = config.noise.variance_profile(config.p)
     return rng.standard_normal((n, config.p)) * (config.noise.sigma * np.sqrt(profile))
 
@@ -187,11 +201,8 @@ class SimulatedData:
         return TransformedObservation(y=self.y, d=self.masks)
 
 
-def simulate_dataset(
-    config: ExperimentConfig, rng: np.random.Generator | None = None
-) -> SimulatedData:
+def simulate_dataset(config: ExperimentConfig, rng: np.random.Generator) -> SimulatedData:
     """Generate one replicate: y = mask * (x + noise) on the p-grid."""
-    rng = _rng(config, rng)
     n = config.n
     x, signal = generate_signals(config, n, rng)
     masks = generate_masks(config, n, rng)

@@ -10,11 +10,11 @@ for them (zero-padding policy).
 companion and the D-transform of Benaych-Georges & Nadakuditi (2012),
 with derivatives, in one pass over the residual spectrum.
 
-``gram_eigh`` is the one decomposition routine.  Plug-in fits and
-``EigenSpectrum.from_matrix`` read the whole spectrum of a dense ``eigh``.
-The NNRLS prox (``above=t**2``), white-mode fits (``top=r``) and the NNRLS
-weight calibration (``top=1``, no vectors) get only the pairs they keep,
-from LAPACK ``dsyevr``: Sturm bisection, then inverse iteration.
+``gram_eigh`` is the one decomposition routine.  Plug-in fits read the
+whole spectrum of a dense ``eigh``.  The NNRLS prox (``above=t**2``),
+white-mode fits (``top=r``) and the NNRLS weight calibration (``top=1``,
+no vectors) get only the pairs they keep, from LAPACK ``dsyevr``: Sturm
+bisection, then inverse iteration.
 """
 
 from __future__ import annotations
@@ -156,14 +156,6 @@ class EigenSpectrum:
     @property
     def gamma(self) -> float:
         return self.p / self.n
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "EigenSpectrum":
-        """Spectrum of ``matrix' matrix / n`` for an n x p data matrix."""
-        matrix = np.asarray(matrix, dtype=float)
-        s2, _, _ = gram_eigh(matrix, vectors=False)
-        n, p = matrix.shape
-        return cls(values=s2 / n, n=n, p=p)
 
     def residual(self, r: int) -> tuple[np.ndarray, int]:
         """Stored residual eigenvalues after dropping the top ``r``, plus

@@ -156,6 +156,73 @@ def reference_fit(
     return model, x_hat
 
 
+def shrink_plain(y: np.ndarray, r: int, mode: str = "plugin", noise_var: float = 1.0):
+    """Plain singular-value shrinkage of ``y / sqrt(n)`` by the one fit
+    path: unit transforms, no whitening and no centering, where every other
+    step is exact.  Returns (x_hat, estimates)."""
+    from eblp import dataset_from_arrays, fit_in_sample
+
+    model, x_hat = fit_in_sample(
+        dataset_from_arrays(y, np.ones_like(y)), r,
+        whiten=False, center=False, mode=mode, noise_var=noise_var,
+    )
+    return x_hat, model.estimates
+
+
+def spectrum_of(matrix: np.ndarray):
+    """EigenSpectrum of ``matrix' matrix / n`` for an n x p data matrix."""
+    from eblp import EigenSpectrum
+    from eblp.spectral import gram_eigh
+
+    matrix = np.asarray(matrix, dtype=float)
+    n, p = matrix.shape
+    return EigenSpectrum(values=gram_eigh(matrix, vectors=False)[0] / n, n=n, p=p)
+
+
+def blp_oracle(obs, signal, noise_cov_diag) -> np.ndarray:
+    """Exact best linear predictor given the true signal law (test oracle).
+
+    Evaluates Sigma_X A' (A Sigma_X A' + Sigma_eps)^-1 (y - A mean) + mean
+    with a dense solve restricted to the observed coordinates.
+    """
+    from eblp import ShapeError
+
+    p = obs.y.size
+    noise_cov_diag = np.asarray(noise_cov_diag, dtype=float)
+    if signal.u.shape[0] != p or noise_cov_diag.shape != (p,):
+        raise ShapeError("signal/noise dimensions do not match the observation")
+    mean = signal.mean if signal.mean is not None else np.zeros(p)
+
+    observed = np.flatnonzero(obs.d > 0)
+    if observed.size == 0:
+        return mean.copy()
+    a = np.sqrt(obs.d[observed])                       # diagonal of A on support
+    u_s = signal.u[observed, :]                        # (q, r)
+    y_c = obs.y[observed] - a * mean[observed]
+
+    # K = A Sigma_X A' + Sigma_eps on the support
+    k = (a[:, None] * u_s) * signal.ell[None, :] @ u_s.T * a[None, :]
+    k[np.diag_indices_from(k)] += noise_cov_diag[observed]
+    w = np.linalg.solve(k, y_c)
+
+    coeff = signal.ell * (u_s.T @ (a * w))             # (r,)
+    return signal.u @ coeff + mean
+
+
+def simple_blp_uniform(obs, signal, m: float) -> np.ndarray:
+    """Inverse-free reduction of the BLP valid in the uniform model
+    (E A'A = m I, unit noise): sum_k ell_k/(1 + m ell_k) u_k u_k' A'y."""
+    from eblp import ShapeError
+
+    p = obs.y.size
+    if signal.u.shape[0] != p:
+        raise ShapeError("signal dimension does not match the observation")
+    mean = signal.mean if signal.mean is not None else np.zeros(p)
+    b = np.sqrt(obs.d) * obs.y - obs.d * mean
+    coeff = (signal.ell / (1.0 + m * signal.ell)) * (signal.u.T @ b)
+    return signal.u @ coeff + mean
+
+
 def read_results(path) -> list[dict]:
     """The rows of a results table that ``eblp benchmark`` wrote, with its
     numbers as numbers."""

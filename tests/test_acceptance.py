@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from eblp import (
-    EigenSpectrum,
     NnrlsConfig,
     SignalModel,
     TransformedObservation,
     amse,
-    blp_oracle,
     dataset_from_arrays,
     fit_in_sample,
     mp_bulk_edge,
@@ -23,11 +21,10 @@ from eblp import (
     nnrls_weight_white,
     predict_out_of_sample,
     rmse,
-    simple_blp_uniform,
     spectral_estimates,
     white_spike_forward,
 )
-from conftest import mp_white_stieltjes, read_results
+from conftest import blp_oracle, mp_white_stieltjes, read_results, simple_blp_uniform, spectrum_of
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,7 +89,7 @@ def test_02_plugin_spectral_estimators():
     gamma = 0.8
     p = 2000
     n = int(round(p / gamma))
-    spectrum = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
+    spectrum = spectrum_of(rng.standard_normal((n, p)))
     x_eval = mp_bulk_edge(gamma) + 1.0
     m_hat = spectral_estimates(spectrum, 0, x_eval).m_hat
     gap = abs(m_hat - mp_white_stieltjes(x_eval, gamma))
@@ -100,8 +97,8 @@ def test_02_plugin_spectral_estimators():
     monotone = True
     for spec in (
         spectrum,
-        EigenSpectrum.from_matrix(rng.standard_normal((400, 500))),
-        EigenSpectrum.from_matrix(
+        spectrum_of(rng.standard_normal((400, 500))),
+        spectrum_of(
             rng.standard_normal((500, 400)) * np.linspace(0.5, 2.0, 400)
         ),
     ):

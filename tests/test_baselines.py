@@ -16,11 +16,11 @@ from eblp import (
     nnrls,
     nnrls_weight_colored,
     nnrls_weight_white,
-    shrink_matrix,
     simulate_dataset,
 )
 from eblp import baselines, spectral
 from eblp.baselines import soft_threshold_singular_values
+from conftest import shrink_plain
 
 
 def svd_prox(matrix, threshold):
@@ -257,12 +257,15 @@ class TestWeights:
             lambda g: np.zeros((10, 8)),
             lambda g: np.ones((10, 8)),
             replicates=3,
+            rng=np.random.default_rng(0),
         )
         assert w == 0.0
 
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
-            nnrls_weight_colored(lambda g: 0, lambda g: 0, replicates=0)
+            nnrls_weight_colored(
+                lambda g: 0, lambda g: 0, replicates=0, rng=np.random.default_rng(0)
+            )
 
 
 class TestUnwhitenedShrinkage:
@@ -281,9 +284,9 @@ class TestUnwhitenedShrinkage:
         y = rng.standard_normal((n, p)) + 4 * np.outer(
             rng.standard_normal(n), rng.standard_normal(p)
         ) / np.sqrt(p)
-        ds = dataset_from_arrays(y, np.ones((n, p)))
-        _, x_hat = fit_in_sample(ds, 1, whiten=False, mode="plugin", center=False)
-        x_classical, _ = shrink_matrix(y, 1, mode="plugin")
+        x_hat, ests = shrink_plain(y, 1, mode="plugin")
+        u, _, vt = np.linalg.svd(y / np.sqrt(n), full_matrices=False)
+        x_classical = np.sqrt(n) * ests[0].lambda_star * np.outer(u[:, 0], vt[0])
         assert np.allclose(x_hat, x_classical, atol=1e-10)
 
     def test_zero_input(self):

@@ -1167,3 +1167,24 @@ class TestBenchmarkCommand:
         assert {row["method"] for row in rows} == {"eblp", "unwhitened", "nnrls"}
         assert {row["sigma"] for row in rows} == {1.0, 2.0}
         assert all(row["sparsity"] == "10" for row in rows)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["denoise", "save-model", "oos", "simulate", "benchmark"])
+    def test_exit_2_naming_the_path(self, tmp_path, capsys, tiny_config, command):
+        rng = np.random.default_rng(3)
+        inp, x_hat, model = tmp_path / "y.txt", str(tmp_path / "x.txt"), tmp_path / "model.json"
+        matio.write_matrix(inp, rng.standard_normal((30, 8)))
+        assert main(["denoise", str(inp), x_hat, "--rank", "1", "--save-model", str(model)]) == 0
+        missing = str(tmp_path / "missing" / "out")
+        argv = {
+            "denoise": ["denoise", str(inp), missing, "--rank", "1"],
+            "save-model": ["denoise", str(inp), x_hat, "--rank", "1", "--save-model", missing],
+            "oos": ["oos", str(inp), missing, "--model", str(model)],
+            "simulate": ["simulate", tiny_config, missing],
+            "benchmark": ["benchmark", tiny_config, missing, "--no-timings"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eblp: cannot write: ") and missing in err

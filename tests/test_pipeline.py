@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_predict, reference_fit
+from conftest import blp_oracle, loop_predict, reference_fit, simple_blp_uniform
 from eblp import (
     DegenerateCoordinateError,
     NotFittedError,
@@ -15,14 +15,10 @@ from eblp import (
     SpikeEstimate,
     TransformedObservation,
     amse,
-    backproject,
-    blp_oracle,
     dataset_from_arrays,
     fit_in_sample,
     predict_out_of_sample,
     rmse,
-    shrink_matrix,
-    simple_blp_uniform,
 )
 from eblp.pipeline import EblpModel
 
@@ -40,25 +36,7 @@ def make_dataset(rng, n, p, ell, delta=1.0, sigma=1.0, mean=None):
     return dataset_from_arrays(y, masks), x, SignalModel(ell=ell, u=u, mean=mean)
 
 
-class TestBackproject:
-    def test_selection_semantics(self):
-        obs = TransformedObservation(y=np.array([3.0, 0.0, 5.0]), d=np.array([1.0, 0.0, 1.0]))
-        assert np.array_equal(backproject(obs), [3.0, 0.0, 5.0])
-
-    def test_identity_transform(self, rng):
-        y = rng.standard_normal(7)
-        obs = TransformedObservation(y=y, d=np.ones(7))
-        assert np.array_equal(backproject(obs), y)
-
-    def test_consistency_with_diagonal_transform(self, rng):
-        # For A = diag(sqrt(d)) and y = A x, the backprojection must equal
-        # A'A x = d * x.
-        d = np.array([2.0, 0.0, 0.5, 1.0])
-        x = rng.standard_normal(4)
-        y = np.sqrt(d) * x
-        obs = TransformedObservation(y=y, d=d)
-        assert np.allclose(backproject(obs), d * x)
-
+class TestTransformedObservation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             TransformedObservation(y=np.ones(3), d=np.ones(4))
@@ -107,14 +85,6 @@ class TestEstimateM:
 
 
 class TestFitInSample:
-    def test_identity_transforms_reduce_to_plain_shrinkage(self, rng):
-        n, p, r = 150, 100, 2
-        y = rng.standard_normal((n, p)) + 3 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
-        ds = dataset_from_arrays(y, np.ones((n, p)))
-        _, x_fit = fit_in_sample(ds, r, whiten=False, mode="white", center=False)
-        x_direct, _ = shrink_matrix(y, r, mode="white")
-        assert np.allclose(x_fit, x_direct, atol=1e-10)
-
     def test_pure_noise_predicts_zero(self):
         # All spikes subcritical (white mode exact; plugin leaves at most a
         # vanishing residual since lambda* -> 0 at the bulk edge).
@@ -563,6 +533,6 @@ class TestSimpleBlp:
                 mse["simple"].append(
                     np.sum((simple_blp_uniform(obs, sig, delta) - x[i]) ** 2)
                 )
-                mse["naive"].append(np.sum((backproject(obs) - x[i]) ** 2))
+                mse["naive"].append(np.sum((np.sqrt(obs.d) * obs.y - x[i]) ** 2))
         assert np.mean(mse["blp"]) <= np.mean(mse["simple"])
         assert np.mean(mse["simple"]) <= np.mean(mse["naive"])

@@ -12,12 +12,11 @@ from eblp import (
     estimate_spike,
     fit_in_sample,
     mp_bulk_edge,
-    shrink_matrix,
     white_spike_forward,
     white_spike_inverse,
 )
 from eblp.shrinkage import shrink_triplets
-from conftest import spiked_white_data
+from conftest import shrink_plain, spectrum_of, spiked_white_data
 
 
 def svd_plugin(matrix, r):
@@ -184,7 +183,7 @@ class TestEstimateSpike:
         rng = np.random.default_rng(11)
         p = n = 2000
         y, _, _ = spiked_white_data(rng, n, p, np.array([2.0]))
-        spectrum = EigenSpectrum.from_matrix(y)
+        spectrum = spectrum_of(y)
         est = estimate_spike(spectrum, 1, 0)
         assert est.supercritical
         lam_obs = spectrum.values[0]
@@ -199,7 +198,7 @@ class TestEstimateSpike:
     def test_estimates_land_in_unit_interval(self, rng):
         for gamma, shape in [(0.8, (250, 200)), (1.25, (200, 250))]:
             y, _, _ = spiked_white_data(rng, shape[0], shape[1], np.array([6.0, 3.0]))
-            spectrum = EigenSpectrum.from_matrix(y)
+            spectrum = spectrum_of(y)
             for k in range(2):
                 est = estimate_spike(spectrum, 2, k)
                 assert est.supercritical
@@ -213,7 +212,7 @@ class TestLambdaAndAmse:
         # lambda_star is the optimal shrunken singular value sqrt(ell c^2 ct^2).
         y, _, _ = spiked_white_data(rng, 375, 300, np.array([9.0, 4.0]))
         for mode in ("plugin", "white"):
-            _, ests = shrink_matrix(y, 2, mode=mode)
+            _, ests = shrink_plain(y, 2, mode=mode)
             for est in ests:
                 assert est.supercritical
                 assert est.lambda_star == pytest.approx(
@@ -226,7 +225,7 @@ class TestLambdaAndAmse:
         cases = [(np.zeros((40, 30)), "plugin"), (np.zeros((40, 30)), "white"),
                  (rng.standard_normal((375, 300)), "white")]
         for y, mode in cases:
-            _, ests = shrink_matrix(y, 3, mode=mode)
+            _, ests = shrink_plain(y, 3, mode=mode)
             for est in ests:
                 assert not est.supercritical
                 assert est.lambda_star == 0.0
@@ -241,10 +240,10 @@ class TestLambdaAndAmse:
 
 class TestShrinkMatrix:
     def test_zero_matrix(self):
-        x_hat, ests = shrink_matrix(np.zeros((10, 6)), 2, mode="plugin")
+        x_hat, ests = shrink_plain(np.zeros((10, 6)), 2, mode="plugin")
         assert np.all(x_hat == 0)
         assert all(not e.supercritical for e in ests)
-        x_hat, ests = shrink_matrix(np.zeros((10, 6)), 2, mode="white")
+        x_hat, ests = shrink_plain(np.zeros((10, 6)), 2, mode="white")
         assert np.all(x_hat == 0)
         assert all(not e.supercritical for e in ests)
 
@@ -257,26 +256,26 @@ class TestShrinkMatrix:
         u[0] = 1.0
         weak = 0.3 * np.outer(rng.standard_normal(n), u)
         y = weak + rng.standard_normal((n, p))
-        assert EigenSpectrum.from_matrix(y).values[0] < mp_bulk_edge(p / n)
-        x_hat, ests = shrink_matrix(y, 1, mode="white")
+        assert spectrum_of(y).values[0] < mp_bulk_edge(p / n)
+        x_hat, ests = shrink_plain(y, 1, mode="white")
         assert np.all(x_hat == 0)
         assert not ests[0].supercritical
 
     def test_rank_errors(self, rng):
         y = rng.standard_normal((10, 6))
         with pytest.raises(RankError):
-            shrink_matrix(y, 7)
+            shrink_plain(y, 7)
         with pytest.raises(RankError):
-            shrink_matrix(y, 6, mode="plugin")  # plugin needs a residual
+            shrink_plain(y, 6, mode="plugin")  # plugin needs a residual
 
     def test_rank_zero(self, rng):
-        x_hat, ests = shrink_matrix(rng.standard_normal((5, 4)), 0)
+        x_hat, ests = shrink_plain(rng.standard_normal((5, 4)), 0)
         assert np.all(x_hat == 0) and ests == []
 
     def test_shrinkage_is_downward(self, rng):
         y, _, _ = spiked_white_data(rng, 375, 300, np.array([10.0, 5.0, 2.0]))
         for mode in ("plugin", "white"):
-            _, ests = shrink_matrix(y, 3, mode=mode)
+            _, ests = shrink_plain(y, 3, mode=mode)
             for est in ests:
                 assert est.lambda_star <= est.sigma_obs + 1e-12
 
@@ -285,15 +284,15 @@ class TestShrinkMatrix:
         y, _, _ = spiked_white_data(rng, n, p, np.array([8.0]))
         q_left, _ = np.linalg.qr(rng.standard_normal((n, n)))
         q_right, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        _, ests = shrink_matrix(y, 1, mode="white")
-        _, ests_rot = shrink_matrix(q_left @ y @ q_right, 1, mode="white")
+        _, ests = shrink_plain(y, 1, mode="white")
+        _, ests_rot = shrink_plain(q_left @ y @ q_right, 1, mode="white")
         assert ests_rot[0].lambda_star == pytest.approx(
             ests[0].lambda_star, rel=1e-10
         )
 
     def test_white_mode_identity_on_estimates(self, rng):
         y, _, _ = spiked_white_data(rng, 375, 300, np.array([9.0, 4.0]))
-        _, ests = shrink_matrix(y, 2, mode="white")
+        _, ests = shrink_plain(y, 2, mode="white")
         for est in ests:
             assert est.supercritical
             assert abs(1.0 / est.ct2_hat - (1.0 + 1.0 / (est.ell_hat * est.c2_hat))) < 1e-12
@@ -301,8 +300,8 @@ class TestShrinkMatrix:
     def test_white_mode_noise_var_rescaling(self, rng):
         y, _, _ = spiked_white_data(rng, 375, 300, np.array([9.0]))
         sigma = 1.7
-        _, base = shrink_matrix(y, 1, mode="white")
-        _, scaled = shrink_matrix(sigma * y, 1, mode="white", noise_var=sigma**2)
+        _, base = shrink_plain(y, 1, mode="white")
+        _, scaled = shrink_plain(sigma * y, 1, mode="white", noise_var=sigma**2)
         assert scaled[0].ell_hat == pytest.approx(sigma**2 * base[0].ell_hat, rel=1e-10)
         assert scaled[0].c2_hat == pytest.approx(base[0].c2_hat, rel=1e-10)
         assert scaled[0].lambda_star == pytest.approx(
@@ -311,8 +310,8 @@ class TestShrinkMatrix:
 
     def test_modes_agree_on_white_data(self, rng):
         y, _, _ = spiked_white_data(rng, 500, 400, np.array([6.0]))
-        _, plugin = shrink_matrix(y, 1, mode="plugin")
-        _, white = shrink_matrix(y, 1, mode="white")
+        _, plugin = shrink_plain(y, 1, mode="plugin")
+        _, white = shrink_plain(y, 1, mode="white")
         assert plugin[0].lambda_star == pytest.approx(white[0].lambda_star, rel=0.05)
         assert plugin[0].ell_hat == pytest.approx(white[0].ell_hat, rel=0.05)
 
@@ -324,7 +323,7 @@ class TestShrinkMatrix:
         for _ in range(3):
             y, u_true, z_true = spiked_white_data(rng, n, p, np.array([5.0]))
             x_true = np.sqrt(5.0) * np.outer(z_true[:, 0], u_true[:, 0])
-            x_hat, _ = shrink_matrix(y, 1, mode="plugin")
+            x_hat, _ = shrink_plain(y, 1, mode="plugin")
 
             u, s, vt = np.linalg.svd(y / np.sqrt(n), full_matrices=False)
             grid = np.arange(0.0, s[0] + 1e-9, 1e-3 * s[0])
@@ -343,7 +342,7 @@ class TestShrinkMatrix:
         for _ in range(20):
             y, u_true, z_true = spiked_white_data(rng, n, p, ell)
             x_true = (z_true * np.sqrt(ell)) @ u_true.T
-            x_hat, ests = shrink_matrix(y, 2, mode="plugin")
+            x_hat, ests = shrink_plain(y, 2, mode="plugin")
             realized.append(np.linalg.norm(x_hat - x_true) ** 2 / n)
             estimated.append(amse(ests))
         assert np.mean(estimated) == pytest.approx(np.mean(realized), rel=0.05)
@@ -379,7 +378,7 @@ class TestPluginGram:
         for vecs in (left[:, sup], right[:, sup]):
             assert np.allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-8)
 
-        denoised, _ = shrink_matrix(matrix, r)
+        denoised, _ = shrink_plain(matrix, r)
         lam = np.ldexp([e.lambda_star for e in ref], shift)
         expected = np.sqrt(n) * (ref_left * lam) @ ref_right.T
         norm = np.linalg.norm(matrix, ord=2)
@@ -406,8 +405,8 @@ class TestPluginGram:
     def test_power_of_two_scale_equivariance(self, case, k):
         matrix, r = case
         scale = np.ldexp(1.0, k)
-        base, base_ests = shrink_matrix(matrix, r)
-        scaled, ests = shrink_matrix(matrix * scale, r)
+        base, base_ests = shrink_plain(matrix, r)
+        scaled, ests = shrink_plain(matrix * scale, r)
         assert np.array_equal(scaled, base * scale)
         for est, want in zip(ests, base_ests):
             assert est.supercritical == want.supercritical
@@ -419,8 +418,8 @@ class TestPluginGram:
     @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
     def test_extreme_magnitudes(self, rng, scale):
         y, _, _ = spiked_white_data(rng, 60, 40, np.array([20.0]))
-        base, base_ests = shrink_matrix(y, 1)
-        out, ests = shrink_matrix(y * scale, 1)
+        base, base_ests = shrink_plain(y, 1)
+        out, ests = shrink_plain(y * scale, 1)
         assert ests[0].supercritical and base_ests[0].supercritical
         assert np.isfinite(out).all()
         assert np.max(np.abs(out / scale - base)) <= 1e-12 * np.max(np.abs(base))
@@ -457,7 +456,7 @@ class TestWhiteGram:
         for vecs in (left[:, sup], right[:, sup]):
             assert np.allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-8)
 
-        denoised, _ = shrink_matrix(matrix, r, mode="white", noise_var=noise_var)
+        denoised, _ = shrink_plain(matrix, r, mode="white", noise_var=noise_var)
         lam = np.array([e.lambda_star for e in ref])
         expected = np.sqrt(n) * (ref_left * lam) @ ref_right.T
         assert np.isfinite(denoised).all()
@@ -470,8 +469,8 @@ class TestWhiteGram:
     def test_power_of_two_joint_scale_equivariance(self, case, k):
         # matrix * 2^k with noise_var * 4^k leaves every ratio unchanged.
         matrix, r = case
-        base, base_ests = shrink_matrix(matrix, r, mode="white")
-        scaled, ests = shrink_matrix(
+        base, base_ests = shrink_plain(matrix, r, mode="white")
+        scaled, ests = shrink_plain(
             np.ldexp(matrix, k), r, mode="white", noise_var=np.ldexp(1.0, 2 * k)
         )
         assert np.array_equal(scaled, np.ldexp(base, k))
@@ -486,7 +485,7 @@ class TestWhiteGram:
     def test_bad_noise_var_rejected(self, rng, noise_var):
         y, _, _ = spiked_white_data(rng, 30, 20, np.array([20.0]))
         with pytest.raises(ValueError, match="noise_var"):
-            shrink_matrix(y, 1, mode="white", noise_var=noise_var)
+            shrink_plain(y, 1, mode="white", noise_var=noise_var)
 
     @pytest.mark.parametrize("scale", [1e78, 1e100, 1e160, 1e200])
     def test_extreme_magnitudes(self, rng, scale):
@@ -496,7 +495,7 @@ class TestWhiteGram:
         y, _, _ = spiked_white_data(rng, 60, 40, np.array([20.0]))
         u, s, vt = np.linalg.svd(y, full_matrices=False)
         truncation = scale * (s[0] * np.outer(u[:, 0], vt[0]))
-        out, ests = shrink_matrix(scale * y, 1, mode="white")
+        out, ests = shrink_plain(scale * y, 1, mode="white")
         assert ests[0].supercritical
         assert np.isfinite(out).all()
         assert np.max(np.abs(out - truncation)) <= 1e-12 * np.max(np.abs(truncation))
@@ -515,9 +514,9 @@ def suggest_rank(spectrum: EigenSpectrum, eps_rank: float = 0.05) -> int:
 class TestSuggestRank:
     def test_counts_spikes_on_simulated_data(self, rng):
         y, _, _ = spiked_white_data(rng, 500, 400, np.array([10.0, 6.0, 3.0]))
-        spectrum = EigenSpectrum.from_matrix(y)
+        spectrum = spectrum_of(y)
         assert suggest_rank(spectrum) == 3
 
     def test_pure_noise_gives_zero(self, rng):
-        spectrum = EigenSpectrum.from_matrix(rng.standard_normal((500, 400)))
+        spectrum = spectrum_of(rng.standard_normal((500, 400)))
         assert suggest_rank(spectrum) == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import spectrum_of
 from eblp import (
-    EigenSpectrum,
     ExperimentConfig,
     NoiseSpec,
     SamplingSpec,
@@ -155,11 +155,14 @@ class TestRmse:
 class TestDatasetAssembly:
     def test_reproducible_bit_identical(self):
         cfg = config(sampling=SamplingSpec("uniform", 0.6), random_mean=True)
-        a = simulate_dataset(cfg)
-        b = simulate_dataset(cfg)
+        a = simulate_dataset(cfg, np.random.default_rng(cfg.seed))
+        b = simulate_dataset(cfg, np.random.default_rng(cfg.seed))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.masks, b.masks)
         assert np.array_equal(a.x, b.x)
+        # No fallback seeding: the caller always supplies the generator.
+        with pytest.raises(TypeError):
+            simulate_dataset(cfg)
 
     def test_replicate_seeds_differ(self):
         # The one seeding scheme: the benchmark (and `eblp simulate`, which
@@ -189,7 +192,7 @@ class TestDatasetAssembly:
         cfg = config(ell=(10.0, 5.0), sampling=SamplingSpec("uniform", 1.0))
         rng = np.random.default_rng(7)
         tops = [
-            EigenSpectrum.from_matrix(simulate_dataset(cfg, rng).y).values[0]
+            spectrum_of(simulate_dataset(cfg, rng).y).values[0]
             for _ in range(10)
         ]
         lam_theory, _, _ = white_spike_forward(10.0, cfg.gamma)

@@ -16,7 +16,7 @@ from eblp import (
 )
 from eblp import spectral
 from eblp.spectral import gram_eigh, guard_epsilon
-from conftest import mp_stieltjes_quadrature, mp_white_stieltjes
+from conftest import mp_stieltjes_quadrature, mp_white_stieltjes, spectrum_of
 
 
 def spec(values, n=None, p=None):
@@ -79,7 +79,7 @@ class TestEigenSpectrum:
 
     def test_from_matrix_matches_eigenvalues(self, rng):
         m = rng.standard_normal((8, 5))
-        s = EigenSpectrum.from_matrix(m)
+        s = spectrum_of(m)
         direct = np.sort(np.linalg.eigvalsh(m.T @ m / 8))[::-1]
         assert np.allclose(s.values, direct)
         assert s.gamma == pytest.approx(5 / 8)
@@ -273,7 +273,7 @@ class TestEmpiricalStieltjes:
             spectral_estimates(spec([4.0, 2.0]), 2, 6.0)
 
     def test_monotone_increasing_above_bulk(self, rng):
-        s = EigenSpectrum.from_matrix(rng.standard_normal((60, 40)))
+        s = spectrum_of(rng.standard_normal((60, 40)))
         top = s.values[0]
         xs = np.linspace(top + 0.1, top + 30, 50)
         vals = [spectral_estimates(s, 0, x).m_hat for x in xs]
@@ -294,7 +294,7 @@ class TestDerivative:
         assert reference(spec([10.0, 4.0, 2.0]), 1, 6.0).m_prime == pytest.approx(0.15625)
 
     def test_matches_finite_differences(self, rng):
-        s = EigenSpectrum.from_matrix(rng.standard_normal((50, 40)))
+        s = spectrum_of(rng.standard_normal((50, 40)))
         m_at = lambda t: spectral_estimates(s, 0, t).m_hat
         for x in (s.values[0] + 0.5, s.values[0] + 2.0, s.values[0] + 10.0):
             h = 1e-4 * x
@@ -303,7 +303,7 @@ class TestDerivative:
             assert abs(d - fd) / abs(fd) < 1e-6
 
     def test_positive(self, rng):
-        s = EigenSpectrum.from_matrix(rng.standard_normal((30, 45)))
+        s = spectrum_of(rng.standard_normal((30, 45)))
         assert reference(s, 0, s.values[0] + 1.0).m_prime > 0
 
 
@@ -356,7 +356,7 @@ class TestDTransform:
         # Exchanging n and p (the transposed data) exchanges m and m_comp,
         # so D and D' are unchanged.
         for shape in ((30, 20), (20, 30)):
-            s = EigenSpectrum.from_matrix(rng.standard_normal(shape))
+            s = spectrum_of(rng.standard_normal(shape))
             t = EigenSpectrum(values=s.values, n=s.p, p=s.n)
             x = s.values[0] + 1.0
             a, b = spectral_estimates(s, 0, x), spectral_estimates(t, 0, x)
@@ -366,7 +366,7 @@ class TestDTransform:
             assert a.d_prime_hat == pytest.approx(b.d_prime_hat, rel=1e-12)
 
     def test_derivative_matches_finite_differences(self, rng):
-        s = EigenSpectrum.from_matrix(rng.standard_normal((80, 50)))
+        s = spectrum_of(rng.standard_normal((80, 50)))
         x = s.values[0] + 1.0
         h = 1e-5 * x
         d_at = lambda t: spectral_estimates(s, 0, t).d_hat
@@ -375,14 +375,14 @@ class TestDTransform:
 
     def test_d_strictly_decreasing_above_bulk(self, rng):
         for shape in ((200, 160), (160, 200)):
-            s = EigenSpectrum.from_matrix(rng.standard_normal(shape))
+            s = spectrum_of(rng.standard_normal(shape))
             xs = np.linspace(s.values[0] + 0.05, s.values[0] + 20, 60)
             d_vals = [spectral_estimates(s, 0, x).d_hat for x in xs]
             assert np.all(np.diff(d_vals) < 0)
             assert all(v > 0 for v in d_vals)
 
     def test_bundle_consistency(self, rng):
-        s = EigenSpectrum.from_matrix(rng.standard_normal((40, 30)))
+        s = spectrum_of(rng.standard_normal((40, 30)))
         x = s.values[0] + 2.0
         est = spectral_estimates(s, 0, x)
         assert est.m_hat < 0 and est.m_comp_hat < 0
@@ -418,14 +418,14 @@ class TestWhiteOracle:
         # gamma = 0.8 pure-noise covariance spectrum at moderate size.
         rng = np.random.default_rng(7)
         p, n = 1000, 1250
-        s = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
+        s = spectrum_of(rng.standard_normal((n, p)))
         x = mp_bulk_edge(0.8) + 1.0
         assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, 0.8)) < 0.02
 
     def test_agrees_with_plugin_p_larger_than_n(self):
         rng = np.random.default_rng(8)
         p, n = 900, 600
-        s = EigenSpectrum.from_matrix(rng.standard_normal((n, p)))
+        s = spectrum_of(rng.standard_normal((n, p)))
         gamma = p / n
         x = mp_bulk_edge(gamma) + 1.0
         assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, gamma)) < 0.02

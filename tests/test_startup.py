@@ -115,13 +115,13 @@ EXPORTED = (
     "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
     "NotFittedError", "ParseError", "RankError", "SamplingSpec", "ShapeError",
     "SignalModel", "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
-    "SpikeEstimate", "TransformedObservation", "amse", "backproject",
-    "baselines", "blp_oracle", "dataset_from_arrays", "errors", "estimate_spike",
-    "fit_in_sample", "generate_masks", "generate_noise", "generate_signals",
-    "mp_bulk_edge", "nnrls", "nnrls_weight_colored", "nnrls_weight_white",
-    "pipeline", "predict_out_of_sample", "rmse", "shrink_matrix", "shrinkage",
-    "simple_blp_uniform", "simulate", "simulate_dataset", "spectral",
-    "spectral_estimates", "white_spike_forward", "white_spike_inverse",
+    "SpikeEstimate", "TransformedObservation", "amse", "baselines",
+    "dataset_from_arrays", "errors", "estimate_spike", "fit_in_sample",
+    "generate_masks", "generate_noise", "generate_signals", "mp_bulk_edge",
+    "nnrls", "nnrls_weight_colored", "nnrls_weight_white", "pipeline",
+    "predict_out_of_sample", "rmse", "shrinkage", "simulate",
+    "simulate_dataset", "spectral", "spectral_estimates",
+    "white_spike_forward", "white_spike_inverse",
 )
 
 LAZY_SCRIPT = """
@@ -130,10 +130,11 @@ import eblp
 seen = {"baselines": "eblp.baselines" in sys.modules,
         "simulate": "eblp.simulate" in sys.modules,
         "dir": dir(eblp)}
-from eblp import nnrls, NnrlsConfig, simulate_dataset
+from eblp import nnrls, NnrlsConfig, SignalModel, simulate_dataset
 import eblp.baselines, eblp.simulate
 seen["same"] = (nnrls is eblp.baselines.nnrls and NnrlsConfig is eblp.baselines.NnrlsConfig
-                and simulate_dataset is eblp.simulate.simulate_dataset)
+                and simulate_dataset is eblp.simulate.simulate_dataset
+                and SignalModel is eblp.SignalModel is eblp.simulate.SignalModel)
 star = {}
 exec("from eblp import *", star)
 seen["star"] = sorted(name for name in star if not name.startswith("_"))

@@ -16,6 +16,7 @@ degenerate data, 4 numeric.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -83,6 +84,10 @@ def cmd_denoise(args) -> int:
     matio.check_na_token(args.na_token)
     if args.rank < 1:
         raise RankError("rank must be at least 1")
+    # All or nothing: every output is checked before the input is read.
+    for target in filter(None, (args.output, args.output + ".report", args.save_model)):
+        if os.path.isdir(target) or not os.path.isdir(os.path.dirname(target) or "."):
+            raise OSError(f"{target}: is a directory, or its directory is missing")
     values, observed = _load_observations(args.input, args.mask, args.na_token)
     if values.size == 0:
         raise ParseError(f"{args.input}: empty input matrix")

@@ -196,7 +196,8 @@ def fit_in_sample(
     if center:
         seen = weight > 0
         mean[seen] = b.sum(axis=0)[seen] / weight[seen]
-    b -= d * mean
+    for i in range(0, n, step := max(1, 16384 // max(p, 1))):  # not one full-size d * mean
+        b[i:i + step] -= d[i:i + step] * mean
 
     if whiten:
         if noise_var_diag is not None:

@@ -172,9 +172,9 @@ def shrink_triplets(
     Both modes run one ``gram_eigh`` on ``matrix / sqrt(n)`` times the
     power of two that brings its largest entry into [0.5, 1), calibrate in
     those units and map the estimates back.  Plug-in mode reads the whole
-    prescaled spectrum of a dense ``eigh``; white mode computes the top r
-    pairs alone and applies the closed forms to their values, with the
-    effective noise variance ``noise_var`` prescaled alike.
+    prescaled spectrum but only the top r vectors; white mode computes the
+    top r pairs alone and applies the closed forms to their values, with
+    the effective noise variance ``noise_var`` prescaled alike.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -195,7 +195,7 @@ def shrink_triplets(
             f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
         )
 
-    left, right, s2, shift = _prescaled_triplets(matrix / np.sqrt(n), r, mode == "plugin")
+    left, right, s2, shift = _prescaled_triplets(matrix, r, mode == "plugin")
     if mode == "plugin":
         spectrum = EigenSpectrum(values=s2, n=n, p=p)
         estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
@@ -209,28 +209,30 @@ def shrink_triplets(
 
 
 def _prescaled_triplets(
-    scaled: np.ndarray, r: int, whole: bool
+    matrix: np.ndarray, r: int, whole: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Top-r singular vectors of ``scaled`` from one short-side Gram
-    eigendecomposition: of the whole spectrum if ``whole``, else of the
-    top r pairs alone.
+    """Top-r singular vectors of ``matrix / sqrt(n)`` from one short-side
+    Gram eigendecomposition, with all its values if ``whole``.
 
-    ``scaled`` is first multiplied in place by 2**-shift, the power of two
-    that brings its largest entry into [0.5, 1): the Gram matrix then
-    neither overflows nor underflows, and the scaling is exact.  Returns
-    the left (n, r) and right (p, r) vectors, the squared singular values
-    of the prescaled matrix (descending; all min(n, p), or the top r), and
-    ``shift``.
+    ``matrix`` is divided in one pass by the exact sqrt(n) 2**shift that
+    brings max|matrix| / sqrt(n), the largest entry of ``matrix / sqrt(n)``
+    as division is monotone, into [0.5, 1) ([1, 2) past 2**1023): the Gram
+    matrix neither overflows nor underflows, and outside subnormals this is
+    ``matrix / sqrt(n)`` times 2**-shift bit for bit.  Returns the left
+    (n, r) and right (p, r) vectors, the squared singular values of the
+    prescaled matrix (descending; all min(n, p), or the top r), and shift.
     """
-    shift = int(np.frexp(max(scaled.max(), -scaled.min()))[1])
-    normed = np.ldexp(scaled, -shift, out=scaled)
-    s2, vecs, side = gram_eigh(normed, top=None if whole else r)
+    root_n = np.sqrt(matrix.shape[0])
+    shift = int(np.frexp(max(matrix.max(), -matrix.min()) / root_n)[1])
+    shift = min(shift, 1024 - int(np.frexp(root_n)[1]))
+    normed = np.divide(matrix, np.ldexp(root_n, shift))
+    s2, vecs, side = gram_eigh(normed, top=r, spectrum=whole)
 
     # Short-side vectors are copied column-contiguous, because prediction
     # reads u_hat one column at a time; the other side is B v / s (or
     # B' u / s), zero where s = 0.
     s = np.sqrt(s2[:r])
-    short = np.asfortranarray(vecs[:, :r])
+    short = np.asfortranarray(vecs)
     if side == "right":
         other = normed @ short
     else:

@@ -10,11 +10,11 @@ for them (zero-padding policy).
 companion and the D-transform of Benaych-Georges & Nadakuditi (2012),
 with derivatives, in one pass over the residual spectrum.
 
-``gram_eigh`` is the one decomposition routine.  Plug-in fits read the
-whole spectrum of a dense ``eigh``.  The NNRLS prox (``above=t**2``),
-white-mode fits (``top=r``) and the NNRLS weight calibration (``top=1``,
-no vectors) get only the pairs they keep, from LAPACK ``dsyevr``: Sturm
-bisection, then inverse iteration.
+``gram_eigh`` is the one decomposition routine.  Plug-in fits take every
+eigenvalue and the top r vectors from one tridiagonal reduction.  The
+NNRLS prox (``above=t**2``), white-mode fits (``top=r``) and the NNRLS
+weight calibration (``top=1``, no vectors) get only the pairs they keep,
+from LAPACK ``dsyevr``: Sturm bisection, then inverse iteration.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ def gram_eigh(
     *,
     above: float | None = None,
     top: int | None = None,
+    spectrum: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, str]:
     """Squared singular values of an n x p matrix from its short-side Gram
     matrix (``B' B`` if n >= p, else ``B B'``).
@@ -50,8 +51,10 @@ def gram_eigh(
     matching singular vectors as columns (None when ``vectors`` is false);
     and their side: ``"right"`` (p rows) or ``"left"`` (n rows).  A dense
     ``eigh`` gives all min(n, p) pairs; ``above=t`` (values > t) or
-    ``top=k`` (the k largest) computes only those, by ``dsyevr`` where
-    numpy's LAPACK has it.  Forming the Gram matrix squares the condition
+    ``top=k`` (the k largest) computes only those, by ``dsyevr``, or with
+    ``spectrum=True`` all values but only those vectors (``top=k``: by one
+    tridiagonal reduction).  ``eigh`` stands in where numpy's LAPACK lacks
+    a routine or one fails.  Forming the Gram matrix squares the condition
     number: values below about eps * max(values) carry no relative
     accuracy, and neither do their vectors.  A Gram matrix that is not
     finite raises LinAlgError.
@@ -69,34 +72,35 @@ def gram_eigh(
     if not np.isfinite(gram).all():
         # LAPACKE screens out NaN only; on inf, dsyevr misreports the pairs.
         raise np.linalg.LinAlgError("Gram matrix is not finite")
-    found = None if above is None and top is None else _partial_eigh(gram, vectors, above, top)
+    found = (_tridiagonal_eigh(gram, top if vectors else None) if spectrum
+             else _partial_eigh(gram, vectors, above, top))
     if found is None:
         found = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-    # Ascending from either path; the slice keeps the selection exact.
+    # Ascending from every path; the slice keeps the selection exact.
     values = np.maximum(found[0][::-1], 0.0)
     kept = top if above is None else int(np.count_nonzero(values > above))
     vecs = None if found[1] is None else found[1][:, ::-1][:, :kept]
-    return values[:kept], vecs, side
+    return (values if spectrum else values[:kept]), vecs, side
 
 
-def _load_dsyevr():
-    """LAPACKE ``dsyevr`` (ILP64) of the LAPACK numpy.linalg links, so that
-    it shares numpy's BLAS threads; None on builds without it (MKL,
-    Accelerate)."""
+def _lapacke(name, *argtypes):
+    """LAPACKE ``name`` (ILP64) of the LAPACK numpy.linalg links, sharing
+    numpy's BLAS threads; None on builds without it (MKL, Accelerate)."""
     try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
     except (AttributeError, OSError):
         return None
-    i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w,
-    # z, ldz, isuppz
-    fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64,
-                   i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-    fn.restype = i64
+    fn.argtypes, fn.restype = argtypes, ctypes.c_int64
     return fn
 
 
-_DSYEVR = _load_dsyevr()
+_L, _I, _F, _P, _C = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+_DSYEVR = _lapacke("dsyevr", _L, _C, _C, _C, _I, _P, _I, _F, _F, _I, _I, _F, _P, _P, _P, _I, _P)
+_DSYTRD = _lapacke("dsytrd", _L, _C, _I, _P, _I, _P, _P, _P)
+_DSTERF = _lapacke("dsterf", _I, _P, _P)
+_DSTEBZ = _lapacke("dstebz", _C, _C, _I, _F, _F, _I, _I, _F, _P, _P, _P, _P, _P, _P, _P)
+_DSTEIN = _lapacke("dstein", _L, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P)
+_DORMTR = _lapacke("dormtr", _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
 
 
 def _partial_eigh(gram, vectors, above, top):
@@ -104,7 +108,7 @@ def _partial_eigh(gram, vectors, above, top):
     or its ``top`` largest (RANGE 'I'), ascending like ``eigh``; None when
     ``dsyevr`` is missing or reports failure, or nothing is asked for."""
     m = gram.shape[0]
-    if _DSYEVR is None or m == 0 or top == 0:
+    if _DSYEVR is None or m == 0 or top == 0 or above is None and top is None:
         return None
     if top is None:
         select, vl, il, iu, cols = b"V", above, 0, 0, m
@@ -125,6 +129,34 @@ def _partial_eigh(gram, vectors, above, top):
     if info != 0:
         return None
     return w[: count.value], z[:, : count.value] if vectors else None
+
+
+def _tridiagonal_eigh(gram, top):
+    """Every eigenvalue of ``gram`` and the ``top`` largest ones' vectors,
+    ascending, from one Householder tridiagonalization; None without a
+    ``top`` or when a routine is missing or fails."""
+    if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or not top:
+        return None
+    m, a = len(gram), gram.copy()  # a holds the reflectors; the fallback reads gram
+    d, e, tau = np.empty((3, m))
+    count, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
+    # LAPACKE's dstein screens all m entries of w for NaN, not only the top.
+    w, (iblock, isplit) = np.zeros(m), np.empty((2, m), dtype=np.int64)
+    z, ifail = np.empty((m, top), order="F"), np.empty(top, dtype=np.int64)
+    failed = (
+        _DSYTRD(102, b"U", m, a.ctypes.data, m, d.ctypes.data, e.ctypes.data, tau.ctypes.data)
+        or _DSTEBZ(b"I", b"B", m, 0.0, 0.0, m - top + 1, m,
+                   2 * np.finfo(float).tiny,  # LAPACK's abstol for values that feed dstein
+                   d.ctypes.data, e.ctypes.data, ctypes.byref(count), ctypes.byref(nsplit),
+                   w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data)
+        or count.value != top
+        or _DSTEIN(102, m, d.ctypes.data, e.ctypes.data, top, w.ctypes.data,
+                   iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, m, ifail.ctypes.data)
+        or _DORMTR(102, b"L", b"U", b"N", m, top, a.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
+        or _DSTERF(m, d.ctypes.data, e.ctypes.data)  # all values; last: overwrites d, e
+    )
+    # dstebz orders its values by block: sort the vectors to dsterf's ascending order.
+    return None if failed else (d, z[:, np.argsort(w[:top], kind="stable")])
 
 
 @dataclass(frozen=True)

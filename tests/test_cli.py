@@ -1188,3 +1188,22 @@ class TestUnwritableOutput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("eblp: cannot write: ") and missing in err
+
+    @pytest.mark.parametrize("target", ["x_hat", "report", "model"])
+    def test_denoise_writes_nothing_when_one_target_cannot_be_written(self, tmp_path, capsys, target):
+        # Checked before the input is read: the input here does not exist.
+        out = tmp_path / "out"
+        out.mkdir()
+        x_hat, model = out / "x.txt", out / "model.json"
+        if target == "x_hat":
+            x_hat = out / "missing" / "x.txt"
+        elif target == "report":
+            (out / "x.txt.report").mkdir()
+        else:
+            model = out / "missing" / "model.json"
+        argv = ["denoise", str(tmp_path / "absent.txt"), str(x_hat), "--rank", "1",
+                "--save-model", str(model)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("eblp: cannot write: ")
+        left = sorted(str(path.relative_to(out)) for path in out.rglob("*"))
+        assert left == (["x.txt.report"] if target == "report" else [])

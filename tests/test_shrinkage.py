@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,9 +14,11 @@ from eblp import (
     estimate_spike,
     fit_in_sample,
     mp_bulk_edge,
+    spectral_estimates,
     white_spike_forward,
     white_spike_inverse,
 )
+from eblp import spectral
 from eblp.shrinkage import shrink_triplets
 from conftest import shrink_plain, spectrum_of, spiked_white_data
 
@@ -169,6 +173,23 @@ class TestEstimateSpike:
         assert est.lambda_star == 0.0
         assert est.ell_hat == 0.0
         assert est.c2_hat == 0.0 and est.ct2_hat == 0.0
+
+    @pytest.mark.parametrize("values, n, p, clamped", [
+        # A zero residual makes c^2 = ct^2 = 1 exactly; rounding lands
+        # just above 1, and the estimate is clipped.
+        ([2.25, 0.0, 0.0], 9, 3, True),
+        ([1.5, 0.0], 2, 8, True),
+        ([10.0, 1.0, 1.0, 1.0], 4, 8, False),
+    ])
+    def test_clamped_when_a_cosine_leaves_the_unit_interval(self, values, n, p, clamped):
+        spectrum = EigenSpectrum(values=np.array(values), n=n, p=p)
+        raw = spectral_estimates(spectrum, 1, values[0])
+        ell = 1.0 / raw.d_hat
+        cosines = [raw.m_hat / (raw.d_prime_hat * ell), raw.m_comp_hat / (raw.d_prime_hat * ell)]
+        assert clamped == any(not 0.0 <= c <= 1.0 for c in cosines)
+        est = estimate_spike(spectrum, 1, 0)
+        assert est.supercritical and est.clamped == clamped
+        assert [est.c2_hat, est.ct2_hat] == [min(max(c, 0.0), 1.0) for c in cosines]
 
     def test_index_errors(self):
         spectrum = EigenSpectrum(values=np.array([4.0, 2.0, 1.0]), n=3, p=3)
@@ -414,6 +435,46 @@ class TestPluginGram:
             assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
             assert est.lambda_star == np.ldexp(want.lambda_star, k)
             assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
+
+    def test_entries_beyond_two_to_the_1023(self, rng):
+        # sqrt(n) 2**shift would overflow here (sqrt(65) is just above 8),
+        # so the prescaled entries land in [1, 2) instead of [0.5, 1).
+        y, _, _ = spiked_white_data(rng, 65, 40, np.array([20.0]))
+        y = np.ldexp(y / np.max(np.abs(y)), 1023) * 1.5
+        shift = int(np.frexp(np.max(np.abs(y)) / np.sqrt(65))[1])
+        assert float(np.sqrt(65)) * 2.0**shift == float("inf")
+        left, right, ests = shrink_triplets(y, 2)
+        base_left, base_right, base_ests = shrink_triplets(np.ldexp(y, -1000), 2)
+        assert np.isfinite(left).all() and np.isfinite(right).all()
+        assert np.allclose(np.abs(left[:, 0] @ base_left[:, 0]), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(right[:, 0] @ base_right[:, 0]), 1.0, atol=1e-12)
+        for est, want in zip(ests, base_ests):
+            assert est.supercritical == want.supercritical
+            assert (est.c2_hat, est.ct2_hat) == pytest.approx((want.c2_hat, want.ct2_hat), rel=1e-12)
+            assert est.sigma_obs == pytest.approx(np.ldexp(want.sigma_obs, 1000), rel=1e-12)
+
+    def test_fits_without_the_dense_fallback(self, rng):
+        # Every fit takes the tridiagonal path.  LAPACKE screens workspace
+        # that LAPACK has not filled for NaN, which once sent fits to the
+        # dense eigh at random; np.empty returns NaN here to make it certain.
+        routines = ("_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR")
+        if any(getattr(spectral, name) is None for name in routines):
+            pytest.skip("numpy's LAPACK lacks the tridiagonal routines")
+        y, _, _ = spiked_white_data(rng, 600, 400, np.array([10.0, 5.0]))
+        mask = (rng.random(y.shape) < 0.9).astype(float)
+        dataset = dataset_from_arrays(y * mask, mask)
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("dense eigh ran")), \
+                mock.patch.object(np, "empty", nan_filled):
+            for _ in range(20):
+                fit_in_sample(dataset, 10)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
     def test_extreme_magnitudes(self, rng, scale):

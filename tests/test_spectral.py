@@ -11,6 +11,7 @@ from eblp import (
     RankError,
     ShapeError,
     SpectrumDomainError,
+    estimate_spike,
     mp_bulk_edge,
     spectral_estimates,
 )
@@ -86,6 +87,9 @@ class TestEigenSpectrum:
 
 
 class TestGramEigh:
+    TRIDIAGONAL = {name: getattr(spectral, name)
+                   for name in ("_DSYTRD", "_DSTERF", "_DSTEBZ", "_DSTEIN", "_DORMTR")}
+
     @given(
         st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
         st.integers(0, 2**32 - 1), st.booleans(),
@@ -167,12 +171,87 @@ class TestGramEigh:
         assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-12)
         assert np.max(np.abs(gram @ vecs - vecs * values), initial=0.0) <= 1e3 * tol
 
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    @example(1, 1, 1, 0, True)  # 1 x 1
+    @example(4, 3, 0, 0, False)  # the zero matrix
+    @example(3, 7, 0, 0, False)
+    def test_spectrum_with_top_vectors_matches_dense(self, n, p, rank, seed, square):
+        # Square, tall, wide and rank-deficient inputs, every top from 0 to
+        # min(n, p), through the one tridiagonal reduction and through the
+        # dense fallback alike: all values, the top vectors, and plug-in
+        # estimates within 1e-12 of those on the dense spectrum wherever
+        # it resolves them (assert_same_estimate).
+        p = n if square else p
+        rank, m = min(rank, n, p), min(n, p)
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        dense, _, side = gram_eigh(matrix)
+        tiny = np.finfo(float).tiny
+        tol = 1e-13 * max(dense[0], tiny) + 2 * tiny
+        gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
+        reference = EigenSpectrum(values=dense, n=n, p=p)
+        for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
+            with mock.patch.multiple(spectral, **bindings):
+                for top in range(m + 1):
+                    values, vecs, got_side = gram_eigh(matrix, top=top, spectrum=True)
+                    assert got_side == side and values.shape == (m,)
+                    assert vecs.shape == (gram.shape[0], top)
+                    assert np.all(np.diff(values) <= 0)
+                    assert np.max(np.abs(values - dense)) <= tol
+                    self.assert_pairs(gram, values[:top], vecs, dense, tol)
+                    if 0 < top < m:
+                        got = EigenSpectrum(values=values, n=n, p=p)
+                        for k in range(top):
+                            self.assert_same_estimate(
+                                estimate_spike(got, top, k), estimate_spike(reference, top, k),
+                                dense[k], dense[k] - dense[top], tol,
+                            )
+                only, none, _ = gram_eigh(matrix, vectors=False, top=1, spectrum=True)
+                assert none is None and np.max(np.abs(only - dense)) <= tol
+                # Any other selection applies to the vectors alone.
+                values, vecs, _ = gram_eigh(matrix, above=dense[0] / 2, spectrum=True)
+                assert values.shape == (m,) and vecs.shape[1] == np.count_nonzero(values > dense[0] / 2)
+
+    @staticmethod
+    def assert_same_estimate(got, want, value, gap, tol):
+        """Plug-in estimates on two spectra within ``tol`` of each other
+        agree to 1e-12 relative, less where the component sits within
+        ``gap`` of the residual bulk (they move by about eps * top / gap).
+        A value within rounding of zero carries nothing: it is
+        subcritical on either spectrum.  ``clamped`` is rounding that
+        pushes a cosine past 0 or 1, so it must agree only where no
+        cosine lies within 1e-9 of either."""
+        if value <= tol:
+            assert not got.supercritical and not want.supercritical
+            return
+        assert got.supercritical == want.supercritical
+        if all(1e-9 < c < 1 - 1e-9 for c in (want.c2_hat, want.ct2_hat)):
+            assert got.clamped == want.clamped
+        rel = 1e-12 + 0.1 * tol / max(gap, tol)
+        for field in ("ell_hat", "c2_hat", "ct2_hat", "lambda_star", "sigma_obs"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=0)
+
     def test_binding_resolves_on_numpy_openblas(self):
-        # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbol, so the
-        # partial path is the one that runs there.
+        # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbols, so
+        # the partial and tridiagonal paths are the ones that run there.
         lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
         if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack["openblas configuration"]:
             assert spectral._DSYEVR is not None
+            assert None not in self.TRIDIAGONAL.values()
+
+    @pytest.mark.parametrize("name", list(TRIDIAGONAL))
+    def test_failed_tridiagonal_routine_falls_back_to_dense(self, rng, name):
+        matrix = rng.standard_normal((9, 6))
+        dense, dense_vecs, _ = gram_eigh(matrix)
+        calls = []
+        failing = lambda *args: calls.append(args) or 1  # info > 0
+        with mock.patch.object(spectral, name, failing):
+            values, vecs, _ = gram_eigh(matrix, top=2, spectrum=True)
+        assert len(calls) == 1
+        assert np.array_equal(values, dense) and np.array_equal(vecs, dense_vecs[:, :2])
 
     def test_failed_dsyevr_falls_back_to_dense(self, rng):
         matrix = rng.standard_normal((9, 6))
@@ -187,7 +266,7 @@ class TestGramEigh:
         assert np.array_equal(top, gram_eigh(matrix, vectors=False)[0][:2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("kwargs", [{}, {"above": 1.0}, {"top": 1}])
+    @pytest.mark.parametrize("kwargs", [{}, {"above": 1.0}, {"top": 1}, {"top": 1, "spectrum": True}])
     def test_non_finite_gram_raises(self, bad, kwargs):
         # Unchecked, dsyevr misreports the pairs of an inf matrix, and
         # the dense path returns NaN.

@@ -3,7 +3,8 @@ baseline.
 
 NNRLS minimizes 0.5 * ||X_Omega - Y_Omega||^2 + w * ||X||_* (or, weighted,
 w * ||X C||_*) with an accelerated proximal gradient method whose prox step
-is singular-value soft-thresholding.  The unwhitened-shrinkage baseline is
+is singular-value soft-thresholding of the triplets ``gram_eigh`` selects
+above the threshold.  The unwhitened-shrinkage baseline is
 ``fit_in_sample(..., whiten=False, mode="plugin")``.
 """
 
@@ -69,27 +70,23 @@ def soft_threshold_singular_values(
     """Prox of the nuclear norm: shrink every singular value by
     ``threshold`` (floored at zero).  Returns (matrix, nuclear norm).
 
-    Only the singular pairs above the threshold survive, so only the
-    short-side Gram eigenpairs above ``threshold**2`` are computed:
-    ``B V diag((s - t) / s) V'`` over the kept right vectors, or
-    ``U diag((s - t) / s) U' B`` over the kept left vectors when p > n.
-    The factor lies in [0, 1); nothing is divided by a small number.
+    Only the singular triplets above the threshold survive, so only the
+    short-side Gram eigenpairs above ``threshold**2`` are computed, and
+    the result is ``U diag(s - t) V'`` over the kept triplets.  Every
+    kept s exceeds t > 0, so the other side's ``B v / s`` (``B' u / s``
+    when p > n) never divides by zero.  A NaN threshold is a ValueError.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     if threshold == 0:
         # The identity, exactly: the Gram matrix resolves the vectors of
         # (numerically) zero singular values only to sqrt(eps).
-        s2, _, _ = gram_eigh(matrix, vectors=False)
+        s2, _, _ = gram_eigh(matrix, vectors=False, above=0.0)
         return matrix.copy(), float(np.sqrt(s2).sum())
-    s2, vecs, side = gram_eigh(matrix, above=threshold * threshold)
+    s2, left, right = gram_eigh(matrix, above=threshold * threshold)
     s = np.sqrt(s2)
-    factor = (s - threshold) / s
-    if side == "right":
-        shrunk = ((matrix @ vecs) * factor) @ vecs.T
-    else:
-        shrunk = (vecs * factor) @ (vecs.T @ matrix)
+    shrunk = (left * (s - threshold)) @ right.T
     return shrunk, float(np.sum(s - threshold))
 
 

@@ -4,7 +4,7 @@ Two calibration paths are provided: a generic plug-in path that reads the
 whole residual spectrum (``mode="plugin"``), and closed forms valid when
 the effective noise is white with unit variance (``mode="white"``), which
 only needs, and only computes, the top singular triplets.  Both take their
-singular values and vectors from one short-side Gram eigendecomposition
+singular triplets from one short-side Gram eigendecomposition
 (``gram_eigh``) of the input prescaled by a power of two.
 """
 
@@ -211,8 +211,8 @@ def shrink_triplets(
 def _prescaled_triplets(
     matrix: np.ndarray, r: int, whole: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Top-r singular vectors of ``matrix / sqrt(n)`` from one short-side
-    Gram eigendecomposition, with all its values if ``whole``.
+    """Top-r singular vectors of ``matrix / sqrt(n)`` from ``gram_eigh``,
+    with all its values if ``whole``.
 
     ``matrix`` is divided in one pass by the exact sqrt(n) 2**shift that
     brings max|matrix| / sqrt(n), the largest entry of ``matrix / sqrt(n)``
@@ -226,19 +226,7 @@ def _prescaled_triplets(
     shift = int(np.frexp(max(matrix.max(), -matrix.min()) / root_n)[1])
     shift = min(shift, 1024 - int(np.frexp(root_n)[1]))
     normed = np.divide(matrix, np.ldexp(root_n, shift))
-    s2, vecs, side = gram_eigh(normed, top=r, spectrum=whole)
-
-    # Short-side vectors are copied column-contiguous, because prediction
-    # reads u_hat one column at a time; the other side is B v / s (or
-    # B' u / s), zero where s = 0.
-    s = np.sqrt(s2[:r])
-    short = np.asfortranarray(vecs)
-    if side == "right":
-        other = normed @ short
-    else:
-        other = (short.T @ normed).T
-    other = np.divide(other, s, out=np.zeros_like(other), where=s > 0)
-    left, right = (other, short) if side == "right" else (short, other)
+    s2, left, right = gram_eigh(normed, top=r, spectrum=whole)
     return left, right, s2, shift
 
 

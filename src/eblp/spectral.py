@@ -10,11 +10,11 @@ for them (zero-padding policy).
 companion and the D-transform of Benaych-Georges & Nadakuditi (2012),
 with derivatives, in one pass over the residual spectrum.
 
-``gram_eigh`` is the one decomposition routine.  Plug-in fits take every
-eigenvalue and the top r vectors from one tridiagonal reduction.  The
-NNRLS prox (``above=t**2``), white-mode fits (``top=r``) and the NNRLS
-weight calibration (``top=1``, no vectors) get only the pairs they keep,
-from LAPACK ``dsyevr``: Sturm bisection, then inverse iteration.
+``gram_eigh`` is the one decomposition routine, and every caller takes
+its selection from one LAPACK tridiagonal reduction: plug-in fits every
+eigenvalue and the top r triplets, white-mode fits the top r triplets,
+the NNRLS prox the triplets above ``t**2`` and the NNRLS weight
+calibration the top value.
 """
 
 from __future__ import annotations
@@ -43,17 +43,18 @@ def gram_eigh(
     above: float | None = None,
     top: int | None = None,
     spectrum: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, str]:
-    """Squared singular values of an n x p matrix from its short-side Gram
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Singular triplets of an n x p matrix from its short-side Gram
     matrix (``B' B`` if n >= p, else ``B B'``).
 
-    Returns the squared singular values, descending and floored at 0; the
-    matching singular vectors as columns (None when ``vectors`` is false);
-    and their side: ``"right"`` (p rows) or ``"left"`` (n rows).  A dense
-    ``eigh`` gives all min(n, p) pairs; ``above=t`` (values > t) or
-    ``top=k`` (the k largest) computes only those, by ``dsyevr``, or with
-    ``spectrum=True`` all values but only those vectors (``top=k``: by one
-    tridiagonal reduction).  ``eigh`` stands in where numpy's LAPACK lacks
+    Returns the squared singular values, descending and floored at 0, and
+    the left (n rows) and right (p rows) singular vectors as columns (None
+    and None when ``vectors`` is false).  The short side's vectors are the
+    Gram eigenvectors; the other side's are ``B v / s`` (``B' u / s``),
+    zero where s = 0.  ``above=t`` (values > t) or ``top=k`` (the k
+    largest) computes only those, or with ``spectrum=True`` all values but
+    only those vectors, by one tridiagonal reduction.  A dense ``eigh``
+    gives all min(n, p) triplets, and stands in where numpy's LAPACK lacks
     a routine or one fails.  Forming the Gram matrix squares the condition
     number: values below about eps * max(values) carry no relative
     accuracy, and neither do their vectors.  A Gram matrix that is not
@@ -67,20 +68,27 @@ def gram_eigh(
     n, p = matrix.shape
     if top is not None and not 0 <= top <= min(n, p):
         raise ValueError(f"top={top} out of range for a {n} x {p} matrix")
-    side = "right" if n >= p else "left"
-    gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
+    gram = matrix.T @ matrix if n >= p else matrix @ matrix.T
     if not np.isfinite(gram).all():
-        # LAPACKE screens out NaN only; on inf, dsyevr misreports the pairs.
+        # LAPACKE screens out NaN only; inf would reach the reduction.
         raise np.linalg.LinAlgError("Gram matrix is not finite")
-    found = (_tridiagonal_eigh(gram, top if vectors else None) if spectrum
-             else _partial_eigh(gram, vectors, above, top))
+    found = _tridiagonal_eigh(gram, vectors, above, top, spectrum)
     if found is None:
         found = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
     # Ascending from every path; the slice keeps the selection exact.
     values = np.maximum(found[0][::-1], 0.0)
     kept = top if above is None else int(np.count_nonzero(values > above))
-    vecs = None if found[1] is None else found[1][:, ::-1][:, :kept]
-    return (values if spectrum else values[:kept]), vecs, side
+    if not vectors:
+        return (values if spectrum else values[:kept]), None, None
+    # Column-major, as prediction reads u_hat by column.  Bisection may
+    # count one pair fewer than dsterf at ``above``: keep those it found.
+    short = np.asfortranarray(found[1][:, ::-1][:, :kept])
+    kept = short.shape[1]
+    s = np.sqrt(values[:kept])
+    other = matrix @ short if n >= p else (short.T @ matrix).T
+    other = np.divide(other, s, out=np.zeros_like(other), where=s > 0)
+    left, right = (other, short) if n >= p else (short, other)
+    return (values if spectrum else values[:kept]), left, right
 
 
 def _lapacke(name, *argtypes):
@@ -95,7 +103,6 @@ def _lapacke(name, *argtypes):
 
 
 _L, _I, _F, _P, _C = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-_DSYEVR = _lapacke("dsyevr", _L, _C, _C, _C, _I, _P, _I, _F, _F, _I, _I, _F, _P, _P, _P, _I, _P)
 _DSYTRD = _lapacke("dsytrd", _L, _C, _I, _P, _I, _P, _P, _P)
 _DSTERF = _lapacke("dsterf", _I, _P, _P)
 _DSTEBZ = _lapacke("dstebz", _C, _C, _I, _F, _F, _I, _I, _F, _P, _P, _P, _P, _P, _P, _P)
@@ -103,60 +110,53 @@ _DSTEIN = _lapacke("dstein", _L, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P)
 _DORMTR = _lapacke("dormtr", _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
 
 
-def _partial_eigh(gram, vectors, above, top):
-    """The eigenpairs of ``gram`` with values in (above, inf] (RANGE 'V')
-    or its ``top`` largest (RANGE 'I'), ascending like ``eigh``; None when
-    ``dsyevr`` is missing or reports failure, or nothing is asked for."""
-    m = gram.shape[0]
-    if _DSYEVR is None or m == 0 or top == 0 or above is None and top is None:
+def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
+    """The eigenvalues of ``gram`` in (above, inf] or its ``top`` largest
+    (every eigenvalue if ``spectrum``), ascending like ``eigh``, and the
+    selected ones' vectors if ``vectors``, from one Householder
+    tridiagonalization; None without a selection, or when a routine is
+    missing or fails."""
+    if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or above is None and top is None:
         return None
-    if top is None:
-        select, vl, il, iu, cols = b"V", above, 0, 0, m
-    else:
-        select, vl, il, iu, cols = b"I", 0.0, m - top + 1, m, top
-    a = gram.copy()  # destroyed by the call; the fallback reads `gram`
-    w, count = np.empty(m), ctypes.c_int64(0)
-    # Column-major output: a C-ordered z gets wrong vectors, silently.
-    z = np.empty((m, cols if vectors else 1), order="F")
-    isuppz = np.empty(2 * m, dtype=np.int64)
-    # Layout 102 is column-major, so uplo 'U' reads the lower triangle of
-    # the C-ordered matrix, as eigh does.
-    info = _DSYEVR(
-        102, b"V" if vectors else b"N", select, b"U", m, a.ctypes.data, m,
-        vl, np.inf, il, iu, 0.0,
-        ctypes.byref(count), w.ctypes.data, z.ctypes.data, m, isuppz.ctypes.data,
-    )
-    if info != 0:
-        return None
-    return w[: count.value], z[:, : count.value] if vectors else None
-
-
-def _tridiagonal_eigh(gram, top):
-    """Every eigenvalue of ``gram`` and the ``top`` largest ones' vectors,
-    ascending, from one Householder tridiagonalization; None without a
-    ``top`` or when a routine is missing or fails."""
-    if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or not top:
-        return None
-    m, a = len(gram), gram.copy()  # a holds the reflectors; the fallback reads gram
+    # Bisection squares the off-diagonal.  As dsyevr does, bring a largest
+    # entry outside [2**-484, 2**255] into [0.5, 1), by a power of two;
+    # a Gram matrix has its largest entry on the diagonal.
+    shift = int(np.frexp(np.max(np.diagonal(gram), initial=0.0))[1])
+    shift = 0 if -483 <= shift <= 255 else shift
+    m, a = len(gram), np.ldexp(gram, -shift)  # a holds the reflectors
     d, e, tau = np.empty((3, m))
     count, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
-    # LAPACKE's dstein screens all m entries of w for NaN, not only the top.
+    # LAPACKE's dstein screens all m entries of w for NaN, not only the kept.
     w, (iblock, isplit) = np.zeros(m), np.empty((2, m), dtype=np.int64)
-    z, ifail = np.empty((m, top), order="F"), np.empty(top, dtype=np.int64)
-    failed = (
-        _DSYTRD(102, b"U", m, a.ctypes.data, m, d.ctypes.data, e.ctypes.data, tau.ctypes.data)
-        or _DSTEBZ(b"I", b"B", m, 0.0, 0.0, m - top + 1, m,
-                   2 * np.finfo(float).tiny,  # LAPACK's abstol for values that feed dstein
-                   d.ctypes.data, e.ctypes.data, ctypes.byref(count), ctypes.byref(nsplit),
-                   w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data)
-        or count.value != top
-        or _DSTEIN(102, m, d.ctypes.data, e.ctypes.data, top, w.ctypes.data,
-                   iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, m, ifail.ctypes.data)
-        or _DORMTR(102, b"L", b"U", b"N", m, top, a.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
-        or _DSTERF(m, d.ctypes.data, e.ctypes.data)  # all values; last: overwrites d, e
-    )
-    # dstebz orders its values by block: sort the vectors to dsterf's ascending order.
-    return None if failed else (d, z[:, np.argsort(w[:top], kind="stable")])
+    if top is None:
+        select, vl, il, iu = b"V", np.ldexp(above, -shift), 0, 0
+    else:
+        select, vl, il, iu = b"I", 0.0, m - top + 1, m
+    if _DSYTRD(102, b"U", m, a.ctypes.data, max(m, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data):
+        return None
+    # Bisection finds the kept values, and is skipped where they are
+    # none or where the whole spectrum alone is asked for.
+    if (vectors or not spectrum) and top != 0 and above != np.inf and (
+        _DSTEBZ(select, b"B", m, vl, np.inf, il, iu,
+                2 * np.finfo(float).tiny,  # LAPACK's abstol for values that feed dstein
+                d.ctypes.data, e.ctypes.data, ctypes.byref(count), ctypes.byref(nsplit),
+                w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data)
+        or top is not None and count.value != top  # a tie at the RANGE 'I' boundary
+    ):
+        return None
+    k = count.value
+    z, ifail = np.empty((m, k), order="F"), np.empty(k, dtype=np.int64)
+    if vectors and k and (
+        _DSTEIN(102, m, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
+                iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, m, ifail.ctypes.data)
+        or _DORMTR(102, b"L", b"U", b"N", m, k, a.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
+    ):
+        return None
+    # dstebz orders its values by block: sort them, and the vectors, ascending.
+    order = np.argsort(w[:k], kind="stable")
+    if spectrum and _DSTERF(m, d.ctypes.data, e.ctypes.data):  # last: overwrites d, e
+        return None
+    return np.ldexp(d if spectrum else w[:k][order], shift), (z[:, order] if vectors else None)
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ class EigenSpectrum:
             raise ShapeError(
                 f"expected {min(self.n, self.p)} eigenvalues, got {values.size}"
             )
+        if not np.isfinite(values).all():
+            raise ShapeError("eigenvalues must be finite")
         if np.any(values < 0):
             raise ShapeError("eigenvalues must be nonnegative")
         if np.any(np.diff(values) > 0):

@@ -177,11 +177,12 @@ class TestNnrls:
     def test_same_iterates_as_full_svd_prox(self, monkeypatch):
         self.assert_same_iterates_as_full_svd_prox(monkeypatch, p=60)
 
-    @pytest.mark.parametrize("binding", ["dsyevr", "dense"])
+    @pytest.mark.parametrize("binding", ["tridiagonal", "dense"])
     def test_same_iterates_at_desk_scale(self, monkeypatch, binding):
-        # 375 x 300, through the partial dsyevr prox and its dense fallback.
+        # 375 x 300, through the tridiagonal prox and its dense fallback.
         if binding == "dense":
-            monkeypatch.setattr(spectral, "_DSYEVR", None)
+            # One missing routine sends every selection to the fallback.
+            monkeypatch.setattr(spectral, "_DSYTRD", None)
         self.assert_same_iterates_as_full_svd_prox(monkeypatch, p=300)
 
     @staticmethod
@@ -331,9 +332,13 @@ class TestSoftThreshold:
 
     @pytest.mark.parametrize("shape", [(375, 300), (300, 375), (300, 300)])
     def test_desk_shapes_on_the_dense_fallback(self, rng, shape, monkeypatch):
-        monkeypatch.setattr(spectral, "_DSYEVR", None)
+        monkeypatch.setattr(spectral, "_DSYTRD", None)
         self.test_desk_shapes_across_the_spectrum(rng, shape)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold_singular_values(np.ones((2, 2)), -1.0)
+        # NaN is no threshold either; inf is, and shrinks everything away.
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                soft_threshold_singular_values(np.ones((2, 2)), bad)
+        shrunk, nuclear = soft_threshold_singular_values(np.ones((2, 3)), np.inf)
+        assert shrunk.shape == (2, 3) and not shrunk.any() and nuclear == 0.0

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 from unittest import mock
 
@@ -74,6 +75,12 @@ class TestEigenSpectrum:
         with pytest.raises(ShapeError):
             EigenSpectrum(values=np.array([1.0, -0.1]), n=2, p=2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, bad):
+        # Once accepted, inf gave NaN estimates flagged supercritical.
+        with pytest.raises(ShapeError, match="finite"):
+            EigenSpectrum(values=np.array([bad, 2.0, 1.0]), n=10, p=3)
+
     def test_length_must_be_min_np(self):
         with pytest.raises(ShapeError):
             EigenSpectrum(values=np.ones(3), n=2, p=3)
@@ -102,15 +109,14 @@ class TestGramEigh:
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
         s = np.linalg.svd(matrix, compute_uv=False)
-        values, vectors, side = gram_eigh(matrix)
+        values, left, right = gram_eigh(matrix)
         top = max(s[0] ** 2, np.finfo(float).tiny)
         assert np.max(np.abs(values - s * s)) <= 1e-13 * top
         assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
-        assert side == ("right" if n >= p else "left")
-        assert vectors.shape == (p if side == "right" else n, min(n, p))
-        assert np.allclose(vectors.T @ vectors, np.eye(min(n, p)), atol=1e-12)
-        only_values, none, same_side = gram_eigh(matrix, vectors=False)
-        assert none is None and same_side == side
+        assert left.shape == (n, min(n, p)) and right.shape == (p, min(n, p))
+        self.assert_triplets(matrix, values, left, right, values, 1e-13 * top)
+        only_values, none, also_none = gram_eigh(matrix, vectors=False)
+        assert none is None and also_none is None
         assert np.max(np.abs(only_values - values)) <= 1e-13 * top
 
     @given(
@@ -125,19 +131,19 @@ class TestGramEigh:
     @example(4, 3, 0, 0, False, "below", 0, 3)
     def test_partial_selections_match_dense(self, n, p, rank, seed, square, where, i, top):
         # ``above`` at, between, below and above the dense eigenvalues and
-        # every ``top`` from 0 to min(n, p), through dsyevr and through the
-        # dense fallback alike.
+        # every ``top`` from 0 to min(n, p), with and without vectors and
+        # the whole spectrum, through the tridiagonal reduction and
+        # through the dense fallback alike.
         p = n if square else p
         rank, m = min(rank, n, p), min(n, p)
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
-        dense, _, side = gram_eigh(matrix)
+        dense, _, _ = gram_eigh(matrix)
         tiny = np.finfo(float).tiny
         scale = max(dense[0], tiny)
-        # Rounding relative to the largest value; dsyevr's bisection also
-        # resolves no value finer than its pivot floor, the smallest normal.
+        # Rounding relative to the largest value; bisection also resolves
+        # no value finer than its pivot floor, the smallest normal.
         tol = 1e-13 * scale + 2 * tiny
-        gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
         i, top = i % m, min(top, m)
         above = {
             "at": dense[i],
@@ -145,31 +151,49 @@ class TestGramEigh:
             "below": -scale,
             "above": 2 * scale,
         }[where]
-        for binding in (spectral._DSYEVR, None):
-            with mock.patch.object(spectral, "_DSYEVR", binding):
-                values, vecs, got_side = gram_eigh(matrix, above=above)
-                k = values.size
-                assert got_side == side and vecs.shape == (gram.shape[0], k)
-                assert np.all(values > above) and np.all(np.diff(values) <= 0)
-                # Only values within rounding of the threshold may differ.
-                assert np.count_nonzero(dense > above + tol) <= k
-                assert k <= np.count_nonzero(dense > above - tol)
-                self.assert_pairs(gram, values, vecs, dense, tol)
-
-                values, vecs, _ = gram_eigh(matrix, top=top)
-                assert values.size == top and vecs.shape == (gram.shape[0], top)
-                self.assert_pairs(gram, values, vecs, dense, tol)
-                only, none, _ = gram_eigh(matrix, vectors=False, top=top)
-                assert none is None
-                assert np.max(np.abs(only - dense[:top]), initial=0.0) <= tol
+        for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
+            with mock.patch.multiple(spectral, **bindings):
+                for spectrum, vectors in itertools.product((False, True), repeat=2):
+                    for selection in ({"above": above}, {"top": top}):
+                        values, left, right = gram_eigh(
+                            matrix, vectors, spectrum=spectrum, **selection)
+                        assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
+                        if spectrum:
+                            assert values.shape == (m,)
+                            assert np.max(np.abs(values - dense)) <= tol
+                        if vectors:
+                            k = right.shape[1]
+                            self.assert_triplets(matrix, values[:k], left, right, dense, tol)
+                        else:
+                            assert left is None and right is None
+                            if spectrum:
+                                continue  # all values, and no selection to check
+                            k = values.size
+                            assert np.max(np.abs(values - dense[:k]), initial=0.0) <= tol
+                        if "top" in selection:
+                            assert k == top
+                        else:
+                            # Only values within rounding of the threshold may differ.
+                            assert np.all(values[:k] > above)
+                            assert np.count_nonzero(dense > above + tol) <= k
+                            assert k <= np.count_nonzero(dense > above - tol)
 
     @staticmethod
-    def assert_pairs(gram, values, vecs, dense, tol):
-        k = values.size
+    def assert_triplets(matrix, values, left, right, dense, tol):
+        """Kept triplets of ``matrix``: values within ``tol`` of the dense
+        ones, orthonormal short-side vectors that are Gram eigenvectors,
+        and ``B right = left s``.  When p > n, ``right`` is ``B' left / s``,
+        so the Gram residual, about ``tol``, returns divided by s."""
+        (n, p), k = matrix.shape, values.size
+        assert left.shape == (n, k) and right.shape == (p, k)
         assert np.all(values >= 0)
         assert np.max(np.abs(values - dense[:k]), initial=0.0) <= tol
-        assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-12)
-        assert np.max(np.abs(gram @ vecs - vecs * values), initial=0.0) <= 1e3 * tol
+        short, gram = (right, matrix.T @ matrix) if n >= p else (left, matrix @ matrix.T)
+        assert np.allclose(short.T @ short, np.eye(k), atol=1e-12)
+        assert np.max(np.abs(gram @ short - short * values), initial=0.0) <= 1e3 * tol
+        s = np.sqrt(values)
+        residual = np.abs(matrix @ right - left * s)
+        assert np.all(residual <= 1e3 * tol / np.maximum(s, np.finfo(float).tiny))
 
     @given(
         st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
@@ -181,27 +205,25 @@ class TestGramEigh:
     def test_spectrum_with_top_vectors_matches_dense(self, n, p, rank, seed, square):
         # Square, tall, wide and rank-deficient inputs, every top from 0 to
         # min(n, p), through the one tridiagonal reduction and through the
-        # dense fallback alike: all values, the top vectors, and plug-in
+        # dense fallback alike: all values, the top triplets, and plug-in
         # estimates within 1e-12 of those on the dense spectrum wherever
         # it resolves them (assert_same_estimate).
         p = n if square else p
         rank, m = min(rank, n, p), min(n, p)
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
-        dense, _, side = gram_eigh(matrix)
+        dense, _, _ = gram_eigh(matrix)
         tiny = np.finfo(float).tiny
         tol = 1e-13 * max(dense[0], tiny) + 2 * tiny
-        gram = matrix.T @ matrix if side == "right" else matrix @ matrix.T
         reference = EigenSpectrum(values=dense, n=n, p=p)
         for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
             with mock.patch.multiple(spectral, **bindings):
                 for top in range(m + 1):
-                    values, vecs, got_side = gram_eigh(matrix, top=top, spectrum=True)
-                    assert got_side == side and values.shape == (m,)
-                    assert vecs.shape == (gram.shape[0], top)
+                    values, left, right = gram_eigh(matrix, top=top, spectrum=True)
+                    assert values.shape == (m,) and right.shape == (p, top)
                     assert np.all(np.diff(values) <= 0)
                     assert np.max(np.abs(values - dense)) <= tol
-                    self.assert_pairs(gram, values[:top], vecs, dense, tol)
+                    self.assert_triplets(matrix, values[:top], left, right, dense, tol)
                     if 0 < top < m:
                         got = EigenSpectrum(values=values, n=n, p=p)
                         for k in range(top):
@@ -209,11 +231,6 @@ class TestGramEigh:
                                 estimate_spike(got, top, k), estimate_spike(reference, top, k),
                                 dense[k], dense[k] - dense[top], tol,
                             )
-                only, none, _ = gram_eigh(matrix, vectors=False, top=1, spectrum=True)
-                assert none is None and np.max(np.abs(only - dense)) <= tol
-                # Any other selection applies to the vectors alone.
-                values, vecs, _ = gram_eigh(matrix, above=dense[0] / 2, spectrum=True)
-                assert values.shape == (m,) and vecs.shape[1] == np.count_nonzero(values > dense[0] / 2)
 
     @staticmethod
     def assert_same_estimate(got, want, value, gap, tol):
@@ -234,46 +251,69 @@ class TestGramEigh:
         for field in ("ell_hat", "c2_hat", "ct2_hat", "lambda_star", "sigma_obs"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=0)
 
+    @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (5, 5), (1, 1), (0, 3)])
+    def test_selections_never_run_dense(self, rng, shape):
+        # Every selection runs the tridiagonal reduction: dense eigh and
+        # eigvalsh serve only as the unselected reference and the fallback.
+        if None in self.TRIDIAGONAL.values():
+            pytest.skip("numpy's LAPACK lacks the tridiagonal routines")
+        matrix = rng.standard_normal(shape)
+        m = min(shape)
+        dense, dense_left, dense_right = gram_eigh(matrix)
+        selections = [{"top": top} for top in range(m + 1)]
+        selections += [{"above": above} for above in (-1.0, 0.0, *dense, np.inf)]
+        failing = mock.Mock(side_effect=AssertionError("dense eigh ran"))
+        with mock.patch.object(np.linalg, "eigh", failing), \
+                mock.patch.object(np.linalg, "eigvalsh", failing):
+            for selection in selections:
+                for spectrum, vectors in itertools.product((False, True), repeat=2):
+                    values, left, right = gram_eigh(matrix, vectors, spectrum=spectrum, **selection)
+                    assert np.allclose(values, dense[: values.size], rtol=1e-12, atol=1e-12)
+                    if vectors:
+                        k = right.shape[1]
+                        assert np.allclose(np.abs(left), np.abs(dense_left[:, :k]), atol=1e-10)
+                        assert np.allclose(np.abs(right), np.abs(dense_right[:, :k]), atol=1e-10)
+
     def test_binding_resolves_on_numpy_openblas(self):
         # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbols, so
-        # the partial and tridiagonal paths are the ones that run there.
+        # the tridiagonal path is the one that runs there.
         lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
         if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack["openblas configuration"]:
-            assert spectral._DSYEVR is not None
             assert None not in self.TRIDIAGONAL.values()
 
     @pytest.mark.parametrize("name", list(TRIDIAGONAL))
     def test_failed_tridiagonal_routine_falls_back_to_dense(self, rng, name):
         matrix = rng.standard_normal((9, 6))
-        dense, dense_vecs, _ = gram_eigh(matrix)
+        dense, dense_left, dense_right = gram_eigh(matrix)
         calls = []
         failing = lambda *args: calls.append(args) or 1  # info > 0
-        with mock.patch.object(spectral, name, failing):
-            values, vecs, _ = gram_eigh(matrix, top=2, spectrum=True)
-        assert len(calls) == 1
-        assert np.array_equal(values, dense) and np.array_equal(vecs, dense_vecs[:, :2])
-
-    def test_failed_dsyevr_falls_back_to_dense(self, rng):
-        matrix = rng.standard_normal((9, 6))
-        dense, dense_vecs, _ = gram_eigh(matrix)
-        calls = []
-        failing = lambda *args: calls.append(args) or 1  # info > 0
-        with mock.patch.object(spectral, "_DSYEVR", failing):
-            values, vecs, _ = gram_eigh(matrix, above=dense[3])
-            top, _, _ = gram_eigh(matrix, vectors=False, top=2)
-        assert len(calls) == 2
-        assert np.array_equal(values, dense[:3]) and np.array_equal(vecs, dense_vecs[:, :3])
-        assert np.array_equal(top, gram_eigh(matrix, vectors=False)[0][:2])
+        # A whole spectrum with the top vectors calls every routine; a
+        # threshold skips dsterf, and the top values alone dstein and dormtr.
+        selections = [({"top": 2, "spectrum": True}, dense, 2),
+                      ({"above": dense[3]}, dense[:3], 3),
+                      ({"vectors": False, "top": 2}, gram_eigh(matrix, vectors=False)[0][:2], 0)]
+        for kwargs, want, k in selections:
+            called = len(calls)
+            with mock.patch.object(spectral, name, failing):
+                values, left, right = gram_eigh(matrix, **kwargs)
+            if len(calls) > called:
+                assert np.array_equal(values, want)
+            if len(calls) > called and k:
+                assert np.array_equal(right, dense_right[:, :k])
+                assert np.allclose(left, dense_left[:, :k], rtol=0, atol=1e-14)
+        assert len(calls) == {"_DSTERF": 1, "_DSTEIN": 2, "_DORMTR": 2}.get(name, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("kwargs", [{}, {"above": 1.0}, {"top": 1}, {"top": 1, "spectrum": True}])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"above": 1.0}, {"top": 1}, {"top": 1, "spectrum": True}, {"above": 1.0, "spectrum": True},
+    ])
     def test_non_finite_gram_raises(self, bad, kwargs):
-        # Unchecked, dsyevr misreports the pairs of an inf matrix, and
-        # the dense path returns NaN.
+        # Unchecked, an inf reaches the tridiagonal reduction, and the
+        # dense path returns NaN.
         matrix = np.ones((4, 3))
         matrix[2, 1] = bad
-        for binding in (spectral._DSYEVR, None):
-            with mock.patch.object(spectral, "_DSYEVR", binding):
+        for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
+            with mock.patch.multiple(spectral, **bindings):
                 with pytest.raises(np.linalg.LinAlgError):
                     gram_eigh(matrix, **kwargs)
 

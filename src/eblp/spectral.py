@@ -118,11 +118,11 @@ def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
     missing or fails."""
     if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or above is None and top is None:
         return None
-    # Bisection squares the off-diagonal.  As dsyevr does, bring a largest
-    # entry outside [2**-484, 2**255] into [0.5, 1), by a power of two;
-    # a Gram matrix has its largest entry on the diagonal.
+    # Bisection squares the off-diagonal, which underflows below about
+    # 1e-146: as dsyevr does, scale a Gram matrix whose largest (diagonal)
+    # entry is below 2**-484 into [0.5, 1) by a power of two.
     shift = int(np.frexp(np.max(np.diagonal(gram), initial=0.0))[1])
-    shift = 0 if -483 <= shift <= 255 else shift
+    shift = shift if shift < -483 else 0
     m, a = len(gram), np.ldexp(gram, -shift)  # a holds the reflectors
     d, e, tau = np.empty((3, m))
     count, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)

@@ -274,6 +274,18 @@ class TestGramEigh:
                         assert np.allclose(np.abs(left), np.abs(dense_left[:, :k]), atol=1e-10)
                         assert np.allclose(np.abs(right), np.abs(dense_right[:, :k]), atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_extreme_scales_match_dense(self, rng, scale):
+        # Bisection squares the tridiagonal's off-diagonal, which underflows
+        # below about 1e-146 unless the Gram matrix is scaled first.
+        matrix = scale * (rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6)))
+        dense, _, _ = gram_eigh(matrix)
+        tol = 1e-13 * dense[0]
+        for kwargs in ({"top": 3}, {"above": dense[2] / 2}, {"top": 2, "spectrum": True}):
+            values, left, right = gram_eigh(matrix, **kwargs)
+            self.assert_triplets(matrix, values[: right.shape[1]], left, right, dense, tol)
+            assert np.max(np.abs(values - dense[: values.size])) <= tol
+
     def test_binding_resolves_on_numpy_openblas(self):
         # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbols, so
         # the tridiagonal path is the one that runs there.

@@ -81,8 +81,9 @@ def soft_threshold_singular_values(
         raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     if threshold == 0:
         # The identity, exactly: the Gram matrix resolves the vectors of
-        # (numerically) zero singular values only to sqrt(eps).
-        s2, _, _ = gram_eigh(matrix, vectors=False, above=0.0)
+        # (numerically) zero singular values only to sqrt(eps).  Every
+        # value and no triplet is dsytrd then dsterf: no bisection.
+        s2, _, _ = gram_eigh(matrix, top=0, spectrum=True)
         return matrix.copy(), float(np.sqrt(s2).sum())
     s2, left, right = gram_eigh(matrix, above=threshold * threshold)
     s = np.sqrt(s2)
@@ -202,6 +203,6 @@ def nnrls_weight_colored(
         masked = mask_sampler(rng) * noise_sampler(rng)
         if c_inv is not None:
             masked = masked * c_inv[None, :]
-        s2, _, _ = gram_eigh(masked, vectors=False, top=1)
+        s2, _, _ = gram_eigh(masked, top=1)
         norms.append(np.sqrt(s2[0]))
     return float(np.mean(norms))

@@ -568,7 +568,6 @@ def read_model(path) -> EblpModel:
             f"{u_hat.shape[1]} components in u_hat"
         )
     return EblpModel(
-        v_hat=np.zeros((0, u_hat.shape[1])),
         estimates=estimates,
         rank=rank,
         whitened=whitened,

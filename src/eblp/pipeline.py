@@ -85,7 +85,6 @@ class EblpModel:
     """
 
     u_hat: np.ndarray            # (p, r)
-    v_hat: np.ndarray            # (n, r)
     estimates: list[SpikeEstimate]
     m_hat_diag: np.ndarray       # (p,)
     w_diag: np.ndarray           # (p,)
@@ -110,10 +109,6 @@ class EblpModel:
     @property
     def p(self) -> int:
         return self.m_hat_diag.size
-
-    @property
-    def gamma(self) -> float:
-        return self.p / self.n
 
 
 def _eta(model: EblpModel) -> np.ndarray:
@@ -222,7 +217,6 @@ def fit_in_sample(
 
     model = EblpModel(
         u_hat=u_hat,
-        v_hat=v_hat,
         estimates=estimates,
         m_hat_diag=m_hat,
         w_diag=w_diag,

@@ -13,8 +13,8 @@ with derivatives, in one pass over the residual spectrum.
 ``gram_eigh`` is the one decomposition routine, and every caller takes
 its selection from one LAPACK tridiagonal reduction: plug-in fits every
 eigenvalue and the top r triplets, white-mode fits the top r triplets,
-the NNRLS prox the triplets above ``t**2`` and the NNRLS weight
-calibration the top value.
+the NNRLS prox the triplets above ``t**2`` (every eigenvalue and no
+triplet at threshold 0) and the NNRLS weight calibration the top triplet.
 """
 
 from __future__ import annotations
@@ -38,33 +38,34 @@ __all__ = [
 
 def gram_eigh(
     matrix: np.ndarray,
-    vectors: bool = True,
     *,
     above: float | None = None,
     top: int | None = None,
     spectrum: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular triplets of an n x p matrix from its short-side Gram
     matrix (``B' B`` if n >= p, else ``B B'``).
 
     Returns the squared singular values, descending and floored at 0, and
-    the left (n rows) and right (p rows) singular vectors as columns (None
-    and None when ``vectors`` is false).  The short side's vectors are the
-    Gram eigenvectors; the other side's are ``B v / s`` (``B' u / s``),
-    zero where s = 0.  ``above=t`` (values > t) or ``top=k`` (the k
-    largest) computes only those, or with ``spectrum=True`` all values but
-    only those vectors, by one tridiagonal reduction.  A dense ``eigh``
-    gives all min(n, p) triplets, and stands in where numpy's LAPACK lacks
-    a routine or one fails.  Forming the Gram matrix squares the condition
-    number: values below about eps * max(values) carry no relative
-    accuracy, and neither do their vectors.  A Gram matrix that is not
-    finite raises LinAlgError.
+    the left (n rows) and right (p rows) singular vectors as columns.  The
+    short side's vectors are the Gram eigenvectors; the other side's are
+    ``B v / s`` (``B' u / s``), zero where s = 0.  ``above=t`` (values >
+    t) or ``top=k`` (the k largest) computes only those triplets, or with
+    ``spectrum=True`` all values but only those vectors, by one
+    tridiagonal reduction.  A dense ``eigh`` gives all min(n, p)
+    triplets, and stands in where numpy's LAPACK lacks a routine or one
+    fails.  Forming the Gram matrix squares the condition number: values
+    below about eps * max(values) carry no relative accuracy, and neither
+    do their vectors.  A NaN ``above`` is a ValueError; a Gram matrix
+    that is not finite raises LinAlgError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ShapeError("expected a 2-d data matrix")
     if above is not None and top is not None:
         raise ValueError("pass at most one of above and top")
+    if above is not None and np.isnan(above):
+        raise ValueError("above must not be NaN")
     n, p = matrix.shape
     if top is not None and not 0 <= top <= min(n, p):
         raise ValueError(f"top={top} out of range for a {n} x {p} matrix")
@@ -72,14 +73,12 @@ def gram_eigh(
     if not np.isfinite(gram).all():
         # LAPACKE screens out NaN only; inf would reach the reduction.
         raise np.linalg.LinAlgError("Gram matrix is not finite")
-    found = _tridiagonal_eigh(gram, vectors, above, top, spectrum)
+    found = _tridiagonal_eigh(gram, above, top, spectrum)
     if found is None:
-        found = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+        found = np.linalg.eigh(gram)
     # Ascending from every path; the slice keeps the selection exact.
     values = np.maximum(found[0][::-1], 0.0)
     kept = top if above is None else int(np.count_nonzero(values > above))
-    if not vectors:
-        return (values if spectrum else values[:kept]), None, None
     # Column-major, as prediction reads u_hat by column.  Bisection may
     # count one pair fewer than dsterf at ``above``: keep those it found.
     short = np.asfortranarray(found[1][:, ::-1][:, :kept])
@@ -110,12 +109,11 @@ _DSTEIN = _lapacke("dstein", _L, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P)
 _DORMTR = _lapacke("dormtr", _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
 
 
-def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
+def _tridiagonal_eigh(gram, above, top, spectrum):
     """The eigenvalues of ``gram`` in (above, inf] or its ``top`` largest
     (every eigenvalue if ``spectrum``), ascending like ``eigh``, and the
-    selected ones' vectors if ``vectors``, from one Householder
-    tridiagonalization; None without a selection, or when a routine is
-    missing or fails."""
+    selected ones' vectors, from one Householder tridiagonalization; None
+    without a selection, or when a routine is missing or fails."""
     if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or above is None and top is None:
         return None
     # Bisection squares the off-diagonal, which underflows below about
@@ -134,9 +132,8 @@ def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
         select, vl, il, iu = b"I", 0.0, m - top + 1, m
     if _DSYTRD(102, b"U", m, a.ctypes.data, max(m, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data):
         return None
-    # Bisection finds the kept values, and is skipped where they are
-    # none or where the whole spectrum alone is asked for.
-    if (vectors or not spectrum) and top != 0 and above != np.inf and (
+    # Bisection finds the kept values, and is skipped where they are none.
+    if top != 0 and above != np.inf and (
         _DSTEBZ(select, b"B", m, vl, np.inf, il, iu,
                 2 * np.finfo(float).tiny,  # LAPACK's abstol for values that feed dstein
                 d.ctypes.data, e.ctypes.data, ctypes.byref(count), ctypes.byref(nsplit),
@@ -146,7 +143,7 @@ def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
         return None
     k = count.value
     z, ifail = np.empty((m, k), order="F"), np.empty(k, dtype=np.int64)
-    if vectors and k and (
+    if k and (
         _DSTEIN(102, m, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
                 iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, m, ifail.ctypes.data)
         or _DORMTR(102, b"L", b"U", b"N", m, k, a.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
@@ -156,7 +153,7 @@ def _tridiagonal_eigh(gram, vectors, above, top, spectrum):
     order = np.argsort(w[:k], kind="stable")
     if spectrum and _DSTERF(m, d.ctypes.data, e.ctypes.data):  # last: overwrites d, e
         return None
-    return np.ldexp(d if spectrum else w[:k][order], shift), (z[:, order] if vectors else None)
+    return np.ldexp(d if spectrum else w[:k][order], shift), z[:, order]
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def reference_fit(
     x_hat = x_fit / w_diag[None, :] + mean[None, :]
 
     model = EblpModel(
-        u_hat=u_hat, v_hat=v_hat, estimates=estimates, m_hat_diag=m_hat,
+        u_hat=u_hat, estimates=estimates, m_hat_diag=m_hat,
         w_diag=w_diag, rank=r, whitened=whiten, mean=mean, n=n,
     )
     return model, x_hat
@@ -176,7 +176,7 @@ def spectrum_of(matrix: np.ndarray):
 
     matrix = np.asarray(matrix, dtype=float)
     n, p = matrix.shape
-    return EigenSpectrum(values=gram_eigh(matrix, vectors=False)[0] / n, n=n, p=p)
+    return EigenSpectrum(values=gram_eigh(matrix)[0] / n, n=n, p=p)
 
 
 def blp_oracle(obs, signal, noise_cov_diag) -> np.ndarray:

@@ -128,9 +128,11 @@ def test_03_shrinkage_matches_grid_oracle():
             dataset_from_arrays(y, masks), 1, whiten=True, mode="plugin", center=False
         )
         achieved = np.linalg.norm(x_hat - x)
-        v_hat, u_hat = model.v_hat[:, 0], model.u_hat[:, 0]
-        sigma1 = model.estimates[0].sigma_obs
-        base = np.sqrt(n) * np.outer(v_hat, u_hat / model.w_diag)
+        sigma1, lam_star = model.estimates[0].sigma_obs, model.estimates[0].lambda_star
+        assert lam_star > 0
+        # Uncentered, x_hat is lambda_star times the rank-1 direction
+        # sqrt(n) v u' W^-1.
+        base = x_hat / lam_star
         best = min(
             np.linalg.norm(lam * base - x)
             for lam in np.arange(0.0, sigma1 + 1e-12, 1e-3 * sigma1)

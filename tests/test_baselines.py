@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -334,6 +336,17 @@ class TestSoftThreshold:
     def test_desk_shapes_on_the_dense_fallback(self, rng, shape, monkeypatch):
         monkeypatch.setattr(spectral, "_DSYTRD", None)
         self.test_desk_shapes_across_the_spectrum(rng, shape)
+
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (50, 50)])
+    def test_zero_threshold_takes_the_whole_spectrum_without_bisection(self, rng, shape, monkeypatch):
+        # At threshold 0 the prox keeps no triplet: its nuclear norm comes
+        # from the whole spectrum, dsytrd then dsterf, never bisection.
+        monkeypatch.setattr(spectral, "_DSTEBZ", mock.Mock(side_effect=AssertionError("dstebz ran")))
+        matrix = rng.standard_normal(shape)
+        shrunk, nuclear = soft_threshold_singular_values(matrix, 0.0)
+        assert shrunk is not matrix and np.array_equal(shrunk, matrix)
+        want = np.linalg.svd(matrix, compute_uv=False).sum()
+        assert nuclear == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_negative_threshold_rejected(self):
         # NaN is no threshold either; inf is, and shrinks everything away.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -634,7 +635,30 @@ class TestModelIO:
         assert predict_out_of_sample(model, row).tobytes() == \
             predict_out_of_sample(back, row).tobytes()
 
-    @settings(max_examples=200)
+    @pytest.mark.parametrize("mode", ["plugin", "white"])
+    @pytest.mark.parametrize("whiten", [True, False])
+    def test_read_model_equals_the_fit_field_for_field(self, tmp_path, rng, whiten, mode):
+        # The file holds the whole model: nothing is dropped on the way
+        # out or made up on the way in, the prediction maps included.
+        n, p = 80, 30
+        y = 4 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) / np.sqrt(p)
+        y += rng.standard_normal((n, p)) + rng.standard_normal(p)
+        observed = (rng.random((n, p)) < 0.7) * 1.0
+        model, _ = fit_in_sample(dataset_from_arrays(y * observed, observed), 2,
+                                 whiten=whiten, mode=mode)
+        path = tmp_path / "model.json"
+        matio.write_model(path, model)
+        back = matio.read_model(path)
+        for field in dataclasses.fields(model):
+            got, want = getattr(back, field.name), getattr(model, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
+
+    # 200 examples by default, and the profile's count when it is larger
+    # (2000 under --hypothesis-profile=ci).
+    @settings(max_examples=max(200, settings.default.max_examples))
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.sampled_from([(40, 12), (12, 40), (30, 30)]),

@@ -229,7 +229,7 @@ class TestFitReference:
         want_model, want_x = reference_fit(y, d, rank, whiten, mode, **kwargs)
         model, x_hat = fit_in_sample(dataset_from_arrays(y, d), rank, whiten, mode, **kwargs)
         assert same_bits(x_hat, want_x)
-        for name in ("m_hat_diag", "mean", "w_diag", "u_hat", "v_hat"):
+        for name in ("m_hat_diag", "mean", "w_diag", "u_hat"):
             assert same_bits(getattr(model, name), getattr(want_model, name)), name
         assert (model.rank, model.whitened, model.n) == (want_model.rank, want_model.whitened, n)
         fields = lambda m: np.array([astuple(e) for e in m.estimates], dtype=float)  # noqa: E731
@@ -263,7 +263,6 @@ class TestPredictOutOfSample:
         u[0, 0] = 1.0
         model = EblpModel(
             u_hat=u,
-            v_hat=np.zeros((1, 1)),
             estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
@@ -280,7 +279,6 @@ class TestPredictOutOfSample:
         p = 3
         model = EblpModel(
             u_hat=np.eye(p)[:, :1],
-            v_hat=np.zeros((1, 1)),
             estimates=[SpikeEstimate.subcritical(1.0)],
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
@@ -300,7 +298,6 @@ class TestPredictOutOfSample:
         u = np.eye(p)[:, :1]
         model = EblpModel(
             u_hat=u,
-            v_hat=np.zeros((1, 1)),
             estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
             m_hat_diag=np.full(p, big),
             w_diag=np.ones(p),

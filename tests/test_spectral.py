@@ -115,9 +115,6 @@ class TestGramEigh:
         assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
         assert left.shape == (n, min(n, p)) and right.shape == (p, min(n, p))
         self.assert_triplets(matrix, values, left, right, values, 1e-13 * top)
-        only_values, none, also_none = gram_eigh(matrix, vectors=False)
-        assert none is None and also_none is None
-        assert np.max(np.abs(only_values - values)) <= 1e-13 * top
 
     @given(
         st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
@@ -131,9 +128,9 @@ class TestGramEigh:
     @example(4, 3, 0, 0, False, "below", 0, 3)
     def test_partial_selections_match_dense(self, n, p, rank, seed, square, where, i, top):
         # ``above`` at, between, below and above the dense eigenvalues and
-        # every ``top`` from 0 to min(n, p), with and without vectors and
-        # the whole spectrum, through the tridiagonal reduction and
-        # through the dense fallback alike.
+        # every ``top`` from 0 to min(n, p), with and without the whole
+        # spectrum, through the tridiagonal reduction and through the
+        # dense fallback alike.
         p = n if square else p
         rank, m = min(rank, n, p), min(n, p)
         rng = np.random.default_rng(seed)
@@ -153,30 +150,22 @@ class TestGramEigh:
         }[where]
         for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
             with mock.patch.multiple(spectral, **bindings):
-                for spectrum, vectors in itertools.product((False, True), repeat=2):
-                    for selection in ({"above": above}, {"top": top}):
-                        values, left, right = gram_eigh(
-                            matrix, vectors, spectrum=spectrum, **selection)
-                        assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
-                        if spectrum:
-                            assert values.shape == (m,)
-                            assert np.max(np.abs(values - dense)) <= tol
-                        if vectors:
-                            k = right.shape[1]
-                            self.assert_triplets(matrix, values[:k], left, right, dense, tol)
-                        else:
-                            assert left is None and right is None
-                            if spectrum:
-                                continue  # all values, and no selection to check
-                            k = values.size
-                            assert np.max(np.abs(values - dense[:k]), initial=0.0) <= tol
-                        if "top" in selection:
-                            assert k == top
-                        else:
-                            # Only values within rounding of the threshold may differ.
-                            assert np.all(values[:k] > above)
-                            assert np.count_nonzero(dense > above + tol) <= k
-                            assert k <= np.count_nonzero(dense > above - tol)
+                for spectrum, selection in itertools.product(
+                        (False, True), ({"above": above}, {"top": top})):
+                    values, left, right = gram_eigh(matrix, spectrum=spectrum, **selection)
+                    assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
+                    k = right.shape[1]
+                    assert values.shape == ((m,) if spectrum else (k,))
+                    if spectrum:
+                        assert np.max(np.abs(values - dense)) <= tol
+                    self.assert_triplets(matrix, values[:k], left, right, dense, tol)
+                    if "top" in selection:
+                        assert k == top
+                    else:
+                        # Only values within rounding of the threshold may differ.
+                        assert np.all(values[:k] > above)
+                        assert np.count_nonzero(dense > above + tol) <= k
+                        assert k <= np.count_nonzero(dense > above - tol)
 
     @staticmethod
     def assert_triplets(matrix, values, left, right, dense, tol):
@@ -253,8 +242,8 @@ class TestGramEigh:
 
     @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (5, 5), (1, 1), (0, 3)])
     def test_selections_never_run_dense(self, rng, shape):
-        # Every selection runs the tridiagonal reduction: dense eigh and
-        # eigvalsh serve only as the unselected reference and the fallback.
+        # Every selection runs the tridiagonal reduction: dense eigh
+        # serves only as the unselected reference and the fallback.
         if None in self.TRIDIAGONAL.values():
             pytest.skip("numpy's LAPACK lacks the tridiagonal routines")
         matrix = rng.standard_normal(shape)
@@ -263,16 +252,14 @@ class TestGramEigh:
         selections = [{"top": top} for top in range(m + 1)]
         selections += [{"above": above} for above in (-1.0, 0.0, *dense, np.inf)]
         failing = mock.Mock(side_effect=AssertionError("dense eigh ran"))
-        with mock.patch.object(np.linalg, "eigh", failing), \
-                mock.patch.object(np.linalg, "eigvalsh", failing):
+        with mock.patch.object(np.linalg, "eigh", failing):
             for selection in selections:
-                for spectrum, vectors in itertools.product((False, True), repeat=2):
-                    values, left, right = gram_eigh(matrix, vectors, spectrum=spectrum, **selection)
+                for spectrum in (False, True):
+                    values, left, right = gram_eigh(matrix, spectrum=spectrum, **selection)
                     assert np.allclose(values, dense[: values.size], rtol=1e-12, atol=1e-12)
-                    if vectors:
-                        k = right.shape[1]
-                        assert np.allclose(np.abs(left), np.abs(dense_left[:, :k]), atol=1e-10)
-                        assert np.allclose(np.abs(right), np.abs(dense_right[:, :k]), atol=1e-10)
+                    k = right.shape[1]
+                    assert np.allclose(np.abs(left), np.abs(dense_left[:, :k]), atol=1e-10)
+                    assert np.allclose(np.abs(right), np.abs(dense_right[:, :k]), atol=1e-10)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
     def test_extreme_scales_match_dense(self, rng, scale):
@@ -300,10 +287,11 @@ class TestGramEigh:
         calls = []
         failing = lambda *args: calls.append(args) or 1  # info > 0
         # A whole spectrum with the top vectors calls every routine; a
-        # threshold skips dsterf, and the top values alone dstein and dormtr.
+        # threshold skips dsterf, and the whole spectrum alone (the prox at
+        # threshold 0) dstebz, dstein and dormtr.
         selections = [({"top": 2, "spectrum": True}, dense, 2),
                       ({"above": dense[3]}, dense[:3], 3),
-                      ({"vectors": False, "top": 2}, gram_eigh(matrix, vectors=False)[0][:2], 0)]
+                      ({"top": 0, "spectrum": True}, dense, 0)]
         for kwargs, want, k in selections:
             called = len(calls)
             with mock.patch.object(spectral, name, failing):
@@ -313,11 +301,12 @@ class TestGramEigh:
             if len(calls) > called and k:
                 assert np.array_equal(right, dense_right[:, :k])
                 assert np.allclose(left, dense_left[:, :k], rtol=0, atol=1e-14)
-        assert len(calls) == {"_DSTERF": 1, "_DSTEIN": 2, "_DORMTR": 2}.get(name, 3)
+        assert len(calls) == {"_DSYTRD": 3}.get(name, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kwargs", [
         {}, {"above": 1.0}, {"top": 1}, {"top": 1, "spectrum": True}, {"above": 1.0, "spectrum": True},
+        {"top": 0, "spectrum": True},
     ])
     def test_non_finite_gram_raises(self, bad, kwargs):
         # Unchecked, an inf reaches the tridiagonal reduction, and the
@@ -328,6 +317,15 @@ class TestGramEigh:
             with mock.patch.multiple(spectral, **bindings):
                 with pytest.raises(np.linalg.LinAlgError):
                     gram_eigh(matrix, **kwargs)
+
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_nan_threshold_raises(self, spectrum):
+        # LAPACKE's dstebz rejects a NaN bound, and on the dense fallback
+        # no value compares greater than NaN: either would keep nothing.
+        for bindings in (self.TRIDIAGONAL, dict.fromkeys(self.TRIDIAGONAL)):
+            with mock.patch.multiple(spectral, **bindings):
+                with pytest.raises(ValueError, match="NaN"):
+                    gram_eigh(np.eye(3), above=np.nan, spectrum=spectrum)
 
     def test_rejects_bad_selections(self):
         with pytest.raises(ValueError):

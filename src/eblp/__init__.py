@@ -5,7 +5,6 @@ per-sample diagonal transforms (including missing data) under heavy noise.
 from .errors import (
     DegenerateCoordinateError,
     EblpError,
-    NotFittedError,
     ParseError,
     RankError,
     ShapeError,

@@ -58,7 +58,6 @@ class NnrlsConfig:
 @dataclass(frozen=True)
 class NnrlsResult:
     x_hat: np.ndarray
-    objective: float
     iterations: int
     converged: bool
     objective_history: tuple[float, ...] = ()
@@ -165,7 +164,6 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     x_hat = z if c_inv is None else z * c_inv[None, :]
     return NnrlsResult(
         x_hat=x_hat,
-        objective=obj,
         iterations=iterations,
         converged=converged,
         objective_history=tuple(history),

@@ -81,13 +81,20 @@ _WEIGHT_SEED_TAG = 0x57454947
 @dataclass(frozen=True)
 class BenchmarkExperiment:
     name: str
-    config: ExperimentConfig          # noise sigma used as the grid base
+    config: ExperimentConfig          # each grid point replaces its noise sigma
     sigma_grid: tuple[float, ...]
     methods: tuple[str, ...]
     rank: int
     nnrls_max_iters: int = NnrlsConfig.max_iters
     nnrls_tol: float = NnrlsConfig.tol
     weight_replicates: int = 20
+
+    def __post_init__(self):
+        # The shrinkage fits need a residual eigenvalue; NNRLS takes no rank.
+        top = min(self.config.n, self.config.p) - 1
+        if {"eblp", "unwhitened"} & set(self.methods) and not 0 <= self.rank <= top:
+            raise ValueError(f"rank {self.rank} must lie in [0, {top}] for n = "
+                             f"{self.config.n} samples in dimension p = {self.config.p}")
 
 
 def _parse_spec(key: str, value: str, kinds: dict[str, bool]) -> tuple[str, float | None]:

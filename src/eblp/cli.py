@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DegenerateCoordinateError,
     EblpError,
-    NotFittedError,
     ParseError,
     RankError,
     ShapeError,
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
     except DegenerateCoordinateError as exc:
         print(f"eblp: degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (RankError, SpectrumDomainError, NotFittedError) as exc:
+    except (RankError, SpectrumDomainError) as exc:
         print(f"eblp: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (np.linalg.LinAlgError, EblpError, ValueError) as exc:

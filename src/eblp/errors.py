@@ -35,9 +35,5 @@ class DegenerateCoordinateError(EblpError, ValueError):
         )
 
 
-class NotFittedError(EblpError, ValueError):
-    """Model object is missing fitted state required by the operation."""
-
-
 class ParseError(EblpError, ValueError):
     """Malformed input file (matrix, mask, model, or config)."""

@@ -557,23 +557,15 @@ def read_model(path) -> EblpModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
-    u_hat = arrays["u_hat"]
-    if arrays["w_diag"].size != p or arrays["mean"].size != p:
-        raise ParseError(f"{path}: inconsistent model dimensions")
-    if len(estimates) != u_hat.shape[1]:
-        raise ParseError(f"{path}: estimates do not match component count")
-    if rank != u_hat.shape[1]:
+    try:
+        model = EblpModel(estimates=estimates, whitened=whitened, n=n, **arrays)
+    except ShapeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if rank != model.rank:
         raise ParseError(
-            f"{path}: rank {rank} does not match the "
-            f"{u_hat.shape[1]} components in u_hat"
+            f"{path}: rank {rank} does not match the {model.rank} components in u_hat"
         )
-    return EblpModel(
-        estimates=estimates,
-        rank=rank,
-        whitened=whitened,
-        n=n,
-        **arrays,
-    )
+    return model
 
 
 RESULT_COLUMNS = (

@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateCoordinateError,
-    NotFittedError,
-    RankError,
-    ShapeError,
-)
+from .errors import DegenerateCoordinateError, RankError, ShapeError
 from .shrinkage import SpikeEstimate, shrink_triplets
 
 __all__ = [
@@ -80,35 +75,40 @@ class EblpModel:
     :func:`predict_out_of_sample` costs two (p, r) products per row.  The
     operator is private state, not compared, shown or saved, and is built
     again by ``dataclasses.replace``; treat the fitted arrays as read-only
-    once the model exists.  A model whose arrays are missing or
-    inconsistent has no operator and cannot predict.
+    once the model exists.  Arrays that disagree in shape, or estimates
+    that do not match the columns of ``u_hat``, raise ShapeError.
     """
 
     u_hat: np.ndarray            # (p, r)
     estimates: list[SpikeEstimate]
     m_hat_diag: np.ndarray       # (p,)
     w_diag: np.ndarray           # (p,)
-    rank: int
     whitened: bool
     mean: np.ndarray             # (p,)
     n: int
-    _inward: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _outward: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _inward: np.ndarray = field(init=False, repr=False, compare=False)
+    _outward: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inward = outward = None
         u, m, w = self.u_hat, self.m_hat_diag, self.w_diag
-        p = np.size(m) if np.ndim(m) == 1 else None
-        if np.shape(u) == (p, len(self.estimates)) and np.shape(w) == np.shape(self.mean) == (p,):
-            # X-hat = mean + W^-1 U diag(eta) U' W M^-1 (A'y - A'A mean).
-            inward = u * (w / m)[:, None]
-            outward = _eta(self)[:, None] * (u / w[:, None]).T
-        object.__setattr__(self, "_inward", inward)
-        object.__setattr__(self, "_outward", outward)
+        p = np.size(m)
+        if np.ndim(m) != 1 or np.ndim(u) != 2 or np.shape(u)[0] != p or not (
+            np.shape(w) == np.shape(self.mean) == (p,)
+        ):
+            raise ShapeError("inconsistent model dimensions")
+        if np.shape(u)[1] != len(self.estimates):
+            raise ShapeError("estimates do not match component count")
+        # X-hat = mean + W^-1 U diag(eta) U' W M^-1 (A'y - A'A mean).
+        object.__setattr__(self, "_inward", u * (w / m)[:, None])
+        object.__setattr__(self, "_outward", _eta(self)[:, None] * (u / w[:, None]).T)
 
     @property
     def p(self) -> int:
         return self.m_hat_diag.size
+
+    @property
+    def rank(self) -> int:
+        return len(self.estimates)
 
 
 def _eta(model: EblpModel) -> np.ndarray:
@@ -137,9 +137,7 @@ def fit_in_sample(
     mode: str = "plugin",
     *,
     center: bool = True,
-    m_diag: np.ndarray | None = None,
     noise_var_diag: np.ndarray | None = None,
-    noise_var: float = 1.0,
 ) -> tuple[EblpModel, np.ndarray]:
     """Fit the in-sample predictor and denoise the whole dataset.
 
@@ -148,14 +146,12 @@ def fit_in_sample(
     written.  Steps: backproject, normalize by the mean transform weight
     M-hat, optionally whiten by W = M-hat^(1/2), shrink singular values
     (``mode="plugin"``: calibrated on the residual spectrum; ``"white"``:
-    by the white-noise closed forms), unwhiten, restore the available-case
-    column mean sum(backprojected) / sum(d).
+    by the white-noise closed forms for unit effective noise), unwhiten,
+    restore the available-case column mean sum(backprojected) / sum(d).
 
-    ``m_diag`` overrides the estimated M-hat (for testing against known
-    transforms).  ``noise_var_diag``, when the sample-space noise variances
-    are known up to scale, folds them into the whitening so the effective
-    noise is isotropic: W = sqrt(M-hat / v).  ``noise_var`` is the white
-    -mode effective noise variance.  A coordinate whose M-hat falls below
+    ``noise_var_diag``, when the sample-space noise variances are known up
+    to scale, folds them into the whitening so the effective noise is
+    isotropic: W = sqrt(M-hat / v).  A coordinate whose M-hat falls below
     ``DEFAULT_M_FLOOR`` raises DegenerateCoordinateError naming every such
     one.
 
@@ -173,14 +169,8 @@ def fit_in_sample(
         raise RankError(f"rank {r} out of range for {n} samples in dimension {p}")
 
     weight = d.sum(axis=0)
-    if m_diag is not None:
-        m_hat = np.asarray(m_diag, dtype=float)
-        if m_hat.shape != (p,):
-            raise ShapeError("m_diag must have length p")
-    else:
-        m_hat = weight / n
-    # Written so that a NaN weight counts as below the floor.
-    bad = np.flatnonzero(~(m_hat >= DEFAULT_M_FLOOR))
+    m_hat = weight / n
+    bad = np.flatnonzero(m_hat < DEFAULT_M_FLOOR)
     if bad.size:
         raise DegenerateCoordinateError(bad.tolist(), DEFAULT_M_FLOOR)
 
@@ -208,7 +198,7 @@ def fit_in_sample(
     # B~ = B M^-1, then B~ W; combined column scale.
     b *= w_diag / m_hat
 
-    v_hat, u_hat, estimates = shrink_triplets(b, r, mode=mode, noise_var=noise_var)
+    v_hat, u_hat, estimates = shrink_triplets(b, r, mode=mode)
     lam = np.array([e.lambda_star for e in estimates])
     # shrink_triplets worked on its own scaled copy, so X-hat can reuse b.
     x_hat = np.matmul(np.sqrt(n) * (v_hat * lam), u_hat.T, out=b)
@@ -220,7 +210,6 @@ def fit_in_sample(
         estimates=estimates,
         m_hat_diag=m_hat,
         w_diag=w_diag,
-        rank=r,
         whitened=whiten,
         mean=mean,
         n=n,
@@ -240,8 +229,6 @@ def predict_out_of_sample(model: EblpModel, obs: TransformedObservation) -> np.n
     centering and two (p, r) products.  Returns a vector of length p, or
     a (k, p) array for a batch.
     """
-    if model._inward is None:
-        raise NotFittedError("model is missing fitted arrays")
     p = model.p
     if obs.y.shape[-1] != p:
         raise ShapeError(f"observation has dimension {obs.y.shape[-1]}, model expects {p}")

@@ -104,7 +104,7 @@ def estimate_spike(spectrum: EigenSpectrum, r: int, k: int) -> SpikeEstimate:
     if k < 0 or k >= r:
         raise RankError(f"component index {k} must lie in [0, {r})")
     sigma2 = float(spectrum.values[k])
-    top_resid = float(spectrum.values[r]) if r < spectrum.values.size else 0.0
+    top_resid = float(spectrum.values[r])
     if sigma2 < top_resid + guard_epsilon(top_resid):
         return SpikeEstimate.subcritical(sigma_obs=np.sqrt(sigma2))
 
@@ -161,10 +161,7 @@ def _white_estimate(sigma2: float, gamma: float, noise_var: float) -> SpikeEstim
 
 
 def shrink_triplets(
-    matrix: np.ndarray,
-    r: int,
-    mode: str = "plugin",
-    noise_var: float = 1.0,
+    matrix: np.ndarray, r: int, mode: str = "plugin"
 ) -> tuple[np.ndarray, np.ndarray, list[SpikeEstimate]]:
     """Shrinkage core: returns the top-r left vectors (n, r), right vectors
     (p, r) and per-component estimates for ``matrix / sqrt(n)``.
@@ -174,7 +171,7 @@ def shrink_triplets(
     those units and map the estimates back.  Plug-in mode reads the whole
     prescaled spectrum but only the top r vectors; white mode computes the
     top r pairs alone and applies the closed forms to their values, with
-    the effective noise variance ``noise_var`` prescaled alike.
+    the unit effective noise variance prescaled alike.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -184,8 +181,6 @@ def shrink_triplets(
         raise RankError(f"rank {r} out of range for a {n} x {p} matrix")
     if mode not in ("plugin", "white"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "white" and not 0.0 < noise_var < np.inf:
-        raise ValueError(f"noise_var must be positive and finite, got {noise_var!r}")
     if r == 0:
         return np.zeros((n, 0)), np.zeros((p, 0)), []
     # Plug-in calibration needs every residual eigenvalue, and the rank
@@ -200,10 +195,10 @@ def shrink_triplets(
         spectrum = EigenSpectrum(values=s2, n=n, p=p)
         estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
     else:
-        # The noise variance in the prescaled units may underflow to 0 or
-        # overflow to inf; the closed forms take both limits.
+        # The unit noise variance in the prescaled units may underflow to
+        # 0 or overflow to inf; the closed forms take both limits.
         with np.errstate(over="ignore"):
-            scaled_noise = float(np.ldexp(noise_var, -2 * shift))
+            scaled_noise = float(np.ldexp(1.0, -2 * shift))
         estimates = [_white_estimate(s2k, p / n, scaled_noise) for s2k in s2]
     return left, right, [_ldexp_estimate(est, shift) for est in estimates]
 

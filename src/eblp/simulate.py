@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("pc_sparsity cannot exceed p")
         if self.replicates < 0:
             raise ValueError("replicates must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -193,7 +195,6 @@ class SimulatedData:
     x: np.ndarray                 # (n, p) true signals
     masks: np.ndarray             # (n, p) 0/1
     y: np.ndarray                 # (n, p) masked noisy observations
-    signal: SignalModel
 
     @property
     def dataset(self) -> TransformedObservation:
@@ -204,10 +205,10 @@ class SimulatedData:
 def simulate_dataset(config: ExperimentConfig, rng: np.random.Generator) -> SimulatedData:
     """Generate one replicate: y = mask * (x + noise) on the p-grid."""
     n = config.n
-    x, signal = generate_signals(config, n, rng)
+    x, _ = generate_signals(config, n, rng)
     masks = generate_masks(config, n, rng)
     noise = generate_noise(config, n, rng)
-    return SimulatedData(x=x, masks=masks, y=masks * (x + noise), signal=signal)
+    return SimulatedData(x=x, masks=masks, y=masks * (x + noise))
 
 
 def rmse(x_hat: np.ndarray, x: np.ndarray) -> float:

@@ -204,7 +204,6 @@ class SpectralEstimates:
     m_comp_hat: float
     d_hat: float
     d_prime_hat: float
-    eval_point: float
 
 
 def guard_epsilon(top_residual: float) -> float:
@@ -212,37 +211,22 @@ def guard_epsilon(top_residual: float) -> float:
     return 1e-8 * max(1.0, top_residual)
 
 
-def _check_eval_point(resid: np.ndarray, n_zeros: int, x: float) -> None:
-    # Valid regions: strictly above the bulk (top residual eigenvalue plus
-    # guard) or strictly below the smallest residual eigenvalue.  Inside
-    # the bulk the plug-in sum is meaningless or blows up.
-    top = resid[0] if resid.size else 0.0
-    bottom = resid[-1] if resid.size else 0.0
-    if n_zeros > 0:
-        bottom = 0.0
-    eps = guard_epsilon(top)
-    if x >= top + eps:
-        return
-    if x < bottom - guard_epsilon(bottom):
-        return
-    raise SpectrumDomainError(
-        f"evaluation point {x:g} lies within the residual bulk "
-        f"[{bottom:g}, {top:g}] (guard {eps:g})"
-    )
-
-
 def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEstimates:
     """Plug-in m, m_comp, D and D' at ``x`` of the spectrum less its top ``r``.
 
     m(x) = (p - r)^-1 sum_{k>r} 1 / (lambda_k - x), implicit zeros included;
     m_comp = gamma m - (1 - gamma) / x is the transform of the companion
-    law gamma F + (1 - gamma) delta_0; D = x m m_comp.  ``x`` must lie
-    outside the residual bulk and its guard band, and not at 0.
+    law gamma F + (1 - gamma) delta_0; D = x m m_comp.  ``x`` must lie at
+    or above the guard band over the top residual eigenvalue, where the
+    plug-in sums are finite and every transform is defined.
     """
     resid, n_zeros = spectrum.residual(r)
-    _check_eval_point(resid, n_zeros, x)
-    if x == 0:
-        raise SpectrumDomainError("companion transform undefined at x = 0")
+    top, eps = resid[0], guard_epsilon(resid[0])  # residual() keeps at least one
+    if not x >= top + eps:
+        raise SpectrumDomainError(
+            f"evaluation point {x:g} lies below the residual bulk edge {top:g} "
+            f"plus its guard {eps:g}"
+        )
     gap = resid - x
     m_sum = float(np.sum(1.0 / gap))
     m_prime_sum = float(np.sum(1.0 / gap ** 2))
@@ -259,7 +243,6 @@ def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEst
         m_comp_hat=m_comp,
         d_hat=x * m_hat * m_comp,
         d_prime_hat=m_hat * m_comp + x * m_prime * m_comp + x * m_hat * m_comp_prime,
-        eval_point=x,
     )
 
 

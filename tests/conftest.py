@@ -100,11 +100,11 @@ def reference_fit(
     m_floor: float = 1e-6,
     m_diag: np.ndarray | None = None,
     noise_var_diag: np.ndarray | None = None,
-    noise_var: float = 1.0,
 ):
     """Reference in-sample fit: stacked row copies and one fresh array per
     step, the operation order that ``fit_in_sample`` must reproduce bit
-    for bit.  Returns (model, x_hat)."""
+    for bit.  ``m_diag`` replaces the estimated M-hat by a known one, which
+    ``fit_in_sample`` cannot take.  Returns (model, x_hat)."""
     from eblp import DegenerateCoordinateError, RankError, ShapeError
     from eblp.pipeline import EblpModel
     from eblp.shrinkage import shrink_triplets
@@ -144,19 +144,19 @@ def reference_fit(
     fit_scale = w_diag / m_hat
     b_fit = b * fit_scale[None, :]
 
-    v_hat, u_hat, estimates = shrink_triplets(b_fit, r, mode=mode, noise_var=noise_var)
+    v_hat, u_hat, estimates = shrink_triplets(b_fit, r, mode=mode)
     lam = np.array([e.lambda_star for e in estimates])
     x_fit = np.sqrt(n) * (v_hat * lam) @ u_hat.T
     x_hat = x_fit / w_diag[None, :] + mean[None, :]
 
     model = EblpModel(
         u_hat=u_hat, estimates=estimates, m_hat_diag=m_hat,
-        w_diag=w_diag, rank=r, whitened=whiten, mean=mean, n=n,
+        w_diag=w_diag, whitened=whiten, mean=mean, n=n,
     )
     return model, x_hat
 
 
-def shrink_plain(y: np.ndarray, r: int, mode: str = "plugin", noise_var: float = 1.0):
+def shrink_plain(y: np.ndarray, r: int, mode: str = "plugin"):
     """Plain singular-value shrinkage of ``y / sqrt(n)`` by the one fit
     path: unit transforms, no whitening and no centering, where every other
     step is exact.  Returns (x_hat, estimates)."""
@@ -164,7 +164,7 @@ def shrink_plain(y: np.ndarray, r: int, mode: str = "plugin", noise_var: float =
 
     model, x_hat = fit_in_sample(
         dataset_from_arrays(y, np.ones_like(y)), r,
-        whiten=False, center=False, mode=mode, noise_var=noise_var,
+        whiten=False, center=False, mode=mode,
     )
     return x_hat, model.estimates
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -697,6 +698,9 @@ class TestModelIO:
             (("estimates", 0, "ell_hat"), nan, r"estimates\[0\]\.ell_hat"),
             (("estimates", 0, "lambda_star"), inf, r"estimates\[0\]\.lambda_star"),
             (("rank",), 7, "rank 7 does not match the 1 components"),
+            (("w_diag",), good["w_diag"][:-1], "inconsistent model dimensions"),
+            (("mean",), good["mean"] + [0.0], "inconsistent model dimensions"),
+            (("estimates",), good["estimates"][1:], "estimates do not match component count"),
         ]
         for keys, value, message in edits:
             payload = json.loads(json.dumps(good))
@@ -705,7 +709,7 @@ class TestModelIO:
                 target = target[key]
             target[keys[-1]] = value
             path.write_text(json.dumps(payload))
-            with pytest.raises(ParseError, match=message):
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{message}"):
                 matio.read_model(path)
 
     def test_wrong_format_marker(self, tmp_path):
@@ -1134,6 +1138,38 @@ class TestBenchmarkCommand:
         assert main(["benchmark", str(cfg), str(tmp_path / "r.txt")]) == 2
         assert "kappa must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("config_seed,flag", [("-3", []), ("11", ["--seed", "-5"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, config_seed, flag):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG.replace("seed = 11", f"seed = {config_seed}"))
+        seed = flag[1] if flag else config_seed
+        for command in (["benchmark", str(cfg), str(tmp_path / "r.txt")],
+                        ["simulate", str(cfg), str(tmp_path / "sim")]):
+            assert main(command + flag) == 2
+            assert f"{cfg}: [tiny]: seed must be nonnegative, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+        assert not list(tmp_path.glob("sim*"))
+
+    @pytest.mark.parametrize("rank", ["40", "-1", "20"])
+    def test_rank_out_of_range_exit_2(self, tmp_path, capsys, rank):
+        # p = 20 and gamma = 0.8 give n = 25: the fits take ranks 0 to 19.
+        # Linear sampling makes NNRLS calibrate its weight first, at run time.
+        text = (TINY_CONFIG.replace("p = 40", "p = 20").replace("rank = 2", f"rank = {rank}")
+                .replace("uniform:0.7", "linear:0.5"))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        for command in (["benchmark", str(cfg), str(tmp_path / "r.txt")],
+                        ["simulate", str(cfg), str(tmp_path / "sim")]):
+            assert main(command) == 2
+            assert f"{cfg}: [tiny]: rank {rank} must lie in [0, 19]" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+        assert not list(tmp_path.glob("sim*"))
+        # NNRLS takes no rank.
+        cfg.write_text(text.replace("methods = eblp,unwhitened,nnrls", "methods = nnrls"))
+        assert main(["benchmark", str(cfg), str(tmp_path / "r.txt"), "--no-timings"]) == 0
+        assert {row["method"] for row in read_results(tmp_path / "r.txt")} == {"nnrls"}
 
     def test_nnrls_settings_default_to_solver(self, tmp_path, tiny_config):
         from eblp import NnrlsConfig

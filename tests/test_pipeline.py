@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import blp_oracle, loop_predict, reference_fit, simple_blp_uniform
 from eblp import (
     DegenerateCoordinateError,
-    NotFittedError,
     RankError,
     ShapeError,
     SignalModel,
@@ -74,14 +73,6 @@ class TestEstimateM:
         with pytest.raises(DegenerateCoordinateError) as exc:
             fit_in_sample(ds, 0)
         assert exc.value.coordinates == [1]
-
-    def test_nan_m_diag_named(self, rng):
-        ds, _, _ = make_dataset(rng, 30, 6, [5.0])
-        m_diag = np.ones(6)
-        m_diag[4] = np.nan
-        with pytest.raises(DegenerateCoordinateError) as exc:
-            fit_in_sample(ds, 1, m_diag=m_diag)
-        assert exc.value.coordinates == [4]
 
 
 class TestFitInSample:
@@ -158,7 +149,7 @@ class TestFitInSample:
         mode=st.sampled_from(["plugin", "white"]),
         permute=st.sampled_from(["rows", "columns", "both"]),
     )
-    def test_row_permutation_equivariance(self, seed, shape, rank, whiten, mode, permute):
+    def test_permutation_equivariance(self, seed, shape, rank, whiten, mode, permute):
         # Permuting samples, coordinates or both permutes every fitted
         # output and leaves the spike estimates alone; only summation order
         # changes, so values agree to rounding, not bit for bit.
@@ -178,11 +169,6 @@ class TestFitInSample:
         want = fields(model)
         for column in range(want.shape[1]):
             assert max_rel_err(fields(model_perm)[:, column], want[:, column]) <= 1e-12
-
-    def test_m_diag_override(self, rng):
-        ds, _, _ = make_dataset(rng, 200, 100, [10.0], delta=0.5)
-        model, _ = fit_in_sample(ds, 1, m_diag=np.full(100, 0.5))
-        assert np.allclose(model.m_hat_diag, 0.5)
 
     def test_orthonormal_u_hat(self, rng):
         ds, _, _ = make_dataset(rng, 150, 100, [10.0, 5.0], delta=0.9)
@@ -211,9 +197,10 @@ class TestFitReference:
         whiten=st.booleans(),
         mode=st.sampled_from(["plugin", "white"]),
         center=st.booleans(),
-        override=st.sampled_from([None, "m_diag", "noise_var_diag"]),
+        noise_var_diag=st.booleans(),
     )
-    def test_bitwise_equal_to_reference(self, seed, shape, rank, whiten, mode, center, override):
+    def test_bitwise_equal_to_reference(self, seed, shape, rank, whiten, mode, center,
+                                        noise_var_diag):
         rng = np.random.default_rng(seed)
         n, p = shape
         d = (rng.random((n, p)) < 0.8) * rng.uniform(0.0, 2.0, (n, p))
@@ -221,9 +208,7 @@ class TestFitReference:
         x = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) + rng.standard_normal(p)
         y = np.sqrt(d) * (x + rng.standard_normal((n, p)))
         kwargs = {"center": center}
-        if override == "m_diag":
-            kwargs["m_diag"] = rng.uniform(0.5, 1.5, p)
-        elif override == "noise_var_diag":
+        if noise_var_diag:
             kwargs["noise_var_diag"] = rng.uniform(0.5, 2.0, p)
 
         want_model, want_x = reference_fit(y, d, rank, whiten, mode, **kwargs)
@@ -255,6 +240,46 @@ class TestFitReference:
         assert same_bits(y, y0) and same_bits(d, d0)
 
 
+class TestFitScaleEquivariance:
+    """A plug-in fit of ``y * 2**k`` is the fit of ``y`` scaled exactly:
+    the backprojection, the available-case mean and the fit's power-of-two
+    prescale carry the factor through unrounded."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(40, 12), (12, 40), (25, 25), (60, 30)]),
+        rank=st.integers(0, 3),
+        noise_var_diag=st.booleans(),
+        k=st.integers(-400, 400),
+    )
+    def test_power_of_two_scale(self, seed, shape, rank, noise_var_diag, k):
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        d = (rng.random((n, p)) < 0.8).astype(float)
+        d[rng.integers(n, size=p), np.arange(p)] = 1.0   # no empty column
+        x = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) + rng.standard_normal(p)
+        y = d * (x + rng.standard_normal((n, p)))
+        v = rng.uniform(0.5, 2.0, p) if noise_var_diag else None
+
+        def fit(values):
+            return fit_in_sample(dataset_from_arrays(values, d), rank, whiten=True,
+                                 mode="plugin", center=True, noise_var_diag=v)
+
+        model, x_hat = fit(y)
+        scaled, scaled_x = fit(np.ldexp(y, k))
+        assert same_bits(scaled_x, np.ldexp(x_hat, k))
+        assert same_bits(scaled.mean, np.ldexp(model.mean, k))
+        for name in ("u_hat", "m_hat_diag", "w_diag"):
+            assert same_bits(getattr(scaled, name), getattr(model, name)), name
+        assert len(scaled.estimates) == len(model.estimates) == rank
+        for est, want in zip(scaled.estimates, model.estimates):
+            assert est.supercritical == want.supercritical
+            assert (est.c2_hat, est.ct2_hat) == (want.c2_hat, want.ct2_hat)
+            assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
+            assert est.lambda_star == np.ldexp(want.lambda_star, k)
+            assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
+
+
 class TestPredictOutOfSample:
     def test_eta_half_when_signal_equals_noise(self):
         # ell c^2 = 1 and d = 1 in whitened coordinates give eta = 1/2.
@@ -266,7 +291,6 @@ class TestPredictOutOfSample:
             estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
-            rank=1,
             whitened=True,
             mean=np.zeros(p),
             n=1,
@@ -282,7 +306,6 @@ class TestPredictOutOfSample:
             estimates=[SpikeEstimate.subcritical(1.0)],
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
-            rank=1,
             whitened=True,
             mean=np.zeros(p),
             n=1,
@@ -301,7 +324,6 @@ class TestPredictOutOfSample:
             estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
             m_hat_diag=np.full(p, big),
             w_diag=np.ones(p),
-            rank=1,
             whitened=False,
             mean=np.zeros(p),
             n=1,
@@ -312,12 +334,28 @@ class TestPredictOutOfSample:
         assert eta == pytest.approx(1.0, abs=1e-7)
 
     def test_model_without_2d_u_hat_not_fitted(self, rng):
+        # A model that could not predict cannot be built.
         ds, _, _ = make_dataset(rng, 30, 20, [6.0])
         model, _ = fit_in_sample(ds, 1)
-        broken = replace(model, u_hat=model.u_hat[:, 0])
-        obs = TransformedObservation(y=np.ones(20), d=np.ones(20))
-        with pytest.raises(NotFittedError):
-            predict_out_of_sample(broken, obs)
+        with pytest.raises(ShapeError, match="inconsistent model dimensions"):
+            replace(model, u_hat=model.u_hat[:, 0])
+
+    def test_inconsistent_arrays_rejected(self, rng):
+        ds, _, _ = make_dataset(rng, 30, 20, [6.0, 3.0])
+        model, _ = fit_in_sample(ds, 2)
+        assert model.rank == 2
+        for name, value in [
+            ("u_hat", model.u_hat[1:]),
+            ("m_hat_diag", model.m_hat_diag[:, None]),
+            ("w_diag", model.w_diag[1:]),
+            ("mean", np.append(model.mean, 0.0)),
+        ]:
+            with pytest.raises(ShapeError, match="inconsistent model dimensions"):
+                replace(model, **{name: value})
+        for count in (1, 3):
+            estimates = (model.estimates * 2)[:count]
+            with pytest.raises(ShapeError, match="estimates do not match component count"):
+                replace(model, estimates=estimates)
 
     def test_operator_is_private_state(self, rng):
         ds, _, _ = make_dataset(rng, 30, 20, [6.0])

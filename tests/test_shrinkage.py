@@ -39,22 +39,21 @@ def svd_plugin(matrix, r):
     return u[:, :r], vt[:r].T, [estimate_spike(spectrum, r, k) for k in range(r)], shift
 
 
-def svd_white(matrix, r, noise_var):
-    """Reference white-mode calibration on a full SVD of the matrix
-    prescaled as in ``svd_plugin``; returns the top-r left and right
-    vectors and the estimates in the units of ``matrix``."""
+def svd_white(matrix, r):
+    """Reference white-mode calibration for unit noise on a full SVD of
+    the matrix prescaled as in ``svd_plugin``; returns the top-r left and
+    right vectors and the estimates in the units of ``matrix``."""
     n, p = matrix.shape
     scaled = matrix / np.sqrt(n)
     shift = int(np.frexp(np.max(np.abs(scaled)))[1])
     u, s, vt = np.linalg.svd(np.ldexp(scaled, -shift), full_matrices=False)
     estimates = []
     for sk in np.ldexp(s[:r], shift):
-        ell_white = white_spike_inverse(sk * sk / noise_var, p / n)
-        if ell_white <= 0:
+        ell = white_spike_inverse(sk * sk, p / n)
+        if ell <= 0:
             estimates.append(SpikeEstimate.subcritical(sigma_obs=sk))
             continue
-        _, c2, ct2 = white_spike_forward(ell_white, p / n)
-        ell = noise_var * ell_white
+        _, c2, ct2 = white_spike_forward(ell, p / n)
         estimates.append(SpikeEstimate(ell, c2, ct2, np.sqrt(ell * c2 * ct2), sk, True))
     return u[:, :r], vt[:r].T, estimates
 
@@ -75,17 +74,17 @@ def plugin_inputs(draw, scales=(1e-100, 1e-3, 1.0, 1e3, 1e100), full_rank=False)
 
 @st.composite
 def white_inputs(draw):
-    """``plugin_inputs`` with r up to min(n, p), plus a noise variance that
-    puts the white-noise bulk edge between two squared singular values at
-    least 21% apart, with every supercritical one at least 5% of the top.
-    Each component then sits clearly above or below the edge, where the
-    closed forms are well conditioned."""
+    """``plugin_inputs`` with r up to min(n, p), rescaled so that the
+    unit-noise bulk edge lies between two squared singular values at least
+    21% apart, with every supercritical one at least 5% of the top.  Each
+    component then sits clearly above or below the edge, where the closed
+    forms are well conditioned."""
     matrix, r = draw(plugin_inputs(full_rank=True))
     n, p = matrix.shape
     s2 = np.linalg.svd(matrix / np.sqrt(n), compute_uv=False) ** 2
     below = np.append(s2, 0.0)
     if s2[0] == 0:
-        return matrix, r, 1.0
+        return matrix, r
     cuts = [0] + [
         c for c in range(1, r + 1)
         if s2[c - 1] >= 0.05 * s2[0] and s2[c - 1] >= 1.21 * below[c]
@@ -97,7 +96,7 @@ def white_inputs(draw):
         edge_at = s2[c - 1] / 2.0
     else:
         edge_at = s2[c - 1] / min(np.sqrt(s2[c - 1] / below[c]), 2.0)
-    return matrix, r, edge_at / mp_bulk_edge(p / n)
+    return matrix / np.sqrt(edge_at / mp_bulk_edge(p / n)), r
 
 
 class TestWhiteForward:
@@ -319,15 +318,20 @@ class TestShrinkMatrix:
             assert abs(1.0 / est.ct2_hat - (1.0 + 1.0 / (est.ell_hat * est.c2_hat))) < 1e-12
 
     def test_white_mode_noise_var_rescaling(self, rng):
+        # Noise variances sigma^2 whiten sigma y back to y, up to rounding:
+        # the estimates, in whitened units, stay, and X-hat scales by sigma.
         y, _, _ = spiked_white_data(rng, 375, 300, np.array([9.0]))
         sigma = 1.7
-        _, base = shrink_plain(y, 1, mode="white")
-        _, scaled = shrink_plain(sigma * y, 1, mode="white", noise_var=sigma**2)
-        assert scaled[0].ell_hat == pytest.approx(sigma**2 * base[0].ell_hat, rel=1e-10)
-        assert scaled[0].c2_hat == pytest.approx(base[0].c2_hat, rel=1e-10)
-        assert scaled[0].lambda_star == pytest.approx(
-            sigma * base[0].lambda_star, rel=1e-10
+        base_x, base = shrink_plain(y, 1, mode="white")
+        model, scaled_x = fit_in_sample(
+            dataset_from_arrays(sigma * y, np.ones(y.shape)), 1, mode="white",
+            center=False, noise_var_diag=np.full(y.shape[1], sigma**2),
         )
+        scaled = model.estimates
+        assert scaled[0].ell_hat == pytest.approx(base[0].ell_hat, rel=1e-10)
+        assert scaled[0].c2_hat == pytest.approx(base[0].c2_hat, rel=1e-10)
+        assert scaled[0].lambda_star == pytest.approx(base[0].lambda_star, rel=1e-10)
+        assert np.max(np.abs(scaled_x - sigma * base_x)) <= 1e-10 * np.max(np.abs(sigma * base_x))
 
     def test_modes_agree_on_white_data(self, rng):
         y, _, _ = spiked_white_data(rng, 500, 400, np.array([6.0]))
@@ -490,17 +494,17 @@ class TestPluginGram:
 class TestWhiteGram:
     """White mode takes its top-r triplets from the same prescaled Gram
     eigendecomposition as plug-in mode; it must give what a full SVD
-    gives, and scale exactly with the matrix and the noise variance."""
+    gives, and scale exactly with the data and its noise variances."""
 
     @given(white_inputs())
-    @example((np.zeros((5, 5)), 5, 1.0))
-    @example((np.zeros((3, 7)), 3, 1.0))
-    @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 6, 1.0))
+    @example((np.zeros((5, 5)), 5))
+    @example((np.zeros((3, 7)), 3))
+    @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 6))
     def test_matches_full_svd(self, case):
-        matrix, r, noise_var = case
+        matrix, r = case
         n, p = matrix.shape
-        left, right, ests = shrink_triplets(matrix, r, mode="white", noise_var=noise_var)
-        ref_left, ref_right, ref = svd_white(matrix, r, noise_var)
+        left, right, ests = shrink_triplets(matrix, r, mode="white")
+        ref_left, ref_right, ref = svd_white(matrix, r)
         assert left.shape == (n, r) and right.shape == (p, r)
         assert np.isfinite(left).all() and np.isfinite(right).all()
         assert right.flags.f_contiguous
@@ -517,7 +521,7 @@ class TestWhiteGram:
         for vecs in (left[:, sup], right[:, sup]):
             assert np.allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-8)
 
-        denoised, _ = shrink_plain(matrix, r, mode="white", noise_var=noise_var)
+        denoised, _ = shrink_plain(matrix, r, mode="white")
         lam = np.array([e.lambda_star for e in ref])
         expected = np.sqrt(n) * (ref_left * lam) @ ref_right.T
         assert np.isfinite(denoised).all()
@@ -528,29 +532,23 @@ class TestWhiteGram:
     @given(plugin_inputs(scales=(1.0,), full_rank=True), st.integers(-250, 250))
     @example((np.outer(np.arange(1.0, 9.0), np.ones(6)), 3), -3)
     def test_power_of_two_joint_scale_equivariance(self, case, k):
-        # matrix * 2^k with noise_var * 4^k leaves every ratio unchanged.
+        # matrix * 2^k with noise variances 4^k: the whitening divides the
+        # factor out exactly, so the estimates (in whitened units) do not
+        # move and X-hat scales by 2^k.
         matrix, r = case
-        base, base_ests = shrink_plain(matrix, r, mode="white")
-        scaled, ests = shrink_plain(
-            np.ldexp(matrix, k), r, mode="white", noise_var=np.ldexp(1.0, 2 * k)
+        ones = np.ones(matrix.shape)
+        base_model, base = fit_in_sample(dataset_from_arrays(matrix, ones), r,
+                                         mode="white", center=False)
+        model, scaled = fit_in_sample(
+            dataset_from_arrays(np.ldexp(matrix, k), ones), r, mode="white", center=False,
+            noise_var_diag=np.full(matrix.shape[1], np.ldexp(1.0, 2 * k)),
         )
         assert np.array_equal(scaled, np.ldexp(base, k))
-        for est, want in zip(ests, base_ests):
-            assert est.supercritical == want.supercritical
-            assert est.c2_hat == want.c2_hat and est.ct2_hat == want.ct2_hat
-            assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
-            assert est.lambda_star == np.ldexp(want.lambda_star, k)
-            assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
-
-    @pytest.mark.parametrize("noise_var", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_noise_var_rejected(self, rng, noise_var):
-        y, _, _ = spiked_white_data(rng, 30, 20, np.array([20.0]))
-        with pytest.raises(ValueError, match="noise_var"):
-            shrink_plain(y, 1, mode="white", noise_var=noise_var)
+        assert model.estimates == base_model.estimates
 
     @pytest.mark.parametrize("scale", [1e78, 1e100, 1e160, 1e200])
     def test_extreme_magnitudes(self, rng, scale):
-        # With noise_var = 1, sigma^2 / noise_var squared overflows from
+        # With unit noise, sigma^2 / noise_var squared overflows from
         # about 1e77 and the ratio itself from about 1e154; the prescaled
         # closed forms form neither, so the fit is the rank-1 truncation.
         y, _, _ = spiked_white_data(rng, 60, 40, np.array([20.0]))

@@ -358,7 +358,6 @@ class TestSpectralReference:
         got = (est.m_hat, est.m_comp_hat, est.d_hat, est.d_prime_hat)
         want = (ref.m, ref.m_comp, ref.d, ref.d_prime)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-        assert est.eval_point == x
 
 
 class TestEmpiricalStieltjes:
@@ -391,6 +390,9 @@ class TestEmpiricalStieltjes:
     def test_inside_bulk_rejected(self):
         with pytest.raises(SpectrumDomainError):
             spectral_estimates(spec([4.0, 2.0]), 0, 3.0)
+        # Below the bulk too: spike estimates are only taken above it.
+        with pytest.raises(SpectrumDomainError, match="below the residual bulk edge 4"):
+            spectral_estimates(spec([4.0, 2.0]), 0, 1.0)
 
     def test_guard_band_rejected(self):
         s = spec([10.0, 4.0, 2.0])
@@ -456,8 +458,9 @@ class TestCompanion:
         assert est.m_comp_hat == pytest.approx(2.0 * -1.0 + 1.0)
 
     def test_x_zero_rejected(self):
-        # x = 0 lies below the bulk, where m is defined; m_comp is not.
-        with pytest.raises(SpectrumDomainError):
+        # x = 0 lies below the bulk; only points above its guard band are
+        # evaluated, and m_comp is not defined at 0.
+        with pytest.raises(SpectrumDomainError, match="below the residual bulk edge"):
             spectral_estimates(spec([1.0]), 0, 0.0)
 
     def test_derivative_relation(self):
@@ -516,7 +519,6 @@ class TestDTransform:
         est = spectral_estimates(s, 0, x)
         assert est.m_hat < 0 and est.m_comp_hat < 0
         assert est.d_hat == pytest.approx(x * est.m_hat * est.m_comp_hat)
-        assert est.eval_point == x
 
 
 class TestWhiteOracle:

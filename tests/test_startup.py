@@ -113,7 +113,7 @@ def test_sparse_linalg_never_loads(tmp_path, rng):
 EXPORTED = (
     "DegenerateCoordinateError", "EblpError", "EblpModel", "EigenSpectrum",
     "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
-    "NotFittedError", "ParseError", "RankError", "SamplingSpec", "ShapeError",
+    "ParseError", "RankError", "SamplingSpec", "ShapeError",
     "SignalModel", "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
     "SpikeEstimate", "TransformedObservation", "amse", "baselines",
     "dataset_from_arrays", "errors", "estimate_spike", "fit_in_sample",

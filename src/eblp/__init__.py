@@ -38,7 +38,6 @@ _LAZY = {
         "ExperimentConfig",
         "NoiseSpec",
         "SamplingSpec",
-        "SignalModel",
         "SimulatedData",
         "generate_masks",
         "generate_noise",

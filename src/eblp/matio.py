@@ -532,6 +532,9 @@ def read_model(path) -> EblpModel:
     try:
         if payload["format"] != MODEL_FORMAT:
             raise ParseError(f"{path}: not a model file")
+        version = _checked(path, "version", payload["version"], int)
+        if version != MODEL_VERSION:
+            raise ParseError(f"{path}: unsupported model version {version}")
         m_hat = np.asarray(payload["m_hat_diag"], dtype=float)
         p = m_hat.size
         arrays = {
@@ -540,22 +543,23 @@ def read_model(path) -> EblpModel:
             "mean": np.asarray(payload["mean"], dtype=float),
             "u_hat": np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T,
         }
-        estimates = [SpikeEstimate(**entry) for entry in payload["estimates"]]
-        rank = int(payload["rank"])
-        whitened = bool(payload["whitened"])
-        n = int(payload["n"])
+        estimates = [
+            SpikeEstimate(**{
+                name: _checked(path, f"estimates[{k}].{name}", value,
+                               bool if name in ("supercritical", "clamped") else float)
+                for name, value in entry.items()
+            })
+            for k, entry in enumerate(payload["estimates"])
+        ]
+        rank = _checked(path, "rank", payload["rank"], int)
+        whitened = _checked(path, "whitened", payload["whitened"], bool)
+        n = _checked(path, "n", payload["n"], int)
         for name, values in arrays.items():
             if not np.all(np.isfinite(values)):
                 raise ParseError(f"{path}: non-finite value in {name}")
-        for k, entry in enumerate(payload["estimates"]):
-            for name, value in entry.items():
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: non-finite value in estimates[{k}].{name}"
-                    )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
     try:
         model = EblpModel(estimates=estimates, whitened=whitened, n=n, **arrays)
@@ -566,6 +570,21 @@ def read_model(path) -> EblpModel:
             f"{path}: rank {rank} does not match the {model.rank} components in u_hat"
         )
     return model
+
+
+_JSON_TYPES = {bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float))}
+
+
+def _checked(path, name: str, value, kind: type):
+    """``value`` as ``kind`` when JSON gave it that type: true or false for
+    bool, an integer for int, a finite number for float; otherwise a
+    ParseError naming ``name``.  JSON booleans are no numbers here."""
+    what, types = _JSON_TYPES[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ParseError(f"{path}: {name} must be {what}, got {json.dumps(value)}")
+    if kind is float and not math.isfinite(value):
+        raise ParseError(f"{path}: non-finite value in {name}")
+    return kind(value)
 
 
 RESULT_COLUMNS = (

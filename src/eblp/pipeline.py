@@ -198,9 +198,9 @@ def fit_in_sample(
     # B~ = B M^-1, then B~ W; combined column scale.
     b *= w_diag / m_hat
 
+    # shrink_triplets prescales b in place, and X-hat then overwrites it.
     v_hat, u_hat, estimates = shrink_triplets(b, r, mode=mode)
     lam = np.array([e.lambda_star for e in estimates])
-    # shrink_triplets worked on its own scaled copy, so X-hat can reuse b.
     x_hat = np.matmul(np.sqrt(n) * (v_hat * lam), u_hat.T, out=b)
     x_hat /= w_diag
     x_hat += mean

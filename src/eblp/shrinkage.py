@@ -10,7 +10,7 @@ singular triplets from one short-side Gram eigendecomposition
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,8 @@ def __getattr__(name):
 @dataclass(frozen=True)
 class SpikeEstimate:
     """Per-component spike strength, squared cosines and optimal singular
-    value, all in the units of the (scaled) input matrix."""
+    value, all in the units of the input matrix.  A subcritical component
+    has every estimate but ``sigma_obs`` zero."""
 
     ell_hat: float
     c2_hat: float
@@ -58,81 +59,60 @@ class SpikeEstimate:
     supercritical: bool
     clamped: bool = False
 
-    @classmethod
-    def subcritical(cls, sigma_obs: float) -> "SpikeEstimate":
-        return cls(
-            ell_hat=0.0,
-            c2_hat=0.0,
-            ct2_hat=0.0,
-            lambda_star=0.0,
-            sigma_obs=sigma_obs,
-            supercritical=False,
-        )
-
-    @classmethod
-    def supercritical_at(
-        cls, sigma2: float, ell: float, c2: float, ct2: float, clamped: bool = False
-    ) -> "SpikeEstimate":
-        """Estimate of a spike ``ell`` with squared cosines ``c2``, ``ct2``
-        seen at the squared singular value ``sigma2``."""
-        return cls(
-            ell_hat=float(ell),
-            c2_hat=float(c2),
-            ct2_hat=float(ct2),
-            lambda_star=float(np.sqrt(ell * c2 * ct2)),
-            sigma_obs=float(np.sqrt(sigma2)),
-            supercritical=True,
-            clamped=clamped,
-        )
-
 
 def amse(estimates: list[SpikeEstimate]) -> float:
     """Estimated asymptotic mean squared error sum_k ell_k (1 - c_k^2 ct_k^2)."""
     return float(sum(e.ell_hat * (1.0 - e.c2_hat * e.ct2_hat) for e in estimates))
 
 
-def estimate_spike(spectrum: EigenSpectrum, r: int, k: int) -> SpikeEstimate:
-    """Plug-in spike estimate for the k-th (0-based) of the top r eigenvalues.
+def estimate_spike(spectrum: EigenSpectrum, r: int, shift: int = 0) -> list[SpikeEstimate]:
+    """Plug-in spike estimates for the top r eigenvalues of ``spectrum``,
+    the eigenvalues of a matrix times 2**-shift, in the units of the matrix.
 
     Uses ell = 1/D(sigma_k^2), c^2 = m(sigma_k^2) / (D'(sigma_k^2) ell) and
-    ct^2 with the companion transform in place of m.  A component whose
-    eigenvalue fails the bulk-separation guard is reported subcritical with
-    all estimates zero.
+    ct^2 with the companion transform in place of m, evaluated at every
+    component in one call.  A cosine outside [0, 1] is clipped into it
+    and flagged ``clamped``.  A component whose eigenvalue fails the
+    bulk-separation guard is subcritical.
     """
     if r < 0 or r >= min(spectrum.n, spectrum.p):
         raise RankError(f"rank {r} must lie in [0, {min(spectrum.n, spectrum.p)})")
-    if k < 0 or k >= r:
-        raise RankError(f"component index {k} must lie in [0, {r})")
-    sigma2 = float(spectrum.values[k])
-    top_resid = float(spectrum.values[r])
-    if sigma2 < top_resid + guard_epsilon(top_resid):
-        return SpikeEstimate.subcritical(sigma_obs=np.sqrt(sigma2))
-
-    est = spectral_estimates(spectrum, r, sigma2)
-    ell = 1.0 / est.d_hat
-    c2 = est.m_hat / (est.d_prime_hat * ell)
-    ct2 = est.m_comp_hat / (est.d_prime_hat * ell)
-    clamped = not (0.0 <= c2 <= 1.0 and 0.0 <= ct2 <= 1.0)
-    c2 = float(min(max(c2, 0.0), 1.0))
-    ct2 = float(min(max(ct2, 0.0), 1.0))
-    return SpikeEstimate.supercritical_at(sigma2, ell, c2, ct2, clamped)
+    sigma2, top_resid = spectrum.values[:r], spectrum.values[r]
+    supercritical = sigma2 >= top_resid + guard_epsilon(top_resid)
+    est = spectral_estimates(spectrum, r, sigma2[supercritical])
+    ell, cos2, clamped = np.zeros(r), np.zeros((2, r)), np.zeros(r, dtype=bool)
+    ell[supercritical] = 1.0 / est.d_hat
+    raw = np.stack([est.m_hat, est.m_comp_hat]) / (est.d_prime_hat * ell[supercritical])
+    clamped[supercritical] = ~((0.0 <= raw) & (raw <= 1.0)).all(axis=0)
+    # Python's min(max(c, 0.0), 1.0): -0.0 and NaN pass through.
+    cos2[:, supercritical] = np.where(raw > 1.0, 1.0, np.where(raw < 0.0, 0.0, raw))
+    return _spike_estimates(sigma2, ell, *cos2, supercritical, clamped, shift)
 
 
 def white_spike_forward(
-    ell: float, gamma: float, noise_var: float = 1.0
-) -> tuple[float, float, float]:
+    ell: float | np.ndarray, gamma: float, noise_var: float = 1.0
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Map a population spike ell to (top eigenvalue, c^2, ct^2) under
     white noise of variance ``noise_var`` with aspect ratio gamma; ell and
-    the eigenvalue are in the units of ``noise_var``."""
-    if ell > np.sqrt(gamma) * noise_var:
-        ratio = noise_var / ell
-        lam = (ell + noise_var) * (1.0 + gamma * ratio)
-        common = 1.0 - gamma * ratio * ratio
-        return lam, common / (1.0 + gamma * ratio), common / (1.0 + ratio)
-    return noise_var * mp_bulk_edge(gamma), 0.0, 0.0
+    the eigenvalue are in the units of ``noise_var``.  An array is mapped
+    elementwise; a spike at or below sqrt(gamma) noise_var gives the bulk
+    edge and zero cosines."""
+    ell = np.asarray(ell, dtype=float)
+    lam = np.full(ell.shape, noise_var * mp_bulk_edge(gamma))
+    c2, ct2 = np.zeros(ell.shape), np.zeros(ell.shape)
+    above = ell > np.sqrt(gamma) * noise_var
+    spike = ell[above]
+    ratio = noise_var / spike
+    lam[above] = (spike + noise_var) * (1.0 + gamma * ratio)
+    common = 1.0 - gamma * ratio * ratio
+    c2[above] = common / (1.0 + gamma * ratio)
+    ct2[above] = common / (1.0 + ratio)
+    return lam[()], c2[()], ct2[()]
 
 
-def white_spike_inverse(lambda_emp: float, gamma: float, noise_var: float = 1.0) -> float:
+def white_spike_inverse(
+    lambda_emp: float | np.ndarray, gamma: float, noise_var: float = 1.0
+) -> float | np.ndarray:
     """Invert the white-noise eigenvalue map; 0 at or below the bulk edge.
 
     ``lambda_emp`` and the returned spike are in the units of
@@ -141,23 +121,28 @@ def white_spike_inverse(lambda_emp: float, gamma: float, noise_var: float = 1.0)
     sqrt(s - 2 sqrt(gamma) noise_var) sqrt(s + 2 sqrt(gamma) noise_var),
     whose first factor is the distance to the bulk edge.  Neither
     lambda_emp / noise_var nor a square is formed, so no value overflows
-    before the result does.
+    before the result does.  An array is mapped elementwise.
     """
-    gap = lambda_emp - noise_var * mp_bulk_edge(gamma)
-    if not gap > 0.0:
-        return 0.0
+    gap = np.asarray(lambda_emp, dtype=float) - noise_var * mp_bulk_edge(gamma)
+    ell = np.zeros(gap.shape)
+    above = gap > 0.0
     root = 2.0 * np.sqrt(gamma) * noise_var
-    return (gap + root + np.sqrt(gap) * np.sqrt(gap + 2.0 * root)) / 2.0
+    edge_gap = gap[above]
+    ell[above] = (edge_gap + root + np.sqrt(edge_gap) * np.sqrt(edge_gap + 2.0 * root)) / 2.0
+    return ell[()]
 
 
-def _white_estimate(sigma2: float, gamma: float, noise_var: float) -> SpikeEstimate:
-    """White-noise closed forms for a squared singular value ``sigma2``
-    and a noise variance in the same units."""
-    ell = white_spike_inverse(sigma2, gamma, noise_var)
-    if ell <= 0.0:
-        return SpikeEstimate.subcritical(sigma_obs=np.sqrt(sigma2))
-    _, c2, ct2 = white_spike_forward(ell, gamma, noise_var)
-    return SpikeEstimate.supercritical_at(sigma2, ell, c2, ct2)
+def _spike_estimates(sigma2, ell, c2, ct2, supercritical, clamped, shift) -> list[SpikeEstimate]:
+    """Estimates from arrays over components in the units of a matrix
+    times 2**-shift, mapped back to the units of the matrix: ell_hat by
+    4**shift (it may overflow to inf), lambda_star and sigma_obs by
+    2**shift."""
+    lambda_star = np.sqrt(ell * c2 * ct2)
+    with np.errstate(over="ignore"):
+        fields = (np.ldexp(ell, 2 * shift), c2, ct2, np.ldexp(lambda_star, shift),
+                  np.ldexp(np.sqrt(sigma2), shift), supercritical, clamped)
+    # tolist() gives Python floats and bools, which json writes.
+    return list(map(SpikeEstimate, *(f.tolist() for f in fields)))
 
 
 def shrink_triplets(
@@ -171,7 +156,9 @@ def shrink_triplets(
     those units and map the estimates back.  Plug-in mode reads the whole
     prescaled spectrum but only the top r vectors; white mode computes the
     top r pairs alone and applies the closed forms to their values, with
-    the unit effective noise variance prescaled alike.
+    the unit effective noise variance prescaled alike.  Either calibrates
+    every component in one array pass.  A float64 ``matrix`` is prescaled
+    in place, and so overwritten.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -192,15 +179,15 @@ def shrink_triplets(
 
     left, right, s2, shift = _prescaled_triplets(matrix, r, mode == "plugin")
     if mode == "plugin":
-        spectrum = EigenSpectrum(values=s2, n=n, p=p)
-        estimates = [estimate_spike(spectrum, r, k) for k in range(r)]
-    else:
-        # The unit noise variance in the prescaled units may underflow to
-        # 0 or overflow to inf; the closed forms take both limits.
-        with np.errstate(over="ignore"):
-            scaled_noise = float(np.ldexp(1.0, -2 * shift))
-        estimates = [_white_estimate(s2k, p / n, scaled_noise) for s2k in s2]
-    return left, right, [_ldexp_estimate(est, shift) for est in estimates]
+        return left, right, estimate_spike(EigenSpectrum(values=s2, n=n, p=p), r, shift)
+    # The unit noise variance in the prescaled units may underflow to 0
+    # or overflow to inf; the closed forms take both limits.
+    with np.errstate(over="ignore"):
+        scaled_noise = float(np.ldexp(1.0, -2 * shift))
+    ell = white_spike_inverse(s2, p / n, scaled_noise)
+    _, c2, ct2 = white_spike_forward(ell, p / n, scaled_noise)
+    unclamped = np.zeros(r, dtype=bool)
+    return left, right, _spike_estimates(s2, ell, c2, ct2, ell > 0.0, unclamped, shift)
 
 
 def _prescaled_triplets(
@@ -209,7 +196,7 @@ def _prescaled_triplets(
     """Top-r singular vectors of ``matrix / sqrt(n)`` from ``gram_eigh``,
     with all its values if ``whole``.
 
-    ``matrix`` is divided in one pass by the exact sqrt(n) 2**shift that
+    ``matrix`` is divided in place by the exact sqrt(n) 2**shift that
     brings max|matrix| / sqrt(n), the largest entry of ``matrix / sqrt(n)``
     as division is monotone, into [0.5, 1) ([1, 2) past 2**1023): the Gram
     matrix neither overflows nor underflows, and outside subnormals this is
@@ -220,18 +207,6 @@ def _prescaled_triplets(
     root_n = np.sqrt(matrix.shape[0])
     shift = int(np.frexp(max(matrix.max(), -matrix.min()) / root_n)[1])
     shift = min(shift, 1024 - int(np.frexp(root_n)[1]))
-    normed = np.divide(matrix, np.ldexp(root_n, shift))
-    s2, left, right = gram_eigh(normed, top=r, spectrum=whole)
+    np.divide(matrix, np.ldexp(root_n, shift), out=matrix)
+    s2, left, right = gram_eigh(matrix, top=r, spectrum=whole)
     return left, right, s2, shift
-
-
-def _ldexp_estimate(est: SpikeEstimate, shift: int) -> SpikeEstimate:
-    """Estimate for the matrix times 2**shift; ell_hat may overflow to inf."""
-    with np.errstate(over="ignore"):
-        return replace(
-            est,
-            ell_hat=float(np.ldexp(est.ell_hat, 2 * shift)),
-            lambda_star=float(np.ldexp(est.lambda_star, shift)),
-            sigma_obs=float(np.ldexp(est.sigma_obs, shift)),
-        )
-

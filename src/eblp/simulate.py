@@ -16,7 +16,6 @@ from .errors import ShapeError
 from .pipeline import TransformedObservation
 
 __all__ = [
-    "SignalModel",
     "SamplingSpec",
     "NoiseSpec",
     "ExperimentConfig",
@@ -27,30 +26,6 @@ __all__ = [
     "simulate_dataset",
     "rmse",
 ]
-
-
-@dataclass(frozen=True)
-class SignalModel:
-    """Ground-truth low-rank signal law: strengths, directions, mean."""
-
-    ell: np.ndarray              # (r,), strictly decreasing positive
-    u: np.ndarray                # (p, r), orthonormal columns
-    mean: np.ndarray | None = None
-
-    def __post_init__(self):
-        ell = np.asarray(self.ell, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "u", u)
-        if ell.ndim != 1 or u.ndim != 2 or u.shape[1] != ell.size:
-            raise ShapeError("need ell of length r and u of shape (p, r)")
-        if np.any(ell <= 0) or np.any(np.diff(ell) >= 0):
-            raise ShapeError("ell must be strictly decreasing and positive")
-        if self.mean is not None:
-            mean = np.asarray(self.mean, dtype=float)
-            object.__setattr__(self, "mean", mean)
-            if mean.shape != (u.shape[0],):
-                raise ShapeError("mean must have length p")
 
 
 @dataclass(frozen=True)
@@ -145,9 +120,7 @@ class ExperimentConfig:
         return len(self.ell)
 
 
-def generate_signals(
-    config: ExperimentConfig, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, SignalModel]:
+def generate_signals(config: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n signal rows sum_k sqrt(ell_k) z_ik u_k (plus the optional
     random mean row), with orthonormal directions u_k.
 
@@ -169,11 +142,10 @@ def generate_signals(
         u = u[:, :r]
     mean = rng.standard_normal(p) if config.random_mean else None
     z = rng.standard_normal((n, r))
-    ell = np.asarray(config.ell)
-    x = (z * np.sqrt(ell)) @ u.T
+    x = (z * np.sqrt(np.asarray(config.ell))) @ u.T
     if mean is not None:
         x = x + mean[None, :]
-    return x, SignalModel(ell=ell, u=u, mean=mean)
+    return x
 
 
 def generate_masks(config: ExperimentConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -205,7 +177,7 @@ class SimulatedData:
 def simulate_dataset(config: ExperimentConfig, rng: np.random.Generator) -> SimulatedData:
     """Generate one replicate: y = mask * (x + noise) on the p-grid."""
     n = config.n
-    x, _ = generate_signals(config, n, rng)
+    x = generate_signals(config, n, rng)
     masks = generate_masks(config, n, rng)
     noise = generate_noise(config, n, rng)
     return SimulatedData(x=x, masks=masks, y=masks * (x + noise))

@@ -69,13 +69,17 @@ def gram_eigh(
     n, p = matrix.shape
     if top is not None and not 0 <= top <= min(n, p):
         raise ValueError(f"top={top} out of range for a {n} x {p} matrix")
-    gram = matrix.T @ matrix if n >= p else matrix @ matrix.T
+    gram = _gram(matrix)
     if not np.isfinite(gram).all():
         # LAPACKE screens out NaN only; inf would reach the reduction.
         raise np.linalg.LinAlgError("Gram matrix is not finite")
-    found = _tridiagonal_eigh(gram, above, top, spectrum)
+    tridiagonal = (above is not None or top is not None) and None not in (
+        _DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR)
+    found = _tridiagonal_eigh(gram, above, top, spectrum) if tridiagonal else None
     if found is None:
-        found = np.linalg.eigh(gram)
+        # The reduction works on ``gram`` in place: a routine that failed
+        # has overwritten it.
+        found = np.linalg.eigh(_gram(matrix) if tridiagonal else gram)
     # Ascending from every path; the slice keeps the selection exact.
     values = np.maximum(found[0][::-1], 0.0)
     kept = top if above is None else int(np.count_nonzero(values > above))
@@ -88,6 +92,12 @@ def gram_eigh(
     other = np.divide(other, s, out=np.zeros_like(other), where=s > 0)
     left, right = (other, short) if n >= p else (short, other)
     return (values if spectrum else values[:kept]), left, right
+
+
+def _gram(matrix: np.ndarray) -> np.ndarray:
+    """The short-side Gram matrix of ``matrix``, a fresh array."""
+    n, p = matrix.shape
+    return matrix.T @ matrix if n >= p else matrix @ matrix.T
 
 
 def _lapacke(name, *argtypes):
@@ -112,16 +122,16 @@ _DORMTR = _lapacke("dormtr", _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
 def _tridiagonal_eigh(gram, above, top, spectrum):
     """The eigenvalues of ``gram`` in (above, inf] or its ``top`` largest
     (every eigenvalue if ``spectrum``), ascending like ``eigh``, and the
-    selected ones' vectors, from one Householder tridiagonalization; None
-    without a selection, or when a routine is missing or fails."""
-    if None in (_DSYTRD, _DSTERF, _DSTEBZ, _DSTEIN, _DORMTR) or above is None and top is None:
-        return None
+    selected ones' vectors, from one Householder tridiagonalization of
+    ``gram`` in place; None when a routine fails."""
     # Bisection squares the off-diagonal, which underflows below about
     # 1e-146: as dsyevr does, scale a Gram matrix whose largest (diagonal)
     # entry is below 2**-484 into [0.5, 1) by a power of two.
     shift = int(np.frexp(np.max(np.diagonal(gram), initial=0.0))[1])
     shift = shift if shift < -483 else 0
-    m, a = len(gram), np.ldexp(gram, -shift)  # a holds the reflectors
+    if shift:
+        np.ldexp(gram, -shift, out=gram)
+    m = len(gram)
     d, e, tau = np.empty((3, m))
     count, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
     # LAPACKE's dstein screens all m entries of w for NaN, not only the kept.
@@ -130,7 +140,8 @@ def _tridiagonal_eigh(gram, above, top, spectrum):
         select, vl, il, iu = b"V", np.ldexp(above, -shift), 0, 0
     else:
         select, vl, il, iu = b"I", 0.0, m - top + 1, m
-    if _DSYTRD(102, b"U", m, a.ctypes.data, max(m, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data):
+    # dsytrd leaves the reflectors in gram, which dormtr applies.
+    if _DSYTRD(102, b"U", m, gram.ctypes.data, max(m, 1), d.ctypes.data, e.ctypes.data, tau.ctypes.data):
         return None
     # Bisection finds the kept values, and is skipped where they are none.
     if top != 0 and above != np.inf and (
@@ -146,7 +157,7 @@ def _tridiagonal_eigh(gram, above, top, spectrum):
     if k and (
         _DSTEIN(102, m, d.ctypes.data, e.ctypes.data, k, w.ctypes.data,
                 iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, m, ifail.ctypes.data)
-        or _DORMTR(102, b"L", b"U", b"N", m, k, a.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
+        or _DORMTR(102, b"L", b"U", b"N", m, k, gram.ctypes.data, m, tau.ctypes.data, z.ctypes.data, m)
     ):
         return None
     # dstebz orders its values by block: sort them, and the vectors, ascending.
@@ -198,12 +209,13 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class SpectralEstimates:
-    """Plug-in spectral functionals evaluated at one point."""
+    """Plug-in spectral functionals, each shaped like the evaluation
+    point: a float at a scalar, an array at a 1-d array of points."""
 
-    m_hat: float
-    m_comp_hat: float
-    d_hat: float
-    d_prime_hat: float
+    m_hat: float | np.ndarray
+    m_comp_hat: float | np.ndarray
+    d_hat: float | np.ndarray
+    d_prime_hat: float | np.ndarray
 
 
 def guard_epsilon(top_residual: float) -> float:
@@ -211,25 +223,32 @@ def guard_epsilon(top_residual: float) -> float:
     return 1e-8 * max(1.0, top_residual)
 
 
-def spectral_estimates(spectrum: EigenSpectrum, r: int, x: float) -> SpectralEstimates:
+def spectral_estimates(
+    spectrum: EigenSpectrum, r: int, x: float | np.ndarray
+) -> SpectralEstimates:
     """Plug-in m, m_comp, D and D' at ``x`` of the spectrum less its top ``r``.
 
     m(x) = (p - r)^-1 sum_{k>r} 1 / (lambda_k - x), implicit zeros included;
     m_comp = gamma m - (1 - gamma) / x is the transform of the companion
-    law gamma F + (1 - gamma) delta_0; D = x m m_comp.  ``x`` must lie at
-    or above the guard band over the top residual eigenvalue, where the
-    plug-in sums are finite and every transform is defined.
+    law gamma F + (1 - gamma) delta_0; D = x m m_comp.  ``x`` is one point
+    or a 1-d array of points, each at or above the guard band over the
+    top residual eigenvalue, where the plug-in sums are finite and every
+    transform is defined.  Each point's sums run along one row of the
+    residual spectrum, so an array gives, bit for bit, what a call per
+    point gives.
     """
     resid, n_zeros = spectrum.residual(r)
     top, eps = resid[0], guard_epsilon(resid[0])  # residual() keeps at least one
-    if not x >= top + eps:
+    x = np.asarray(x, dtype=float)
+    lowest = np.min(x, initial=np.inf)
+    if not lowest >= top + eps:
         raise SpectrumDomainError(
-            f"evaluation point {x:g} lies below the residual bulk edge {top:g} "
+            f"evaluation point {lowest:g} lies below the residual bulk edge {top:g} "
             f"plus its guard {eps:g}"
         )
-    gap = resid - x
-    m_sum = float(np.sum(1.0 / gap))
-    m_prime_sum = float(np.sum(1.0 / gap ** 2))
+    gap = resid - x[..., None]
+    m_sum = np.sum(1.0 / gap, axis=-1)
+    m_prime_sum = np.sum(1.0 / gap ** 2, axis=-1)
     if n_zeros:
         m_sum += n_zeros * (1.0 / (0.0 - x))
         m_prime_sum += n_zeros / (x * x)

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,33 @@ def spectrum_of(matrix: np.ndarray):
     matrix = np.asarray(matrix, dtype=float)
     n, p = matrix.shape
     return EigenSpectrum(values=gram_eigh(matrix)[0] / n, n=n, p=p)
+
+
+@dataclass(frozen=True)
+class SignalModel:
+    """Ground-truth low-rank signal law of the oracles: strengths,
+    directions, mean."""
+
+    ell: np.ndarray              # (r,), strictly decreasing positive
+    u: np.ndarray                # (p, r), orthonormal columns
+    mean: np.ndarray | None = None
+
+    def __post_init__(self):
+        from eblp import ShapeError
+
+        ell = np.asarray(self.ell, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "u", u)
+        if ell.ndim != 1 or u.ndim != 2 or u.shape[1] != ell.size:
+            raise ShapeError("need ell of length r and u of shape (p, r)")
+        if np.any(ell <= 0) or np.any(np.diff(ell) >= 0):
+            raise ShapeError("ell must be strictly decreasing and positive")
+        if self.mean is not None:
+            mean = np.asarray(self.mean, dtype=float)
+            object.__setattr__(self, "mean", mean)
+            if mean.shape != (u.shape[0],):
+                raise ShapeError("mean must have length p")
 
 
 def blp_oracle(obs, signal, noise_cov_diag) -> np.ndarray:

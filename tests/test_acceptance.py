@@ -11,7 +11,6 @@ import pytest
 
 from eblp import (
     NnrlsConfig,
-    SignalModel,
     TransformedObservation,
     amse,
     dataset_from_arrays,
@@ -25,6 +24,7 @@ from eblp import (
     white_spike_forward,
 )
 from conftest import (
+    SignalModel,
     blp_oracle,
     mp_white_stieltjes,
     read_results,

@@ -701,6 +701,21 @@ class TestModelIO:
             (("w_diag",), good["w_diag"][:-1], "inconsistent model dimensions"),
             (("mean",), good["mean"] + [0.0], "inconsistent model dimensions"),
             (("estimates",), good["estimates"][1:], "estimates do not match component count"),
+            # Each field has one JSON type.  A string, number or null for a
+            # boolean, and a boolean or fraction for an integer, once loaded.
+            (("version",), 2, "unsupported model version 2"),
+            (("version",), True, "version must be an integer, got true"),
+            (("version",), 1.0, "version must be an integer, got 1.0"),
+            (("whitened",), "false", 'whitened must be a boolean, got "false"'),
+            (("whitened",), 0, "whitened must be a boolean, got 0"),
+            (("whitened",), None, "whitened must be a boolean, got null"),
+            (("n",), 3.7, "n must be an integer, got 3.7"),
+            (("n",), True, "n must be an integer, got true"),
+            (("rank",), "1", 'rank must be an integer, got "1"'),
+            (("estimates", 0, "supercritical"), 1, r"estimates\[0\]\.supercritical must be a boolean"),
+            (("estimates", 0, "clamped"), "no", r"estimates\[0\]\.clamped must be a boolean"),
+            (("estimates", 0, "c2_hat"), True, r"estimates\[0\]\.c2_hat must be a number, got true"),
+            (("estimates", 0, "sigma_obs"), "2.0", r"estimates\[0\]\.sigma_obs must be a number"),
         ]
         for keys, value, message in edits:
             payload = json.loads(json.dumps(good))
@@ -952,6 +967,17 @@ class TestOosCommand:
         matio.write_matrix(inp, rng.standard_normal((3, 4)))
         out = tmp_path / "o.txt"
         assert main(["oos", str(inp), str(out), "--model", str(model_path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("whitened", "false"), ("version", 2), ("n", 3.7)])
+    def test_mistyped_model_field_exit_2(self, tmp_path, capsys, key, value):
+        inp, _, model_path, _ = self.fit_and_save(tmp_path, np.random.default_rng(12), n=60, p=20)
+        payload = json.loads(model_path.read_text())
+        payload[key] = value
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "o.txt"
+        assert main(["oos", str(inp), str(out), "--model", str(model_path)]) == 2
+        assert f"{model_path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         rng = np.random.default_rng(10)

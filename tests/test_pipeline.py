@@ -1,16 +1,18 @@
+import runpy
+import tracemalloc
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blp_oracle, loop_predict, reference_fit, simple_blp_uniform
+from conftest import SignalModel, blp_oracle, loop_predict, reference_fit, simple_blp_uniform
 from eblp import (
     DegenerateCoordinateError,
     RankError,
     ShapeError,
-    SignalModel,
     SpikeEstimate,
     TransformedObservation,
     amse,
@@ -20,6 +22,8 @@ from eblp import (
     rmse,
 )
 from eblp.pipeline import EblpModel
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
 def make_dataset(rng, n, p, ell, delta=1.0, sigma=1.0, mean=None):
@@ -239,6 +243,24 @@ class TestFitReference:
                 predict_out_of_sample(model, TransformedObservation(y=y[0], d=d[0]))
         assert same_bits(y, y0) and same_bits(d, d0)
 
+    def test_allocates_one_working_matrix(self):
+        # The benchmark's denoise-tall law, 4000 x 1000.  The fit's one
+        # n x p buffer is backprojected, prescaled in place and overwritten
+        # by X-hat; the Gram matrix and the rest come to a quarter more.
+        gen = runpy.run_path(str(GEN))
+        law = gen["LAWS"]["denoise-tall"]
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.standard_normal((law.p, len(law.ell))))
+        _, mask, y = gen["draw"](law, rng, u, rng.standard_normal(law.p), law.n)
+        dataset = dataset_from_arrays(y, mask)
+        tracemalloc.start()
+        try:
+            fit_in_sample(dataset, gen["RANK"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * y.nbytes
+
 
 class TestFitScaleEquivariance:
     """A plug-in fit of ``y * 2**k`` is the fit of ``y`` scaled exactly:
@@ -303,7 +325,7 @@ class TestPredictOutOfSample:
         p = 3
         model = EblpModel(
             u_hat=np.eye(p)[:, :1],
-            estimates=[SpikeEstimate.subcritical(1.0)],
+            estimates=[SpikeEstimate(0.0, 0.0, 0.0, 0.0, 1.0, False)],
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
             whitened=True,

@@ -20,6 +20,7 @@ from eblp import (
 )
 from eblp import spectral
 from eblp.shrinkage import shrink_triplets
+from eblp.spectral import guard_epsilon
 from conftest import shrink_plain, spectrum_of, spiked_white_data
 
 
@@ -36,7 +37,7 @@ def svd_plugin(matrix, r):
     shift = int(np.frexp(np.max(np.abs(scaled)))[1])
     u, s, vt = np.linalg.svd(np.ldexp(scaled, -shift), full_matrices=False)
     spectrum = EigenSpectrum(values=s * s, n=n, p=p)
-    return u[:, :r], vt[:r].T, [estimate_spike(spectrum, r, k) for k in range(r)], shift
+    return u[:, :r], vt[:r].T, estimate_spike(spectrum, r), shift
 
 
 def svd_white(matrix, r):
@@ -51,11 +52,62 @@ def svd_white(matrix, r):
     for sk in np.ldexp(s[:r], shift):
         ell = white_spike_inverse(sk * sk, p / n)
         if ell <= 0:
-            estimates.append(SpikeEstimate.subcritical(sigma_obs=sk))
+            estimates.append(SpikeEstimate(0.0, 0.0, 0.0, 0.0, sk, False))
             continue
         _, c2, ct2 = white_spike_forward(ell, p / n)
         estimates.append(SpikeEstimate(ell, c2, ct2, np.sqrt(ell * c2 * ct2), sk, True))
     return u[:, :r], vt[:r].T, estimates
+
+
+def forward_reference(ell, gamma, noise_var):
+    """The white forward map of one spike, written for one float."""
+    if ell > np.sqrt(gamma) * noise_var:
+        ratio = noise_var / ell
+        lam = (ell + noise_var) * (1.0 + gamma * ratio)
+        common = 1.0 - gamma * ratio * ratio
+        return lam, common / (1.0 + gamma * ratio), common / (1.0 + ratio)
+    return noise_var * mp_bulk_edge(gamma), 0.0, 0.0
+
+
+def inverse_reference(lambda_emp, gamma, noise_var):
+    """The white inverse map of one eigenvalue, written for one float."""
+    gap = lambda_emp - noise_var * mp_bulk_edge(gamma)
+    if not gap > 0.0:
+        return 0.0
+    root = 2.0 * np.sqrt(gamma) * noise_var
+    return (gap + root + np.sqrt(gap) * np.sqrt(gap + 2.0 * root)) / 2.0
+
+
+def plugin_reference(spectrum, r, k, shift):
+    """The plug-in estimate of the k-th of the top r components, written
+    for one float and mapped to the units of the spectrum's matrix times
+    2**shift."""
+    sigma2, top = float(spectrum.values[k]), float(spectrum.values[r])
+    sigma_obs = float(np.ldexp(np.sqrt(sigma2), shift))
+    if sigma2 < top + guard_epsilon(top):
+        return SpikeEstimate(0.0, 0.0, 0.0, 0.0, sigma_obs, False)
+    est = spectral_estimates(spectrum, r, sigma2)
+    ell = 1.0 / est.d_hat
+    c2 = est.m_hat / (est.d_prime_hat * ell)
+    ct2 = est.m_comp_hat / (est.d_prime_hat * ell)
+    clamped = not (0.0 <= c2 <= 1.0 and 0.0 <= ct2 <= 1.0)
+    c2, ct2 = float(min(max(c2, 0.0), 1.0)), float(min(max(ct2, 0.0), 1.0))
+    lambda_star = float(np.ldexp(np.sqrt(ell * c2 * ct2), shift))
+    return SpikeEstimate(float(np.ldexp(ell, 2 * shift)), c2, ct2, lambda_star,
+                         sigma_obs, True, clamped)
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# Points at 0 to 4 times a threshold: below it, at it and above it.  The
+# noise variances are the prescaled units of data from 2**-300 to 2**250.
+white_points = dict(
+    factors=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 4.0)), max_size=8),
+    gamma=st.floats(0.01, 20.0),
+    noise_var=st.sampled_from([1.0, 0.0, 2.0**-500, 2.0**600]),
+)
 
 
 @st.composite
@@ -118,6 +170,16 @@ class TestWhiteForward:
         assert c2 == pytest.approx(1.0 / 3.0)
         assert ct2 == pytest.approx(0.25)
 
+    @given(**white_points)
+    def test_array_matches_scalar_calls(self, factors, gamma, noise_var):
+        ell = np.sqrt(gamma) * noise_var * np.array(factors)
+        got = white_spike_forward(ell, gamma, noise_var)
+        assert all(out.shape == ell.shape for out in got)
+        for k, value in enumerate(ell.tolist()):
+            want = forward_reference(value, gamma, noise_var)
+            assert bits(out[k] for out in got) == bits(want)
+            assert bits(white_spike_forward(value, gamma, noise_var)) == bits(want)
+
     def test_cosines_in_unit_interval(self):
         for gamma in (0.2, 0.8, 1.0, 3.0):
             for ell in np.linspace(np.sqrt(gamma) + 1e-3, 50, 40):
@@ -134,6 +196,15 @@ class TestWhiteInverse:
         for gamma in (0.5, 0.8, 1.0, 2.0):
             assert white_spike_inverse(mp_bulk_edge(gamma), gamma) == 0.0
             assert white_spike_inverse(0.5 * mp_bulk_edge(gamma), gamma) == 0.0
+
+    @given(**white_points)
+    def test_array_matches_scalar_calls(self, factors, gamma, noise_var):
+        lam = noise_var * mp_bulk_edge(gamma) * np.array(factors)
+        got = white_spike_inverse(lam, gamma, noise_var)
+        assert got.shape == lam.shape
+        for k, value in enumerate(lam.tolist()):
+            want = inverse_reference(value, gamma, noise_var)
+            assert bits([got[k], white_spike_inverse(value, gamma, noise_var)]) == bits([want] * 2)
 
     def test_round_trip(self):
         for gamma in (0.3, 0.8, 1.0, 2.5):
@@ -167,7 +238,7 @@ class TestEstimateSpike:
     def test_guard_boundary_subcritical(self):
         values = np.array([4.0, 4.0, 2.0, 1.0])
         spectrum = EigenSpectrum(values=values, n=4, p=4)
-        est = estimate_spike(spectrum, 1, 0)
+        [est] = estimate_spike(spectrum, 1)
         assert not est.supercritical
         assert est.lambda_star == 0.0
         assert est.ell_hat == 0.0
@@ -186,16 +257,31 @@ class TestEstimateSpike:
         ell = 1.0 / raw.d_hat
         cosines = [raw.m_hat / (raw.d_prime_hat * ell), raw.m_comp_hat / (raw.d_prime_hat * ell)]
         assert clamped == any(not 0.0 <= c <= 1.0 for c in cosines)
-        est = estimate_spike(spectrum, 1, 0)
+        [est] = estimate_spike(spectrum, 1)
         assert est.supercritical and est.clamped == clamped
         assert [est.c2_hat, est.ct2_hat] == [min(max(c, 0.0), 1.0) for c in cosines]
 
+    @given(
+        st.integers(1, 12), st.integers(0, 12), st.booleans(), st.data(),
+        st.integers(-200, 200),
+    )
+    def test_matches_one_component_at_a_time(self, short, extra, wide, data, shift):
+        # Every component of one call is the estimate written for one
+        # float, the clamp's signed zeros and NaN included (repr shows both).
+        n, p = (short, short + extra) if wide else (short + extra, short)
+        values = data.draw(st.lists(st.floats(0.0, 1e6), min_size=short, max_size=short))
+        spectrum = EigenSpectrum(values=np.sort(values)[::-1], n=n, p=p)
+        r = data.draw(st.integers(0, short - 1))
+        with np.errstate(all="ignore"):
+            got = estimate_spike(spectrum, r, shift)
+            want = [plugin_reference(spectrum, r, k, shift) for k in range(r)]
+        assert repr(got) == repr(want)
+
     def test_index_errors(self):
         spectrum = EigenSpectrum(values=np.array([4.0, 2.0, 1.0]), n=3, p=3)
-        with pytest.raises(RankError):
-            estimate_spike(spectrum, 1, 1)
-        with pytest.raises(RankError):
-            estimate_spike(spectrum, 3, 0)
+        for r in (-1, 3):
+            with pytest.raises(RankError):
+                estimate_spike(spectrum, r)
 
     def test_matches_white_closed_forms_on_simulated_bulk(self):
         # Plug-in estimates on a white-noise residual bulk must agree with
@@ -204,7 +290,7 @@ class TestEstimateSpike:
         p = n = 2000
         y, _, _ = spiked_white_data(rng, n, p, np.array([2.0]))
         spectrum = spectrum_of(y)
-        est = estimate_spike(spectrum, 1, 0)
+        [est] = estimate_spike(spectrum, 1)
         assert est.supercritical
         lam_obs = spectrum.values[0]
         ell_ref = white_spike_inverse(lam_obs, 1.0)
@@ -219,8 +305,7 @@ class TestEstimateSpike:
         for gamma, shape in [(0.8, (250, 200)), (1.25, (200, 250))]:
             y, _, _ = spiked_white_data(rng, shape[0], shape[1], np.array([6.0, 3.0]))
             spectrum = spectrum_of(y)
-            for k in range(2):
-                est = estimate_spike(spectrum, 2, k)
+            for est in estimate_spike(spectrum, 2):
                 assert est.supercritical
                 assert 0.0 <= est.c2_hat <= 1.0
                 assert 0.0 <= est.ct2_hat <= 1.0
@@ -254,7 +339,7 @@ class TestLambdaAndAmse:
     def test_amse_values(self):
         assert amse([SpikeEstimate(2.0, 0.5, 0.5, 0.7071, 2.1, True)]) == pytest.approx(1.5)
         assert amse([SpikeEstimate(3.0, 1.0, 1.0, np.sqrt(3), 2.0, True)]) == 0.0
-        assert amse([SpikeEstimate.subcritical(1.0)]) == 0.0
+        assert amse([SpikeEstimate(0.0, 0.0, 0.0, 0.0, 1.0, False)]) == 0.0
         assert amse([]) == 0.0
 
 
@@ -385,7 +470,7 @@ class TestPluginGram:
     def test_matches_full_svd(self, case):
         matrix, r = case
         n, p = matrix.shape
-        left, right, ests = shrink_triplets(matrix, r)
+        left, right, ests = shrink_triplets(matrix.copy(), r)
         ref_left, ref_right, ref, shift = svd_plugin(matrix, r)
         assert left.shape == (n, r) and right.shape == (p, r)
         assert np.isfinite(left).all() and np.isfinite(right).all()
@@ -415,7 +500,7 @@ class TestPluginGram:
     @pytest.mark.parametrize("shape", [(375, 300), (300, 375), (300, 300)])
     def test_desk_shapes(self, rng, shape):
         y, _, _ = spiked_white_data(rng, shape[0], shape[1], np.array([10.0, 5.0, 2.0, 0.5]))
-        left, right, ests = shrink_triplets(y, 4)
+        left, right, ests = shrink_triplets(y.copy(), 4)
         ref_left, ref_right, ref, shift = svd_plugin(y, 4)
         assert right.flags.f_contiguous
         for est, want in zip(ests, ref):
@@ -447,7 +532,7 @@ class TestPluginGram:
         y = np.ldexp(y / np.max(np.abs(y)), 1023) * 1.5
         shift = int(np.frexp(np.max(np.abs(y)) / np.sqrt(65))[1])
         assert float(np.sqrt(65)) * 2.0**shift == float("inf")
-        left, right, ests = shrink_triplets(y, 2)
+        left, right, ests = shrink_triplets(y.copy(), 2)
         base_left, base_right, base_ests = shrink_triplets(np.ldexp(y, -1000), 2)
         assert np.isfinite(left).all() and np.isfinite(right).all()
         assert np.allclose(np.abs(left[:, 0] @ base_left[:, 0]), 1.0, atol=1e-12)
@@ -503,7 +588,7 @@ class TestWhiteGram:
     def test_matches_full_svd(self, case):
         matrix, r = case
         n, p = matrix.shape
-        left, right, ests = shrink_triplets(matrix, r, mode="white")
+        left, right, ests = shrink_triplets(matrix.copy(), r, mode="white")
         ref_left, ref_right, ref = svd_white(matrix, r)
         assert left.shape == (n, r) and right.shape == (p, r)
         assert np.isfinite(left).all() and np.isfinite(right).all()

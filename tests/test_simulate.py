@@ -51,14 +51,14 @@ class TestConfig:
 class TestSignals:
     def test_second_moment(self):
         cfg = config(ell=(4.0,), p=200)
-        x, _ = generate_signals(cfg, 10_000, np.random.default_rng(0))
+        x = generate_signals(cfg, 10_000, np.random.default_rng(0))
         assert np.mean(np.sum(x * x, axis=1)) == pytest.approx(4.0, rel=0.05)
 
     def test_sparse_support(self):
+        # Every row lies on the one shared support of the PCs.
         cfg = config(ell=tuple(range(10, 0, -1)), pc_sparsity=10)
-        _, sig = generate_signals(cfg, 5, np.random.default_rng(1))
-        for k in range(10):
-            assert np.count_nonzero(sig.u[:, k]) <= 10
+        x = generate_signals(cfg, 50, np.random.default_rng(1))
+        assert np.count_nonzero(np.any(x != 0, axis=0)) <= 10
 
     def test_sparse_infeasible(self):
         cfg = config(ell=(3.0, 2.0, 1.0), pc_sparsity=2)
@@ -66,16 +66,23 @@ class TestSignals:
             generate_signals(cfg, 5, np.random.default_rng(0))
 
     def test_orthonormal_directions(self):
+        # With orthonormal directions the signal covariance U diag(ell) U'
+        # has eigenvalues ell and rank r.
         for sparsity in (None, 25):
-            cfg = config(ell=(5.0, 3.0, 1.0), pc_sparsity=sparsity)
-            _, sig = generate_signals(cfg, 3, np.random.default_rng(2))
-            assert np.allclose(sig.u.T @ sig.u, np.eye(3), atol=1e-10)
+            cfg = config(ell=(5.0, 3.0, 1.0), p=40, pc_sparsity=sparsity)
+            x = generate_signals(cfg, 40_000, np.random.default_rng(2))
+            values = np.linalg.eigvalsh(x.T @ x / x.shape[0])[::-1]
+            assert values[:3] == pytest.approx([5.0, 3.0, 1.0], rel=0.05)
+            assert np.all(np.abs(values[3:]) <= 1e-10)
 
     def test_random_mean_row(self):
-        cfg = config(random_mean=True)
-        x, sig = generate_signals(cfg, 2000, np.random.default_rng(3))
-        assert sig.mean is not None
-        assert np.allclose(x.mean(axis=0), sig.mean, atol=0.2)
+        # The column means of the signals are the mean row, a standard
+        # normal draw, and zero without it.
+        for random_mean in (True, False):
+            cfg = config(random_mean=random_mean)
+            x = generate_signals(cfg, 2000, np.random.default_rng(3))
+            spread = np.std(x.mean(axis=0))
+            assert spread == (pytest.approx(1.0, rel=0.2) if random_mean else pytest.approx(0.0, abs=0.1))
 
 
 class TestMasks:

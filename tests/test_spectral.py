@@ -214,11 +214,11 @@ class TestGramEigh:
                     assert np.max(np.abs(values - dense)) <= tol
                     self.assert_triplets(matrix, values[:top], left, right, dense, tol)
                     if 0 < top < m:
-                        got = EigenSpectrum(values=values, n=n, p=p)
+                        got = estimate_spike(EigenSpectrum(values=values, n=n, p=p), top)
+                        want = estimate_spike(reference, top)
                         for k in range(top):
                             self.assert_same_estimate(
-                                estimate_spike(got, top, k), estimate_spike(reference, top, k),
-                                dense[k], dense[k] - dense[top], tol,
+                                got[k], want[k], dense[k], dense[k] - dense[top], tol,
                             )
 
     @staticmethod
@@ -358,6 +358,29 @@ class TestSpectralReference:
         got = (est.m_hat, est.m_comp_hat, est.d_hat, est.d_prime_hat)
         want = (ref.m, ref.m_comp, ref.d, ref.d_prime)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @given(
+        st.one_of(st.integers(1, 12), st.integers(120, 300)), st.integers(0, 12),
+        st.booleans(), st.data(), st.lists(st.floats(0.0, 1e6), max_size=8),
+    )
+    def test_points_at_once_match_one_at_a_time(self, short, extra, wide, data, offsets):
+        # An array of points, none included, gives at each point the
+        # scalar call's values bit for bit, with and without implicit
+        # zeros, and past the 8- and 128-term blocks of numpy's pairwise sum.
+        n, p = (short, short + extra) if wide else (short + extra, short)
+        values = data.draw(st.lists(st.floats(0.0, 1e6), min_size=short, max_size=short))
+        s = spec(values, n=n, p=p)
+        r = data.draw(st.integers(0, short - 1))
+        top = s.values[r]
+        x = (top + guard_epsilon(top)) + np.array(offsets)
+        est = spectral_estimates(s, r, x)
+        for name in ("m_hat", "m_comp_hat", "d_hat", "d_prime_hat"):
+            assert getattr(est, name).shape == x.shape
+        for k, point in enumerate(x.tolist()):
+            one = spectral_estimates(s, r, point)
+            got = (est.m_hat[k], est.m_comp_hat[k], est.d_hat[k], est.d_prime_hat[k])
+            want = (one.m_hat, one.m_comp_hat, one.d_hat, one.d_prime_hat)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 class TestEmpiricalStieltjes:

@@ -114,7 +114,7 @@ EXPORTED = (
     "DegenerateCoordinateError", "EblpError", "EblpModel", "EigenSpectrum",
     "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
     "ParseError", "RankError", "SamplingSpec", "ShapeError",
-    "SignalModel", "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
+    "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
     "SpikeEstimate", "TransformedObservation", "amse", "baselines",
     "dataset_from_arrays", "errors", "estimate_spike", "fit_in_sample",
     "generate_masks", "generate_noise", "generate_signals", "mp_bulk_edge",
@@ -130,11 +130,11 @@ import eblp
 seen = {"baselines": "eblp.baselines" in sys.modules,
         "simulate": "eblp.simulate" in sys.modules,
         "dir": dir(eblp)}
-from eblp import nnrls, NnrlsConfig, SignalModel, simulate_dataset
+from eblp import nnrls, NnrlsConfig, SimulatedData, simulate_dataset
 import eblp.baselines, eblp.simulate
 seen["same"] = (nnrls is eblp.baselines.nnrls and NnrlsConfig is eblp.baselines.NnrlsConfig
                 and simulate_dataset is eblp.simulate.simulate_dataset
-                and SignalModel is eblp.SignalModel is eblp.simulate.SignalModel)
+                and SimulatedData is eblp.SimulatedData is eblp.simulate.SimulatedData)
 star = {}
 exec("from eblp import *", star)
 seen["star"] = sorted(name for name in star if not name.startswith("_"))

@@ -40,6 +40,9 @@ def test_install_traces_both_modes_and_uninstall_restores(rng):
     names = [span[0] for span in tracer.spans]
     assert names.count("pipeline.fit_in_sample") == 2
     assert names.count("shrinkage.shrink_triplets") == 2
-    assert "spectral.calibration" in names
+    # One calibration span per plug-in fit, and one per white closed form.
+    shrinks = [sid for sid, span in enumerate(tracer.spans) if span[0] == "shrinkage.shrink_triplets"]
+    parents = [span[3] for span in tracer.spans if span[0] == "spectral.calibration"]
+    assert [parents.count(sid) for sid in shrinks] == [1, 2]
     metrics, _ = tracing.summarize(tracer.spans)
     assert metrics["shrinkage.calls"][0] == 2

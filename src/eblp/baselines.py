@@ -57,14 +57,18 @@ class NnrlsConfig:
 
 @dataclass(frozen=True)
 class NnrlsResult:
+    """``prox_calls`` counts the prox steps: one per iteration plus one
+    per momentum restart."""
+
     x_hat: np.ndarray
     iterations: int
     converged: bool
     objective_history: tuple[float, ...] = ()
+    prox_calls: int = 0
 
 
 def soft_threshold_singular_values(
-    matrix: np.ndarray, threshold: float
+    matrix: np.ndarray, threshold: float, *, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Prox of the nuclear norm: shrink every singular value by
     ``threshold`` (floored at zero).  Returns (matrix, nuclear norm).
@@ -74,6 +78,8 @@ def soft_threshold_singular_values(
     the result is ``U diag(s - t) V'`` over the kept triplets.  Every
     kept s exceeds t > 0, so the other side's ``B v / s`` (``B' u / s``
     when p > n) never divides by zero.  A NaN threshold is a ValueError.
+    The result is written into ``out`` when given, else into a fresh
+    array.
     """
     matrix = np.asarray(matrix, dtype=float)
     if not threshold >= 0:
@@ -83,10 +89,14 @@ def soft_threshold_singular_values(
         # (numerically) zero singular values only to sqrt(eps).  Every
         # value and no triplet is dsytrd then dsterf: no bisection.
         s2, _, _ = gram_eigh(matrix, top=0, spectrum=True)
-        return matrix.copy(), float(np.sqrt(s2).sum())
+        nuclear = float(np.sqrt(s2).sum())
+        if out is None:
+            return matrix.copy(), nuclear
+        out[...] = matrix
+        return out, nuclear
     s2, left, right = gram_eigh(matrix, above=threshold * threshold)
     s = np.sqrt(s2)
-    shrunk = (left * (s - threshold)) @ right.T
+    shrunk = np.matmul(left * (s - threshold), right.T, out=out)
     return shrunk, float(np.sum(s - threshold))
 
 
@@ -96,20 +106,25 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     Iterates are monotone in the objective (momentum restarts on a
     violation); stops when the relative objective decrease drops below
     ``config.tol`` or after ``config.max_iters`` iterations, in which case
-    the best iterate is returned with ``converged=False``.  ``mask`` must
-    be finite and nonnegative, and ``y_masked`` finite where ``mask`` is
-    nonzero; its other cells are ignored (NaN may mark them missing).
+    the best iterate is returned with ``converged=False``.  Every ``mask``
+    entry must be 0 or 1, and ``y_masked`` finite where ``mask`` is 1; its
+    other cells are ignored (NaN may mark them missing).
+
+    A solve allocates its n x p arrays once: the iterate, the momentum
+    point, the candidate and one work array.  Each iteration writes into
+    them, and the prox writes its result into the candidate.
     """
     y_masked = np.asarray(y_masked, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if y_masked.shape != mask.shape or y_masked.ndim != 2:
         raise ShapeError("y_masked and mask must be 2-d arrays of equal shape")
-    bad_mask = ~(np.isfinite(mask) & (mask >= 0))
-    _reject_first(bad_mask, mask, "mask is not a finite nonnegative number")
+    # The gradient (x - y) * mask and the objective's squared residual
+    # agree only for 0/1 masks.
+    _reject_first((mask != 0) & (mask != 1), mask, "mask entry is not 0 or 1")
     observed = mask != 0
     bad_y = observed & ~np.isfinite(y_masked)
     _reject_first(bad_y, y_masked, "y_masked is not finite where observed")
-    y = np.where(observed, y_masked, 0.0) * mask
+    y = np.where(observed, y_masked, 0.0)
 
     cw = config.column_weights
     if cw is not None and cw.size != y.shape[1]:
@@ -118,41 +133,54 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     # gradient is Lipschitz with constant 1 / min(C)^2.
     c_inv = None if cw is None else 1.0 / cw
     step = 1.0 if cw is None else float(np.min(cw) ** 2)
-
-    def objective_parts(z: np.ndarray, nuc: float) -> float:
-        x = z if c_inv is None else z * c_inv[None, :]
-        resid = (x - y) * mask
-        return 0.5 * float(np.sum(resid * resid)) + config.w * nuc
-
-    def gradient(z: np.ndarray) -> np.ndarray:
-        x = z if c_inv is None else z * c_inv[None, :]
-        g = (x - y) * mask
-        return g if c_inv is None else g * c_inv[None, :]
-
     z = np.zeros_like(y)
-    momentum = z
+    momentum = np.zeros_like(y)
+    cand = np.empty_like(y)
+    work = np.empty_like(y)
+
+    def residual(point: np.ndarray) -> np.ndarray:
+        """(point C^-1 - y) * mask, in ``work``."""
+        if c_inv is None:
+            np.subtract(point, y, out=work)
+        else:
+            np.multiply(point, c_inv, out=work)
+            np.subtract(work, y, out=work)
+        return np.multiply(work, mask, out=work)
+
+    def objective(point: np.ndarray, nuc: float) -> float:
+        resid = residual(point)
+        return 0.5 * float(np.sum(np.multiply(resid, resid, out=resid))) + config.w * nuc
+
+    def prox_step(point: np.ndarray) -> float:
+        """The prox of ``point - step * gradient`` into ``cand``; returns
+        its nuclear norm."""
+        g = residual(point)
+        if c_inv is not None:
+            np.multiply(g, c_inv, out=g)
+        np.subtract(point, np.multiply(step, g, out=g), out=g)
+        return soft_threshold_singular_values(g, config.w * step, out=cand)[1]
+
     t = 1.0
-    obj = objective_parts(z, 0.0)
+    obj = objective(z, 0.0)
     history = [obj]
     converged = False
-    iterations = 0
+    iterations = restarts = 0
 
     for iterations in range(1, config.max_iters + 1):
-        cand, nuc = soft_threshold_singular_values(
-            momentum - step * gradient(momentum), config.w * step
-        )
-        cand_obj = objective_parts(cand, nuc)
+        nuc = prox_step(momentum)
+        cand_obj = objective(cand, nuc)
         if cand_obj > obj:
             # Restart from the last accepted iterate; a plain prox step is
             # guaranteed not to increase the objective at this step size.
-            cand, nuc = soft_threshold_singular_values(
-                z - step * gradient(z), config.w * step
-            )
-            cand_obj = objective_parts(cand, nuc)
+            restarts += 1
+            nuc = prox_step(z)
+            cand_obj = objective(cand, nuc)
             t = 1.0
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        momentum = cand + ((t - 1.0) / t_next) * (cand - z)
-        z = cand
+        # momentum = cand + ((t - 1) / t_next) * (cand - z)
+        np.subtract(cand, z, out=work)
+        np.add(cand, np.multiply((t - 1.0) / t_next, work, out=work), out=momentum)
+        z, cand = cand, z
         t = t_next
         decrease = obj - cand_obj
         obj = cand_obj
@@ -161,12 +189,14 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
             converged = True
             break
 
-    x_hat = z if c_inv is None else z * c_inv[None, :]
+    if c_inv is not None:
+        np.multiply(z, c_inv, out=z)
     return NnrlsResult(
-        x_hat=x_hat,
+        x_hat=z,
         iterations=iterations,
         converged=converged,
         objective_history=tuple(history),
+        prox_calls=iterations + restarts,
     )
 
 

@@ -535,6 +535,9 @@ def read_model(path) -> EblpModel:
         version = _checked(path, "version", payload["version"], int)
         if version != MODEL_VERSION:
             raise ParseError(f"{path}: unsupported model version {version}")
+        for name in ("m_hat_diag", "w_diag", "mean"):
+            _check_numbers(path, name, payload[name])
+        _check_numbers(path, "u_hat", payload["u_hat"], nested=True)
         m_hat = np.asarray(payload["m_hat_diag"], dtype=float)
         p = m_hat.size
         arrays = {
@@ -559,7 +562,7 @@ def read_model(path) -> EblpModel:
                 raise ParseError(f"{path}: non-finite value in {name}")
     except ParseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
     try:
         model = EblpModel(estimates=estimates, whitened=whitened, n=n, **arrays)
@@ -570,6 +573,24 @@ def read_model(path) -> EblpModel:
             f"{path}: rank {rank} does not match the {model.rank} components in u_hat"
         )
     return model
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _check_numbers(path, name: str, values, nested: bool = False) -> None:
+    """ParseError unless ``values`` is a JSON array of numbers (of such
+    arrays if ``nested``), naming the first entry that is not one, for
+    example ``u_hat[1][3]``.  Strings and booleans are no numbers.  The
+    types of a whole array are collected in one pass."""
+    if type(values) is not list:
+        raise ParseError(f"{path}: {name} must be an array")
+    if nested:
+        for k, row in enumerate(values):
+            _check_numbers(path, f"{name}[{k}]", row)
+    elif not set(map(type, values)) <= _NUMBER_TYPES:
+        k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+        raise ParseError(f"{path}: {name}[{k}] must be a number, got {json.dumps(values[k])}")
 
 
 _JSON_TYPES = {bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float))}

@@ -170,6 +170,66 @@ def shrink_plain(y: np.ndarray, r: int, mode: str = "plugin"):
     return x_hat, model.estimates
 
 
+def reference_nnrls(y_masked: np.ndarray, mask: np.ndarray, config):
+    """Reference NNRLS: the accelerated proximal gradient loop with one
+    fresh array per step, whose iterates, objective history, iteration
+    count and flag ``nnrls`` must reproduce bit for bit from its fixed
+    working arrays.  Calls the library prox without ``out``.  Returns an
+    ``NnrlsResult``."""
+    from eblp import baselines
+
+    y_masked = np.asarray(y_masked, dtype=float)
+    mask = np.asarray(mask, dtype=float)
+    y = np.where(mask != 0, y_masked, 0.0) * mask
+    cw = config.column_weights
+    c_inv = None if cw is None else 1.0 / cw
+    step = 1.0 if cw is None else float(np.min(cw) ** 2)
+
+    def objective_parts(z, nuc):
+        x = z if c_inv is None else z * c_inv[None, :]
+        resid = (x - y) * mask
+        return 0.5 * float(np.sum(resid * resid)) + config.w * nuc
+
+    def gradient(z):
+        x = z if c_inv is None else z * c_inv[None, :]
+        g = (x - y) * mask
+        return g if c_inv is None else g * c_inv[None, :]
+
+    prox = baselines.soft_threshold_singular_values
+    z = np.zeros_like(y)
+    momentum = z
+    t = 1.0
+    obj = objective_parts(z, 0.0)
+    history = [obj]
+    converged = False
+    iterations = restarts = 0
+    for iterations in range(1, config.max_iters + 1):
+        cand, nuc = prox(momentum - step * gradient(momentum), config.w * step)
+        cand_obj = objective_parts(cand, nuc)
+        if cand_obj > obj:
+            restarts += 1
+            cand, nuc = prox(z - step * gradient(z), config.w * step)
+            cand_obj = objective_parts(cand, nuc)
+            t = 1.0
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        momentum = cand + ((t - 1.0) / t_next) * (cand - z)
+        z = cand
+        t = t_next
+        decrease = obj - cand_obj
+        obj = cand_obj
+        history.append(obj)
+        if decrease <= config.tol * max(abs(obj), 1.0):
+            converged = True
+            break
+    return baselines.NnrlsResult(
+        x_hat=z if c_inv is None else z * c_inv[None, :],
+        iterations=iterations,
+        converged=converged,
+        objective_history=tuple(history),
+        prox_calls=iterations + restarts,
+    )
+
+
 def spectrum_of(matrix: np.ndarray):
     """EigenSpectrum of ``matrix' matrix / n`` for an n x p data matrix."""
     from eblp import EigenSpectrum

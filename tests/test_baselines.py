@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,14 +24,50 @@ from eblp import (
 )
 from eblp import baselines, spectral
 from eblp.baselines import soft_threshold_singular_values
-from conftest import shrink_plain
+from conftest import reference_nnrls, shrink_plain
 
 
-def svd_prox(matrix, threshold):
+def svd_prox(matrix, threshold, *, out=None):
     """Reference prox: full SVD, every singular value shrunk by the threshold."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vt, float(s.sum())
+    return np.matmul(u * s, vt, out=out), float(s.sum())
+
+
+def desk_problem(law):
+    """A draw of a desk campaign law at sigma 2 and its NNRLS config:
+    ``uneven`` (linearly ramped sampling, white noise, column weights) or
+    ``colored`` (uniform sampling, colored noise, no weights), 375 x 300."""
+    if law == "uneven":
+        sampling, noise = SamplingSpec("linear", 0.1), NoiseSpec("white", 2.0)
+    else:
+        sampling, noise = SamplingSpec("uniform", 0.5), NoiseSpec("colored", 2.0, 10.0)
+    cfg = ExperimentConfig(
+        p=300, gamma=0.8, ell=tuple(range(10, 0, -1)),
+        sampling=sampling, noise=noise, seed=7, random_mean=True,
+    )
+    rng = np.random.default_rng(7)
+    data = simulate_dataset(cfg, rng)
+    column_weights = (
+        np.sqrt(cfg.sampling.column_probabilities(cfg.p)) if law == "uneven" else None
+    )
+    w = nnrls_weight_colored(
+        lambda g: generate_noise(cfg, cfg.n, g),
+        lambda g: generate_masks(cfg, cfg.n, g),
+        replicates=3, rng=rng, column_weights=column_weights,
+    )
+    return data, NnrlsConfig(w=w, column_weights=column_weights)
+
+
+def counting_prox(calls):
+    """The library prox, appending the ``out`` of every call to ``calls``."""
+    prox = baselines.soft_threshold_singular_values
+
+    def counted(matrix, threshold, *, out=None):
+        calls.append(out)
+        return prox(matrix, threshold, out=out)
+
+    return counted
 
 
 @st.composite
@@ -158,7 +196,9 @@ class TestNnrls:
         with pytest.raises(ValueError, match=r"y_masked .* at index \(2, 1\)"):
             nnrls(y, mask, NnrlsConfig(w=1.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+    # NNRLS is matrix completion: its gradient (x - y) * mask matches the
+    # squared residual only for 0/1 masks, so 0.5 or 2 is refused too.
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf, 0.5, 2.0])
     def test_bad_mask_entry_named(self, bad):
         y, mask = np.ones((4, 3)), np.ones((4, 3))
         mask[1, 2] = mask[3, 0] = bad
@@ -212,6 +252,50 @@ class TestNnrls:
         assert gram.converged == ref.converged
         assert np.allclose(gram.objective_history, ref.objective_history, rtol=1e-12, atol=0)
         assert np.linalg.norm(gram.x_hat - ref.x_hat) <= 1e-10 * np.linalg.norm(ref.x_hat)
+
+
+class TestNnrlsReference:
+    """``nnrls`` iterates in fixed working arrays and must take exactly the
+    path of the allocating reference loop in ``conftest``."""
+
+    @pytest.mark.parametrize("law", ["uneven", "colored"])
+    def test_bit_identical_to_reference(self, law):
+        data, config = desk_problem(law)
+        got = nnrls(data.y, data.masks, config)
+        ref = reference_nnrls(data.y, data.masks, config)
+        assert ref.prox_calls > ref.iterations  # at least one restart
+        assert np.array_equal(got.x_hat, ref.x_hat)
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+        assert got.objective_history == ref.objective_history
+        assert got.prox_calls == ref.prox_calls
+
+    @pytest.mark.parametrize("law", ["uneven", "colored"])
+    def test_prox_calls_write_into_two_fixed_arrays(self, monkeypatch, law):
+        # prox_calls is every call a wrapper on the module attribute sees,
+        # a restart included.
+        data, config = desk_problem(law)
+        calls = []
+        monkeypatch.setattr(baselines, "soft_threshold_singular_values", counting_prox(calls))
+        result = nnrls(data.y, data.masks, config)
+        assert len(calls) == result.prox_calls > result.iterations
+        assert all(out is not None for out in calls)
+        assert len({out.ctypes.data for out in calls}) <= 2
+
+    @pytest.mark.parametrize("max_iters", [5, 50])
+    def test_peak_memory_in_matrices(self, max_iters):
+        # y, the iterate, the momentum point, the candidate and the work
+        # array, plus the prox's Gram matrix and its few triplets.
+        data, config = desk_problem("uneven")
+        config = dataclasses.replace(config, max_iters=max_iters)
+        tracemalloc.start()
+        try:
+            result = nnrls(data.y, data.masks, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged == (max_iters == 50)  # 5 stops short
+        assert peak <= 7 * data.y.nbytes, peak / data.y.nbytes
 
 
 class TestWeights:

@@ -716,6 +716,14 @@ class TestModelIO:
             (("estimates", 0, "clamped"), "no", r"estimates\[0\]\.clamped must be a boolean"),
             (("estimates", 0, "c2_hat"), True, r"estimates\[0\]\.c2_hat must be a number, got true"),
             (("estimates", 0, "sigma_obs"), "2.0", r"estimates\[0\]\.sigma_obs must be a number"),
+            # Every array entry is a JSON number, not a string or boolean
+            # that numpy would convert; the first other one is named.
+            (("m_hat_diag", 3), "1.0", r'm_hat_diag\[3\] must be a number, got "1.0"'),
+            (("w_diag", 2), True, r"w_diag\[2\] must be a number, got true"),
+            (("u_hat", 0, 7), "0.5", r'u_hat\[0\]\[7\] must be a number, got "0.5"'),
+            (("mean",), "0", "mean must be an array"),
+            (("u_hat",), good["u_hat"][0], r"u_hat\[0\] must be an array"),
+            (("mean", 1), 10**400, "malformed model file: int too large"),
         ]
         for keys, value, message in edits:
             payload = json.loads(json.dumps(good))
@@ -977,6 +985,19 @@ class TestOosCommand:
         out = tmp_path / "o.txt"
         assert main(["oos", str(inp), str(out), "--model", str(model_path)]) == 2
         assert f"{model_path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("m_hat_diag", "1.0"), ("w_diag", True), ("u_hat", "1.0")])
+    def test_non_number_model_array_exit_2(self, tmp_path, capsys, key, value):
+        inp, _, model_path, _ = self.fit_and_save(tmp_path, np.random.default_rng(12), n=60, p=20)
+        payload = json.loads(model_path.read_text())
+        entries = payload[key][-1] if key == "u_hat" else payload[key]
+        entries[:] = [value] * len(entries)
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "o.txt"
+        assert main(["oos", str(inp), str(out), "--model", str(model_path)]) == 2
+        where = f"{key}[{len(payload[key]) - 1}][0]" if key == "u_hat" else f"{key}[0]"
+        assert f"{model_path}: {where} must be a number, got {json.dumps(value)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_mismatch_exit_2(self, tmp_path):

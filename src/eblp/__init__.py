@@ -12,13 +12,11 @@ from .errors import (
 )
 from .spectral import (
     EigenSpectrum,
-    SpectralEstimates,
     mp_bulk_edge,
     spectral_estimates,
 )
 from .shrinkage import (
-    SpikeEstimate,
-    amse,
+    SpikeEstimates,
     estimate_spike,
     white_spike_forward,
     white_spike_inverse,

@@ -38,7 +38,6 @@ import numpy as np
 from .baselines import NnrlsConfig, nnrls, nnrls_weight_colored, nnrls_weight_white
 from .errors import ParseError
 from .pipeline import fit_in_sample
-from .shrinkage import amse
 from .simulate import (
     ExperimentConfig,
     NoiseSpec,
@@ -271,12 +270,12 @@ def _run_task(task: _Task) -> list[dict]:
                 data.dataset, exp.rank, whiten=True, mode="plugin",
                 noise_var_diag=noise_profile,
             )
-            amse_est = amse(model.estimates)
+            amse_est = model.estimates.amse
         elif method == "unwhitened":
             model, x_hat = fit_in_sample(
                 data.dataset, exp.rank, whiten=False, mode="plugin"
             )
-            amse_est = amse(model.estimates)
+            amse_est = model.estimates.amse
         elif method == "nnrls":
             if task.w_base is None:
                 w = nnrls_weight_white(

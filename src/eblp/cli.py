@@ -36,7 +36,6 @@ from .pipeline import (
     fit_in_sample,
     predict_out_of_sample,
 )
-from .shrinkage import amse
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,18 +64,13 @@ def _load_observations(path, mask_path, na_token):
 
 
 def _write_report(path, model):
-    lines = [
-        "# per-component estimates (fitting coordinates)",
-        "component sigma_obs ell_hat c2_hat ct2_hat lambda_star supercritical",
-    ]
-    for k, est in enumerate(model.estimates, start=1):
-        lines.append(
-            f"{k} {est.sigma_obs:.17g} {est.ell_hat:.17g} {est.c2_hat:.17g} "
-            f"{est.ct2_hat:.17g} {est.lambda_star:.17g} {int(est.supercritical)}"
-        )
-    lines.append(f"amse_est {amse(model.estimates):.17g}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    est = model.estimates
+    table = np.column_stack([np.arange(1, model.rank + 1), est.sigma_obs, est.ell_hat,
+                             est.c2_hat, est.ct2_hat, est.lambda_star, est.supercritical])
+    np.savetxt(path, table, fmt="%d" + " %.17g" * 5 + " %d", comments="",
+               header="# per-component estimates (fitting coordinates)\n"
+                      "component sigma_obs ell_hat c2_hat ct2_hat lambda_star supercritical",
+               footer=f"amse_est {est.amse:.17g}")
 
 
 def cmd_denoise(args) -> int:

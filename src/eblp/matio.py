@@ -38,15 +38,15 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ShapeError
-from .pipeline import EblpModel
-from .shrinkage import SpikeEstimate
+from .pipeline import DEFAULT_M_FLOOR, EblpModel
+from .shrinkage import SpikeEstimates
 
 __all__ = [
     "check_na_token",
@@ -507,6 +507,7 @@ MODEL_VERSION = 1
 
 
 def write_model(path, model: EblpModel) -> None:
+    columns = {f.name: getattr(model.estimates, f.name).tolist() for f in fields(SpikeEstimates)}
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -517,7 +518,7 @@ def write_model(path, model: EblpModel) -> None:
         "w_diag": model.w_diag.tolist(),
         "mean": model.mean.tolist(),
         "u_hat": model.u_hat.T.tolist(),     # one list per component
-        "estimates": [asdict(e) for e in model.estimates],
+        "estimates": [dict(zip(columns, entry)) for entry in zip(*columns.values())],
     }
     Path(path).write_text(json.dumps(payload, allow_nan=False))
 
@@ -532,12 +533,12 @@ def read_model(path) -> EblpModel:
     try:
         if payload["format"] != MODEL_FORMAT:
             raise ParseError(f"{path}: not a model file")
-        version = _checked(path, "version", payload["version"], int)
-        if version != MODEL_VERSION:
-            raise ParseError(f"{path}: unsupported model version {version}")
+        _check_types(path, "version", [payload["version"]], int)
+        if payload["version"] != MODEL_VERSION:
+            raise ParseError(f"{path}: unsupported model version {payload['version']}")
         for name in ("m_hat_diag", "w_diag", "mean"):
-            _check_numbers(path, name, payload[name])
-        _check_numbers(path, "u_hat", payload["u_hat"], nested=True)
+            _check_array(path, name, payload[name])
+        _check_array(path, "u_hat", payload["u_hat"], nested=True)
         m_hat = np.asarray(payload["m_hat_diag"], dtype=float)
         p = m_hat.size
         arrays = {
@@ -546,20 +547,25 @@ def read_model(path) -> EblpModel:
             "mean": np.asarray(payload["mean"], dtype=float),
             "u_hat": np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T,
         }
-        estimates = [
-            SpikeEstimate(**{
-                name: _checked(path, f"estimates[{k}].{name}", value,
-                               bool if name in ("supercritical", "clamped") else float)
-                for name, value in entry.items()
-            })
-            for k, entry in enumerate(payload["estimates"])
-        ]
-        rank = _checked(path, "rank", payload["rank"], int)
-        whitened = _checked(path, "whitened", payload["whitened"], bool)
-        n = _checked(path, "n", payload["n"], int)
+        estimates = _read_estimates(path, payload["estimates"])
+        for name, kind in (("rank", int), ("whitened", bool), ("n", int)):
+            _check_types(path, name, [payload[name]], kind)
+        rank, whitened, n = payload["rank"], payload["whitened"], payload["n"]
         for name, values in arrays.items():
             if not np.all(np.isfinite(values)):
                 raise ParseError(f"{path}: non-finite value in {name}")
+        # What a fit can save: M-hat at or above the floor a fit enforces,
+        # and so W = sqrt(M-hat / v) positive.
+        for name, bad, rule in (
+            ("m_hat_diag", m_hat < DEFAULT_M_FLOOR, f"at least {DEFAULT_M_FLOOR:g}"),
+            ("w_diag", arrays["w_diag"] <= 0, "positive"),
+        ):
+            if bad.any():
+                j = int(np.argmax(bad))
+                got = json.dumps(payload[name][j])
+                raise ParseError(f"{path}: {name}[{j}] must be {rule}, got {got}")
+        if n < 1:
+            raise ParseError(f"{path}: n must be at least 1, got {n}")
     except ParseError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -575,37 +581,61 @@ def read_model(path) -> EblpModel:
     return model
 
 
-_NUMBER_TYPES = {int, float}
+# The JSON types a value of each kind may have: booleans are no numbers.
+_JSON_KINDS = {
+    bool: ({bool}, "a boolean"), int: ({int}, "an integer"), float: ({int, float}, "a number"),
+    dict: ({dict}, "an object"),
+}
 
 
-def _check_numbers(path, name: str, values, nested: bool = False) -> None:
-    """ParseError unless ``values`` is a JSON array of numbers (of such
-    arrays if ``nested``), naming the first entry that is not one, for
-    example ``u_hat[1][3]``.  Strings and booleans are no numbers.  The
-    types of a whole array are collected in one pass."""
+def _check_array(path, name: str, values, kind: type = float, nested: bool = False) -> None:
+    """ParseError unless ``values`` is a JSON array of values of ``kind``
+    (numbers by default; of such arrays if ``nested``), naming the first
+    entry that is not one, for example ``u_hat[1][3]``."""
     if type(values) is not list:
         raise ParseError(f"{path}: {name} must be an array")
     if nested:
         for k, row in enumerate(values):
-            _check_numbers(path, f"{name}[{k}]", row)
-    elif not set(map(type, values)) <= _NUMBER_TYPES:
-        k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
-        raise ParseError(f"{path}: {name}[{k}] must be a number, got {json.dumps(values[k])}")
+            _check_array(path, f"{name}[{k}]", row, kind)
+    else:
+        _check_types(path, name + "[{}]", values, kind)
 
 
-_JSON_TYPES = {bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float))}
+def _check_types(path, label: str, values: list, kind: type) -> None:
+    """ParseError naming ``label.format(k)`` for the first of ``values``
+    whose JSON type is not one of ``kind``.  The types of the whole list
+    are collected in one pass."""
+    types, what = _JSON_KINDS[kind]
+    if not set(map(type, values)) <= types:
+        k = next(k for k, v in enumerate(values) if type(v) not in types)
+        raise ParseError(f"{path}: {label.format(k)} must be {what}, got {json.dumps(values[k])}")
 
 
-def _checked(path, name: str, value, kind: type):
-    """``value`` as ``kind`` when JSON gave it that type: true or false for
-    bool, an integer for int, a finite number for float; otherwise a
-    ParseError naming ``name``.  JSON booleans are no numbers here."""
-    what, types = _JSON_TYPES[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise ParseError(f"{path}: {name} must be {what}, got {json.dumps(value)}")
-    if kind is float and not math.isfinite(value):
-        raise ParseError(f"{path}: non-finite value in {name}")
-    return kind(value)
+def _read_estimates(path, entries) -> SpikeEstimates:
+    """The estimates of a model file, read column by column from its JSON
+    array of per-component objects.  Each object has exactly the fields of
+    SpikeEstimates: a finite number each, and a boolean for the flags.  A
+    ParseError names the first bad entry and field."""
+    _check_array(path, "estimates", entries, dict)
+    names = [f.name for f in fields(SpikeEstimates)]
+    k = next((k for k, entry in enumerate(entries) if entry.keys() != set(names)), None)
+    if k is not None:
+        unknown = [key for key in entries[k] if key not in names]
+        if unknown:
+            raise ParseError(f"{path}: estimates[{k}]: unknown field {json.dumps(unknown[0])}")
+        missing = next(name for name in names if name not in entries[k])
+        raise ParseError(f"{path}: estimates[{k}].{missing} is missing")
+    columns = {}
+    for name in names:
+        label = f"estimates[{{}}].{name}"
+        kind = bool if name in ("supercritical", "clamped") else float
+        column = [entry[name] for entry in entries]
+        _check_types(path, label, column, kind)
+        columns[name] = np.array(column, dtype=kind)
+        bad = np.flatnonzero(~np.isfinite(columns[name]))
+        if bad.size:
+            raise ParseError(f"{path}: non-finite value in {label.format(bad[0])}")
+    return SpikeEstimates(**columns)
 
 
 RESULT_COLUMNS = (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCoordinateError, RankError, ShapeError
-from .shrinkage import SpikeEstimate, shrink_triplets
+from .shrinkage import SpikeEstimates, shrink_triplets
 
 __all__ = [
     "TransformedObservation",
@@ -80,7 +80,7 @@ class EblpModel:
     """
 
     u_hat: np.ndarray            # (p, r)
-    estimates: list[SpikeEstimate]
+    estimates: SpikeEstimates    # (r,) each
     m_hat_diag: np.ndarray       # (p,)
     w_diag: np.ndarray           # (p,)
     whitened: bool
@@ -96,7 +96,7 @@ class EblpModel:
             np.shape(w) == np.shape(self.mean) == (p,)
         ):
             raise ShapeError("inconsistent model dimensions")
-        if np.shape(u)[1] != len(self.estimates):
+        if {np.shape(a) for a in vars(self.estimates).values()} != {np.shape(u)[1:]}:
             raise ShapeError("estimates do not match component count")
         # X-hat = mean + W^-1 U diag(eta) U' W M^-1 (A'y - A'A mean).
         object.__setattr__(self, "_inward", u * (w / m)[:, None])
@@ -108,26 +108,24 @@ class EblpModel:
 
     @property
     def rank(self) -> int:
-        return len(self.estimates)
+        return self.u_hat.shape[1]
 
 
 def _eta(model: EblpModel) -> np.ndarray:
     """Per-component weights ell c^2 / (ell c^2 + d_k), where d_k = 1 in
     whitened coordinates and d_k = u_k' M-hat^-1 u_k otherwise (white
     original noise); 0 for subcritical components."""
-    u = model.u_hat
+    u, est = model.u_hat, model.estimates
     if model.whitened:
-        noise = [1.0] * u.shape[1]
+        noise = np.ones(u.shape[1])
     else:
-        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None]).tolist()
+        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None])
     # 1 / (1 + d / signal) is signal / (signal + d), and stays 1 where the
-    # signal estimate overflowed to inf.
-    eta = np.zeros(u.shape[1])
-    for k, (est, d_k) in enumerate(zip(model.estimates, noise)):
+    # signal estimate overflowed to inf.  Masked-out entries may be NaN.
+    with np.errstate(all="ignore"):
         signal = est.ell_hat * est.c2_hat
-        if est.supercritical and signal != 0 and signal + d_k > 0:
-            eta[k] = 1.0 / (1.0 + d_k / signal)
-    return eta
+        keep = est.supercritical & (signal != 0) & (signal + noise > 0)
+        return np.where(keep, 1.0 / (1.0 + noise / signal), 0.0)
 
 
 def fit_in_sample(
@@ -200,8 +198,7 @@ def fit_in_sample(
 
     # shrink_triplets prescales b in place, and X-hat then overwrites it.
     v_hat, u_hat, estimates = shrink_triplets(b, r, mode=mode)
-    lam = np.array([e.lambda_star for e in estimates])
-    x_hat = np.matmul(np.sqrt(n) * (v_hat * lam), u_hat.T, out=b)
+    x_hat = np.matmul(np.sqrt(n) * (v_hat * estimates.lambda_star), u_hat.T, out=b)
     x_hat /= w_diag
     x_hat += mean
 

@@ -24,9 +24,8 @@ from .spectral import (
 )
 
 __all__ = [
-    "SpikeEstimate",
+    "SpikeEstimates",
     "estimate_spike",
-    "amse",
     "white_spike_forward",
     "white_spike_inverse",
     "shrink_triplets",
@@ -46,26 +45,28 @@ def __getattr__(name):
 
 
 @dataclass(frozen=True)
-class SpikeEstimate:
+class SpikeEstimates:
     """Per-component spike strength, squared cosines and optimal singular
-    value, all in the units of the input matrix.  A subcritical component
-    has every estimate but ``sigma_obs`` zero."""
+    value, all in the units of the input matrix, as 1-d arrays with one
+    entry per component.  A subcritical component has every estimate but
+    ``sigma_obs`` zero; ``supercritical`` and ``clamped`` are boolean."""
 
-    ell_hat: float
-    c2_hat: float
-    ct2_hat: float
-    lambda_star: float
-    sigma_obs: float
-    supercritical: bool
-    clamped: bool = False
+    ell_hat: np.ndarray
+    c2_hat: np.ndarray
+    ct2_hat: np.ndarray
+    lambda_star: np.ndarray
+    sigma_obs: np.ndarray
+    supercritical: np.ndarray
+    clamped: np.ndarray
+
+    @property
+    def amse(self) -> float:
+        """Estimated asymptotic mean squared error sum_k ell_k (1 - c_k^2
+        ct_k^2), added left to right."""
+        return float(sum((self.ell_hat * (1.0 - self.c2_hat * self.ct2_hat)).tolist()))
 
 
-def amse(estimates: list[SpikeEstimate]) -> float:
-    """Estimated asymptotic mean squared error sum_k ell_k (1 - c_k^2 ct_k^2)."""
-    return float(sum(e.ell_hat * (1.0 - e.c2_hat * e.ct2_hat) for e in estimates))
-
-
-def estimate_spike(spectrum: EigenSpectrum, r: int, shift: int = 0) -> list[SpikeEstimate]:
+def estimate_spike(spectrum: EigenSpectrum, r: int, shift: int = 0) -> SpikeEstimates:
     """Plug-in spike estimates for the top r eigenvalues of ``spectrum``,
     the eigenvalues of a matrix times 2**-shift, in the units of the matrix.
 
@@ -79,10 +80,10 @@ def estimate_spike(spectrum: EigenSpectrum, r: int, shift: int = 0) -> list[Spik
         raise RankError(f"rank {r} must lie in [0, {min(spectrum.n, spectrum.p)})")
     sigma2, top_resid = spectrum.values[:r], spectrum.values[r]
     supercritical = sigma2 >= top_resid + guard_epsilon(top_resid)
-    est = spectral_estimates(spectrum, r, sigma2[supercritical])
+    m, m_comp, d, d_prime = spectral_estimates(spectrum, r, sigma2[supercritical])
     ell, cos2, clamped = np.zeros(r), np.zeros((2, r)), np.zeros(r, dtype=bool)
-    ell[supercritical] = 1.0 / est.d_hat
-    raw = np.stack([est.m_hat, est.m_comp_hat]) / (est.d_prime_hat * ell[supercritical])
+    ell[supercritical] = 1.0 / d
+    raw = np.stack([m, m_comp]) / (d_prime * ell[supercritical])
     clamped[supercritical] = ~((0.0 <= raw) & (raw <= 1.0)).all(axis=0)
     # Python's min(max(c, 0.0), 1.0): -0.0 and NaN pass through.
     cos2[:, supercritical] = np.where(raw > 1.0, 1.0, np.where(raw < 0.0, 0.0, raw))
@@ -132,22 +133,20 @@ def white_spike_inverse(
     return ell[()]
 
 
-def _spike_estimates(sigma2, ell, c2, ct2, supercritical, clamped, shift) -> list[SpikeEstimate]:
+def _spike_estimates(sigma2, ell, c2, ct2, supercritical, clamped, shift) -> SpikeEstimates:
     """Estimates from arrays over components in the units of a matrix
     times 2**-shift, mapped back to the units of the matrix: ell_hat by
     4**shift (it may overflow to inf), lambda_star and sigma_obs by
     2**shift."""
     lambda_star = np.sqrt(ell * c2 * ct2)
     with np.errstate(over="ignore"):
-        fields = (np.ldexp(ell, 2 * shift), c2, ct2, np.ldexp(lambda_star, shift),
-                  np.ldexp(np.sqrt(sigma2), shift), supercritical, clamped)
-    # tolist() gives Python floats and bools, which json writes.
-    return list(map(SpikeEstimate, *(f.tolist() for f in fields)))
+        return SpikeEstimates(np.ldexp(ell, 2 * shift), c2, ct2, np.ldexp(lambda_star, shift),
+                              np.ldexp(np.sqrt(sigma2), shift), supercritical, clamped)
 
 
 def shrink_triplets(
     matrix: np.ndarray, r: int, mode: str = "plugin"
-) -> tuple[np.ndarray, np.ndarray, list[SpikeEstimate]]:
+) -> tuple[np.ndarray, np.ndarray, SpikeEstimates]:
     """Shrinkage core: returns the top-r left vectors (n, r), right vectors
     (p, r) and per-component estimates for ``matrix / sqrt(n)``.
 
@@ -169,7 +168,8 @@ def shrink_triplets(
     if mode not in ("plugin", "white"):
         raise ValueError(f"unknown mode {mode!r}")
     if r == 0:
-        return np.zeros((n, 0)), np.zeros((p, 0)), []
+        empty = SpikeEstimates(*np.zeros((5, 0)), *np.zeros((2, 0), dtype=bool))
+        return np.zeros((n, 0)), np.zeros((p, 0)), empty
     # Plug-in calibration needs every residual eigenvalue, and the rank
     # contract caps r below min(n, p) so at least one is left.
     if mode == "plugin" and r >= min(n, p):

@@ -28,7 +28,6 @@ from .errors import RankError, ShapeError, SpectrumDomainError
 
 __all__ = [
     "EigenSpectrum",
-    "SpectralEstimates",
     "gram_eigh",
     "spectral_estimates",
     "mp_bulk_edge",
@@ -199,24 +198,6 @@ class EigenSpectrum:
     def gamma(self) -> float:
         return self.p / self.n
 
-    def residual(self, r: int) -> tuple[np.ndarray, int]:
-        """Stored residual eigenvalues after dropping the top ``r``, plus
-        the number of implicit zeros."""
-        if r < 0 or r >= min(self.n, self.p):
-            raise RankError(f"rank {r} must lie in [0, {min(self.n, self.p)})")
-        return self.values[r:], max(self.p - self.n, 0)
-
-
-@dataclass(frozen=True)
-class SpectralEstimates:
-    """Plug-in spectral functionals, each shaped like the evaluation
-    point: a float at a scalar, an array at a 1-d array of points."""
-
-    m_hat: float | np.ndarray
-    m_comp_hat: float | np.ndarray
-    d_hat: float | np.ndarray
-    d_prime_hat: float | np.ndarray
-
 
 def guard_epsilon(top_residual: float) -> float:
     """Guard band above the top residual eigenvalue."""
@@ -225,8 +206,9 @@ def guard_epsilon(top_residual: float) -> float:
 
 def spectral_estimates(
     spectrum: EigenSpectrum, r: int, x: float | np.ndarray
-) -> SpectralEstimates:
-    """Plug-in m, m_comp, D and D' at ``x`` of the spectrum less its top ``r``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Plug-in (m, m_comp, D, D') at ``x`` of the spectrum less its top
+    ``r``, each shaped like ``x``.
 
     m(x) = (p - r)^-1 sum_{k>r} 1 / (lambda_k - x), implicit zeros included;
     m_comp = gamma m - (1 - gamma) / x is the transform of the companion
@@ -237,8 +219,10 @@ def spectral_estimates(
     residual spectrum, so an array gives, bit for bit, what a call per
     point gives.
     """
-    resid, n_zeros = spectrum.residual(r)
-    top, eps = resid[0], guard_epsilon(resid[0])  # residual() keeps at least one
+    if r < 0 or r >= min(spectrum.n, spectrum.p):
+        raise RankError(f"rank {r} must lie in [0, {min(spectrum.n, spectrum.p)})")
+    resid, n_zeros = spectrum.values[r:], max(spectrum.p - spectrum.n, 0)
+    top, eps = resid[0], guard_epsilon(resid[0])
     x = np.asarray(x, dtype=float)
     lowest = np.min(x, initial=np.inf)
     if not lowest >= top + eps:
@@ -257,12 +241,8 @@ def spectral_estimates(
     gamma = spectrum.gamma
     m_comp = gamma * m_hat - (1.0 - gamma) / x
     m_comp_prime = gamma * m_prime + (1.0 - gamma) / (x * x)
-    return SpectralEstimates(
-        m_hat=m_hat,
-        m_comp_hat=m_comp,
-        d_hat=x * m_hat * m_comp,
-        d_prime_hat=m_hat * m_comp + x * m_prime * m_comp + x * m_hat * m_comp_prime,
-    )
+    d_prime = m_hat * m_comp + x * m_prime * m_comp + x * m_hat * m_comp_prime
+    return m_hat, m_comp, x * m_hat * m_comp, d_prime
 
 
 def mp_bulk_edge(gamma: float) -> float:

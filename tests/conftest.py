@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,16 +79,65 @@ def loop_predict(model, y: np.ndarray, d: np.ndarray) -> np.ndarray:
         b = np.sqrt(d[i]) * y[i] - d[i] * model.mean
         b_fit = b * (model.w_diag / model.m_hat_diag)
         row = np.zeros(model.p)
-        for col, est in enumerate(model.estimates):
-            if not est.supercritical:
+        est = model.estimates
+        for col in range(model.rank):
+            if not est.supercritical[col]:
                 continue
             u = model.u_hat[:, col]
             d_k = 1.0 if model.whitened else float(u @ (u / model.m_hat_diag))
-            signal = est.ell_hat * est.c2_hat
+            signal = est.ell_hat[col] * est.c2_hat[col]
             eta = signal / (signal + d_k) if signal + d_k > 0 else 0.0
             row += eta * (u @ b_fit) * u
         out[i] = row / model.w_diag + model.mean
     return out
+
+
+def loop_eta(model) -> np.ndarray:
+    """Reference out-of-sample weights, one component at a time in Python
+    floats, in the operation order the weights of the model must
+    reproduce bit for bit: 1 / (1 + d_k / (ell c^2)) for a supercritical
+    component whose signal ell c^2 is nonzero and signal + d_k > 0, and 0
+    otherwise; d_k = 1 whitened and u_k' M-hat^-1 u_k unwhitened."""
+    u, est = model.u_hat, model.estimates
+    if model.whitened:
+        noise = [1.0] * u.shape[1]
+    else:
+        noise = np.einsum("jk,jk->k", u, u / model.m_hat_diag[:, None]).tolist()
+    eta = np.zeros(u.shape[1])
+    rows = zip(est.ell_hat.tolist(), est.c2_hat.tolist(), est.supercritical.tolist(), noise)
+    for k, (ell, c2, supercritical, d_k) in enumerate(rows):
+        signal = ell * c2
+        if supercritical and signal != 0 and signal + d_k > 0:
+            eta[k] = 1.0 / (1.0 + d_k / signal)
+    return eta
+
+
+ESTIMATE_FIELDS = ("ell_hat", "c2_hat", "ct2_hat", "lambda_star", "sigma_obs",
+                   "supercritical", "clamped")
+
+
+def component(*values) -> SimpleNamespace:
+    """One component's estimates (ell_hat, c2_hat, ct2_hat, lambda_star,
+    sigma_obs, supercritical[, clamped]), by name."""
+    return SimpleNamespace(**dict(zip(ESTIMATE_FIELDS, values + (False,) * (7 - len(values)))))
+
+
+def components(estimates) -> list[SimpleNamespace]:
+    """A record of estimates as one ``component`` per component, in
+    Python floats and bools."""
+    columns = (getattr(estimates, name).tolist() for name in ESTIMATE_FIELDS)
+    return [component(*values) for values in zip(*columns)]
+
+
+def spike_estimates(rows) -> "SpikeEstimates":
+    """A record of estimates from per-component rows (ell_hat, c2_hat,
+    ct2_hat, lambda_star, sigma_obs, supercritical[, clamped])."""
+    from eblp import SpikeEstimates
+
+    rows = [tuple(row) + (False,) * (7 - len(row)) for row in rows]
+    columns = list(zip(*rows)) or [()] * 7
+    return SpikeEstimates(*(np.array(c, dtype=float) for c in columns[:5]),
+                          *(np.array(c, dtype=bool) for c in columns[5:]))
 
 
 def reference_fit(
@@ -146,8 +196,7 @@ def reference_fit(
     b_fit = b * fit_scale[None, :]
 
     v_hat, u_hat, estimates = shrink_triplets(b_fit, r, mode=mode)
-    lam = np.array([e.lambda_star for e in estimates])
-    x_fit = np.sqrt(n) * (v_hat * lam) @ u_hat.T
+    x_fit = np.sqrt(n) * (v_hat * estimates.lambda_star) @ u_hat.T
     x_hat = x_fit / w_diag[None, :] + mean[None, :]
 
     model = EblpModel(

@@ -12,7 +12,6 @@ import pytest
 from eblp import (
     NnrlsConfig,
     TransformedObservation,
-    amse,
     dataset_from_arrays,
     fit_in_sample,
     mp_bulk_edge,
@@ -98,7 +97,7 @@ def test_02_plugin_spectral_estimators():
     n = int(round(p / gamma))
     spectrum = spectrum_of(rng.standard_normal((n, p)))
     x_eval = mp_bulk_edge(gamma) + 1.0
-    m_hat = spectral_estimates(spectrum, 0, x_eval).m_hat
+    m_hat, _, _, _ = spectral_estimates(spectrum, 0, x_eval)
     gap = abs(m_hat - mp_white_stieltjes(x_eval, gamma))
 
     monotone = True
@@ -110,7 +109,7 @@ def test_02_plugin_spectral_estimators():
         ),
     ):
         xs = np.linspace(spec.values[0] + 0.05, spec.values[0] + 25, 80)
-        d_vals = [spectral_estimates(spec, 0, x).d_hat for x in xs]
+        d_vals = [spectral_estimates(spec, 0, x)[2] for x in xs]
         monotone = monotone and bool(np.all(np.diff(d_vals) < 0))
 
     ok = gap < 0.02 and monotone
@@ -135,7 +134,7 @@ def test_03_shrinkage_matches_grid_oracle():
             dataset_from_arrays(y, masks), 1, whiten=True, mode="plugin", center=False
         )
         achieved = np.linalg.norm(x_hat - x)
-        sigma1, lam_star = model.estimates[0].sigma_obs, model.estimates[0].lambda_star
+        sigma1, lam_star = model.estimates.sigma_obs[0], model.estimates.lambda_star[0]
         assert lam_star > 0
         # Uncentered, x_hat is lambda_star times the rank-1 direction
         # sqrt(n) v u' W^-1.
@@ -163,7 +162,7 @@ def test_04_amse_estimator_matches_realized_error():
             dataset_from_arrays(y, masks), 10, whiten=False, mode="plugin", center=False
         )
         realized.append(np.linalg.norm(x_hat - x) ** 2 / n)
-        estimated.append(amse(model.estimates))
+        estimated.append(model.estimates.amse)
     ratio = np.mean(estimated) / np.mean(realized)
     ok = abs(ratio - 1.0) <= 0.05
     report(

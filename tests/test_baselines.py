@@ -373,7 +373,7 @@ class TestUnwhitenedShrinkage:
         ) / np.sqrt(p)
         x_hat, ests = shrink_plain(y, 1, mode="plugin")
         u, _, vt = np.linalg.svd(y / np.sqrt(n), full_matrices=False)
-        x_classical = np.sqrt(n) * ests[0].lambda_star * np.outer(u[:, 0], vt[0])
+        x_classical = np.sqrt(n) * ests.lambda_star[0] * np.outer(u[:, 0], vt[0])
         assert np.allclose(x_hat, x_classical, atol=1e-10)
 
     def test_zero_input(self):

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import loop_predict, read_results
+from conftest import components, loop_predict, read_results
 from eblp import (
     ParseError,
     ShapeError,
@@ -613,7 +613,7 @@ class TestModelIO:
         assert np.array_equal(back.u_hat, model.u_hat)
         assert np.array_equal(back.m_hat_diag, model.m_hat_diag)
         assert back.whitened == model.whitened
-        assert back.estimates == model.estimates
+        assert components(back.estimates) == components(model.estimates)
         model.mean[0] = np.nan
         with pytest.raises(ValueError, match="JSON compliant"):
             matio.write_model(tmp_path / "nan.json", model)
@@ -650,12 +650,22 @@ class TestModelIO:
         path = tmp_path / "model.json"
         matio.write_model(path, model)
         back = matio.read_model(path)
-        for field in dataclasses.fields(model):
-            got, want = getattr(back, field.name), getattr(model, field.name)
+
+        def fields(model):
+            out = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+            est = out.pop("estimates")
+            return {**out, **{f"estimates.{f.name}": getattr(est, f.name)
+                              for f in dataclasses.fields(est)}}
+
+        got_fields, want_fields = fields(back), fields(model)
+        assert got_fields.keys() == want_fields.keys()
+        for name, want in want_fields.items():
+            got = got_fields[name]
             if isinstance(want, np.ndarray):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
             else:
-                assert type(got) is type(want) and got == want, field.name
+                assert type(got) is type(want) and got == want, name
 
     # 200 examples by default, and the profile's count when it is larger
     # (2000 under --hypothesis-profile=ci).
@@ -724,6 +734,23 @@ class TestModelIO:
             (("mean",), "0", "mean must be an array"),
             (("u_hat",), good["u_hat"][0], r"u_hat\[0\] must be an array"),
             (("mean", 1), 10**400, "malformed model file: int too large"),
+            # Scales a fit never saves: M-hat below the fit's floor, and so a
+            # zero or negative W or a sample count below 1.
+            (("m_hat_diag", 0), 0.0, r"m_hat_diag\[0\] must be at least 1e-06, got 0.0"),
+            (("m_hat_diag", 4), 9e-7, r"m_hat_diag\[4\] must be at least 1e-06, got 9e-07"),
+            (("m_hat_diag", 2), -1, r"m_hat_diag\[2\] must be at least 1e-06, got -1"),
+            (("w_diag", 0), 0.0, r"w_diag\[0\] must be positive, got 0.0"),
+            (("w_diag", 5), -0.5, r"w_diag\[5\] must be positive, got -0.5"),
+            (("n",), -5, "n must be at least 1, got -5"),
+            (("n",), 0, "n must be at least 1, got 0"),
+            # Each estimate entry holds exactly the seven fields.
+            (("estimates", 0, "foo"), 1.0, r'estimates\[0\]: unknown field "foo"'),
+            (("estimates", 0), {k: v for k, v in good["estimates"][0].items() if k != "ell_hat"},
+             r"estimates\[0\]\.ell_hat is missing"),
+            (("estimates", 0), {k: v for k, v in good["estimates"][0].items() if k != "clamped"},
+             r"estimates\[0\]\.clamped is missing"),
+            (("estimates", 0), [1.0], r"estimates\[0\] must be an object, got \[1.0\]"),
+            (("estimates",), {}, "estimates must be an array"),
         ]
         for keys, value, message in edits:
             payload = json.loads(json.dumps(good))

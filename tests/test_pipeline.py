@@ -1,3 +1,4 @@
+import json
 import runpy
 import tracemalloc
 from dataclasses import astuple, replace
@@ -8,19 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SignalModel, blp_oracle, loop_predict, reference_fit, simple_blp_uniform
+from conftest import (
+    SignalModel,
+    blp_oracle,
+    loop_eta,
+    loop_predict,
+    reference_fit,
+    simple_blp_uniform,
+    spike_estimates,
+)
 from eblp import (
     DegenerateCoordinateError,
     RankError,
     ShapeError,
-    SpikeEstimate,
+    SpikeEstimates,
     TransformedObservation,
-    amse,
     dataset_from_arrays,
     fit_in_sample,
     predict_out_of_sample,
     rmse,
 )
+from eblp import matio, pipeline
 from eblp.pipeline import EblpModel
 
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -65,10 +74,24 @@ class TestEstimateM:
         model, _ = fit_in_sample(ds, 0)
         assert np.allclose(model.m_hat_diag, [1.0, 0.5])
 
-    def test_all_ones(self):
+    def test_all_ones(self, tmp_path):
         ds = dataset_from_arrays(np.zeros((3, 4)), np.ones((3, 4)))
-        model, _ = fit_in_sample(ds, 0)
-        assert np.allclose(model.m_hat_diag, 1.0)
+        for mode in ("plugin", "white"):
+            model, _ = fit_in_sample(ds, 0, mode=mode)
+            assert np.allclose(model.m_hat_diag, 1.0)
+            # Rank 0 gives an empty record, whose error estimate is 0, and a
+            # model file with no estimates that reads back as the same record.
+            kinds = [a.dtype.kind for a in astuple(model.estimates)]
+            assert kinds == ["f"] * 5 + ["b"] * 2
+            assert all(a.shape == (0,) for a in astuple(model.estimates))
+            assert model.estimates.amse == 0.0
+            path = tmp_path / f"{mode}.json"
+            matio.write_model(path, model)
+            assert json.loads(path.read_text())["estimates"] == []
+            back = matio.read_model(path)
+            assert back.rank == 0 and back.u_hat.shape == (4, 0)
+            assert [a.dtype.kind for a in astuple(back.estimates)] == kinds
+            assert all(a.shape == (0,) for a in astuple(back.estimates))
 
     def test_never_observed_coordinate(self):
         d = np.ones((5, 3))
@@ -169,10 +192,10 @@ class TestFitInSample:
         assert max_rel_err(model_perm.m_hat_diag, model.m_hat_diag[cols]) <= 1e-12
         assert max_rel_err(model_perm.w_diag, model.w_diag[cols]) <= 1e-12
         assert max_rel_err(model_perm.mean, model.mean[cols]) <= 1e-12
-        fields = lambda m: np.array([astuple(e) for e in m.estimates], dtype=float)  # noqa: E731
+        fields = lambda m: np.array(astuple(m.estimates), dtype=float)  # noqa: E731
         want = fields(model)
-        for column in range(want.shape[1]):
-            assert max_rel_err(fields(model_perm)[:, column], want[:, column]) <= 1e-12
+        for row in range(want.shape[0]):
+            assert max_rel_err(fields(model_perm)[row], want[row]) <= 1e-12
 
     def test_orthonormal_u_hat(self, rng):
         ds, _, _ = make_dataset(rng, 150, 100, [10.0, 5.0], delta=0.9)
@@ -183,7 +206,7 @@ class TestFitInSample:
     def test_estimated_amse_nonnegative(self, rng):
         ds, _, _ = make_dataset(rng, 150, 100, [10.0], delta=0.9)
         model, _ = fit_in_sample(ds, 1)
-        assert amse(model.estimates) >= 0
+        assert model.estimates.amse >= 0
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -221,7 +244,7 @@ class TestFitReference:
         for name in ("m_hat_diag", "mean", "w_diag", "u_hat"):
             assert same_bits(getattr(model, name), getattr(want_model, name)), name
         assert (model.rank, model.whitened, model.n) == (want_model.rank, want_model.whitened, n)
-        fields = lambda m: np.array([astuple(e) for e in m.estimates], dtype=float)  # noqa: E731
+        fields = lambda m: np.array(astuple(m.estimates), dtype=float)  # noqa: E731
         assert same_bits(fields(model), fields(want_model))
 
     def test_caller_arrays_untouched(self, rng):
@@ -293,13 +316,13 @@ class TestFitScaleEquivariance:
         assert same_bits(scaled.mean, np.ldexp(model.mean, k))
         for name in ("u_hat", "m_hat_diag", "w_diag"):
             assert same_bits(getattr(scaled, name), getattr(model, name)), name
-        assert len(scaled.estimates) == len(model.estimates) == rank
-        for est, want in zip(scaled.estimates, model.estimates):
-            assert est.supercritical == want.supercritical
-            assert (est.c2_hat, est.ct2_hat) == (want.c2_hat, want.ct2_hat)
-            assert est.ell_hat == np.ldexp(want.ell_hat, 2 * k)
-            assert est.lambda_star == np.ldexp(want.lambda_star, k)
-            assert est.sigma_obs == np.ldexp(want.sigma_obs, k)
+        est, want = scaled.estimates, model.estimates
+        assert est.ell_hat.shape == want.ell_hat.shape == (rank,)
+        assert same_bits(est.supercritical, want.supercritical)
+        assert same_bits(est.c2_hat, want.c2_hat) and same_bits(est.ct2_hat, want.ct2_hat)
+        assert same_bits(est.ell_hat, np.ldexp(want.ell_hat, 2 * k))
+        assert same_bits(est.lambda_star, np.ldexp(want.lambda_star, k))
+        assert same_bits(est.sigma_obs, np.ldexp(want.sigma_obs, k))
 
 
 class TestPredictOutOfSample:
@@ -310,7 +333,7 @@ class TestPredictOutOfSample:
         u[0, 0] = 1.0
         model = EblpModel(
             u_hat=u,
-            estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
+            estimates=spike_estimates([(1.0, 1.0, 1.0, 1.0, 1.0, True)]),
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
             whitened=True,
@@ -325,7 +348,7 @@ class TestPredictOutOfSample:
         p = 3
         model = EblpModel(
             u_hat=np.eye(p)[:, :1],
-            estimates=[SpikeEstimate(0.0, 0.0, 0.0, 0.0, 1.0, False)],
+            estimates=spike_estimates([(0.0, 0.0, 0.0, 0.0, 1.0, False)]),
             m_hat_diag=np.ones(p),
             w_diag=np.ones(p),
             whitened=True,
@@ -343,7 +366,7 @@ class TestPredictOutOfSample:
         u = np.eye(p)[:, :1]
         model = EblpModel(
             u_hat=u,
-            estimates=[SpikeEstimate(1.0, 1.0, 1.0, 1.0, 1.0, True)],
+            estimates=spike_estimates([(1.0, 1.0, 1.0, 1.0, 1.0, True)]),
             m_hat_diag=np.full(p, big),
             w_diag=np.ones(p),
             whitened=False,
@@ -374,8 +397,12 @@ class TestPredictOutOfSample:
         ]:
             with pytest.raises(ShapeError, match="inconsistent model dimensions"):
                 replace(model, **{name: value})
-        for count in (1, 3):
-            estimates = (model.estimates * 2)[:count]
+        est = model.estimates
+        for estimates in (
+            SpikeEstimates(*(a[:1] for a in astuple(est))),              # one component
+            SpikeEstimates(*(np.tile(a, 2)[:3] for a in astuple(est))),  # three
+            replace(est, clamped=est.clamped[:1]),                       # unequal fields
+        ):
             with pytest.raises(ShapeError, match="estimates do not match component count"):
                 replace(model, estimates=estimates)
 
@@ -424,6 +451,46 @@ class TestPredictOutOfSample:
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.1)
 
 
+# Signals ell c^2 at every edge of the weight: zero, subnormal, infinite,
+# huge and negative (where signal + d_k may fall to 0 or below).
+ELL_HATS = st.one_of(
+    st.sampled_from([0.0, np.inf, 5e-324, 1e308, -1.0]),
+    st.floats(-4.0, 4.0), st.floats(0.0, 1e300), st.floats(0.0, 1e-300),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEtaReference:
+    """The per-component weights of the prediction operator, one masked
+    array expression, against the per-component loop ``conftest.loop_eta``."""
+
+    @given(
+        components=st.lists(
+            st.tuples(ELL_HATS, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                      st.booleans()),
+            max_size=6,
+        ),
+        p=st.integers(6, 9),
+        whitened=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_loop(self, components, p, whitened, seed):
+        rng = np.random.default_rng(seed)
+        r = len(components)
+        estimates = spike_estimates([(ell, c2, 0.5, 1.0, 2.0, supercritical)
+                                     for ell, c2, supercritical in components])
+        model = EblpModel(
+            u_hat=rng.standard_normal((p, r)) * np.ldexp(1.0, rng.integers(-30, 30, r)),
+            estimates=estimates,
+            m_hat_diag=np.ldexp(rng.uniform(1.0, 2.0, p), rng.integers(-20, 40, p)),
+            w_diag=np.ones(p),
+            whitened=whitened,
+            mean=np.zeros(p),
+            n=1,
+        )
+        assert same_bits(pipeline._eta(model), loop_eta(model))
+
+
 def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
     return float(np.max(np.abs(got - want), initial=0.0)) / scale
@@ -449,10 +516,10 @@ class TestBatchPrediction:
         model, _ = fit_in_sample(ds, rank, whiten=whiten, mode=mode)
         # Flag some components subcritical on top of what the fit found,
         # keeping their nonzero estimates: the flag alone must drop them.
-        model = replace(model, estimates=[
-            replace(e, supercritical=False) if off else e
-            for e, off in zip(model.estimates, subcritical)
-        ])
+        model = replace(model, estimates=replace(
+            model.estimates,
+            supercritical=model.estimates.supercritical & ~np.array(subcritical[:rank]),
+        ))
         d = (rng.random((k, p)) < 0.7) * rng.uniform(0.2, 2.0, (k, p))
         y = d * rng.standard_normal((k, p)) * 3.0
 
@@ -491,8 +558,8 @@ class TestBatchPrediction:
         d = np.ones((n, p))
         model, x_hat = fit_in_sample(dataset_from_arrays(y, d), 1, whiten=whiten)
         assert np.isfinite(x_hat).all()
-        assert model.estimates[0].supercritical
-        assert model.estimates[0].ell_hat == np.inf
+        assert model.estimates.supercritical[0]
+        assert model.estimates.ell_hat[0] == np.inf
 
         pred = predict_out_of_sample(model, TransformedObservation(y=y[:20], d=d[:20]))
         assert np.isfinite(pred).all()

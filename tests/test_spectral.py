@@ -18,7 +18,7 @@ from eblp import (
 )
 from eblp import spectral
 from eblp.spectral import gram_eigh, guard_epsilon
-from conftest import mp_stieltjes_quadrature, mp_white_stieltjes, spectrum_of
+from conftest import components, mp_stieltjes_quadrature, mp_white_stieltjes, spectrum_of
 
 
 def spec(values, n=None, p=None):
@@ -214,8 +214,8 @@ class TestGramEigh:
                     assert np.max(np.abs(values - dense)) <= tol
                     self.assert_triplets(matrix, values[:top], left, right, dense, tol)
                     if 0 < top < m:
-                        got = estimate_spike(EigenSpectrum(values=values, n=n, p=p), top)
-                        want = estimate_spike(reference, top)
+                        got = components(estimate_spike(EigenSpectrum(values=values, n=n, p=p), top))
+                        want = components(estimate_spike(reference, top))
                         for k in range(top):
                             self.assert_same_estimate(
                                 got[k], want[k], dense[k], dense[k] - dense[top], tol,
@@ -353,9 +353,8 @@ class TestSpectralReference:
         r = data.draw(st.integers(0, short - 1))
         top = s.values[r]
         x = (top + guard_epsilon(top)) + offset
-        est = spectral_estimates(s, r, x)
+        got = spectral_estimates(s, r, x)
         ref = reference(s, r, x)
-        got = (est.m_hat, est.m_comp_hat, est.d_hat, est.d_prime_hat)
         want = (ref.m, ref.m_comp, ref.d, ref.d_prime)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
@@ -374,12 +373,10 @@ class TestSpectralReference:
         top = s.values[r]
         x = (top + guard_epsilon(top)) + np.array(offsets)
         est = spectral_estimates(s, r, x)
-        for name in ("m_hat", "m_comp_hat", "d_hat", "d_prime_hat"):
-            assert getattr(est, name).shape == x.shape
+        assert len(est) == 4 and all(values.shape == x.shape for values in est)
         for k, point in enumerate(x.tolist()):
-            one = spectral_estimates(s, r, point)
-            got = (est.m_hat[k], est.m_comp_hat[k], est.d_hat[k], est.d_prime_hat[k])
-            want = (one.m_hat, one.m_comp_hat, one.d_hat, one.d_prime_hat)
+            got = [values[k] for values in est]
+            want = spectral_estimates(s, r, point)
             assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
@@ -430,10 +427,10 @@ class TestEmpiricalStieltjes:
         s = spectrum_of(rng.standard_normal((60, 40)))
         top = s.values[0]
         xs = np.linspace(top + 0.1, top + 30, 50)
-        vals = [spectral_estimates(s, 0, x).m_hat for x in xs]
+        vals = [spectral_estimates(s, 0, x)[0] for x in xs]
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] < 0
-        assert spectral_estimates(s, 0, 1e9).m_hat == pytest.approx(0.0, abs=1e-8)
+        assert spectral_estimates(s, 0, 1e9)[0] == pytest.approx(0.0, abs=1e-8)
 
 
 class TestDerivative:
@@ -449,7 +446,7 @@ class TestDerivative:
 
     def test_matches_finite_differences(self, rng):
         s = spectrum_of(rng.standard_normal((50, 40)))
-        m_at = lambda t: spectral_estimates(s, 0, t).m_hat
+        m_at = lambda t: spectral_estimates(s, 0, t)[0]
         for x in (s.values[0] + 0.5, s.values[0] + 2.0, s.values[0] + 10.0):
             h = 1e-4 * x
             fd = (m_at(x + h) - m_at(x - h)) / (2 * h)
@@ -470,15 +467,16 @@ class TestCompanion:
     def test_direct_formula(self):
         # gamma = 1/2: m = -0.375 as above.
         s = EigenSpectrum(values=np.array([4.0, 2.0]), n=4, p=2)
-        assert spectral_estimates(s, 0, 6.0).m_comp_hat == pytest.approx(
+        assert spectral_estimates(s, 0, 6.0)[1] == pytest.approx(
             0.5 * -0.375 - 0.5 / 6.0
         )
 
     def test_gamma_above_one(self):
         # gamma = 2, one stored zero and one implicit: m(1) = -1.
-        est = spectral_estimates(EigenSpectrum(values=np.array([0.0]), n=1, p=2), 0, 1.0)
-        assert est.m_hat == pytest.approx(-1.0)
-        assert est.m_comp_hat == pytest.approx(2.0 * -1.0 + 1.0)
+        spectrum = EigenSpectrum(values=np.array([0.0]), n=1, p=2)
+        m, m_comp, _, _ = spectral_estimates(spectrum, 0, 1.0)
+        assert m == pytest.approx(-1.0)
+        assert m_comp == pytest.approx(2.0 * -1.0 + 1.0)
 
     def test_x_zero_rejected(self):
         # x = 0 lies below the bulk; only points above its guard band are
@@ -497,13 +495,13 @@ class TestCompanion:
 class TestDTransform:
     def test_values(self):
         # D = x m m_comp at x = 6: gamma = 1, then gamma = 1/2.
-        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0).d_hat == pytest.approx(0.84375)
+        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0)[2] == pytest.approx(0.84375)
         half = EigenSpectrum(values=np.array([4.0, 2.0]), n=4, p=2)
-        assert spectral_estimates(half, 0, 6.0).d_hat == pytest.approx(0.609375)
+        assert spectral_estimates(half, 0, 6.0)[2] == pytest.approx(0.609375)
 
     def test_derivative_terms(self):
         # gamma = 1: D' = m^2 + 2 x m m' = 0.140625 - 12 * 0.375 * 0.15625.
-        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0).d_prime_hat == pytest.approx(
+        assert spectral_estimates(spec([4.0, 2.0]), 0, 6.0)[3] == pytest.approx(
             -0.5625
         )
 
@@ -514,34 +512,35 @@ class TestDTransform:
             s = spectrum_of(rng.standard_normal(shape))
             t = EigenSpectrum(values=s.values, n=s.p, p=s.n)
             x = s.values[0] + 1.0
-            a, b = spectral_estimates(s, 0, x), spectral_estimates(t, 0, x)
-            assert a.m_hat == pytest.approx(b.m_comp_hat, rel=1e-12)
-            assert a.m_comp_hat == pytest.approx(b.m_hat, rel=1e-12)
-            assert a.d_hat == pytest.approx(b.d_hat, rel=1e-12)
-            assert a.d_prime_hat == pytest.approx(b.d_prime_hat, rel=1e-12)
+            (m, m_comp, d, d_prime), (tm, tm_comp, td, td_prime) = (
+                spectral_estimates(s, 0, x), spectral_estimates(t, 0, x))
+            assert m == pytest.approx(tm_comp, rel=1e-12)
+            assert m_comp == pytest.approx(tm, rel=1e-12)
+            assert d == pytest.approx(td, rel=1e-12)
+            assert d_prime == pytest.approx(td_prime, rel=1e-12)
 
     def test_derivative_matches_finite_differences(self, rng):
         s = spectrum_of(rng.standard_normal((80, 50)))
         x = s.values[0] + 1.0
         h = 1e-5 * x
-        d_at = lambda t: spectral_estimates(s, 0, t).d_hat
+        d_at = lambda t: spectral_estimates(s, 0, t)[2]
         fd = (d_at(x + h) - d_at(x - h)) / (2 * h)
-        assert spectral_estimates(s, 0, x).d_prime_hat == pytest.approx(fd, rel=1e-5)
+        assert spectral_estimates(s, 0, x)[3] == pytest.approx(fd, rel=1e-5)
 
     def test_d_strictly_decreasing_above_bulk(self, rng):
         for shape in ((200, 160), (160, 200)):
             s = spectrum_of(rng.standard_normal(shape))
             xs = np.linspace(s.values[0] + 0.05, s.values[0] + 20, 60)
-            d_vals = [spectral_estimates(s, 0, x).d_hat for x in xs]
+            d_vals = [spectral_estimates(s, 0, x)[2] for x in xs]
             assert np.all(np.diff(d_vals) < 0)
             assert all(v > 0 for v in d_vals)
 
     def test_bundle_consistency(self, rng):
         s = spectrum_of(rng.standard_normal((40, 30)))
         x = s.values[0] + 2.0
-        est = spectral_estimates(s, 0, x)
-        assert est.m_hat < 0 and est.m_comp_hat < 0
-        assert est.d_hat == pytest.approx(x * est.m_hat * est.m_comp_hat)
+        m, m_comp, d, _ = spectral_estimates(s, 0, x)
+        assert m < 0 and m_comp < 0
+        assert d == pytest.approx(x * m * m_comp)
 
 
 class TestWhiteOracle:
@@ -574,7 +573,7 @@ class TestWhiteOracle:
         p, n = 1000, 1250
         s = spectrum_of(rng.standard_normal((n, p)))
         x = mp_bulk_edge(0.8) + 1.0
-        assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, 0.8)) < 0.02
+        assert abs(spectral_estimates(s, 0, x)[0] - mp_white_stieltjes(x, 0.8)) < 0.02
 
     def test_agrees_with_plugin_p_larger_than_n(self):
         rng = np.random.default_rng(8)
@@ -582,4 +581,4 @@ class TestWhiteOracle:
         s = spectrum_of(rng.standard_normal((n, p)))
         gamma = p / n
         x = mp_bulk_edge(gamma) + 1.0
-        assert abs(spectral_estimates(s, 0, x).m_hat - mp_white_stieltjes(x, gamma)) < 0.02
+        assert abs(spectral_estimates(s, 0, x)[0] - mp_white_stieltjes(x, gamma)) < 0.02

@@ -68,8 +68,9 @@ assert eblp.cli.main(["simulate", config, prefix]) == 0
 seen["benchmark"] = loaded()
 seen["pool_benchmark"] = pool()
 seen["rows"] = len(open(table).read().splitlines()) - 1  # less the header
-seen["estimates"] = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
-                     for e in white.estimates]
+est = white.estimates
+seen["estimates"] = [a.tolist() for a in (est.ell_hat, est.c2_hat, est.ct2_hat,
+                                          est.lambda_star, est.sigma_obs)]
 print(json.dumps(seen))
 """
 
@@ -102,9 +103,9 @@ def test_sparse_linalg_never_loads(tmp_path, rng):
     assert (tmp_path / "sim.y.txt").exists()
 
     white, _ = fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 2, mode="white")
-    assert all(e.supercritical for e in white.estimates)
-    expected = [[e.ell_hat, e.c2_hat, e.ct2_hat, e.lambda_star, e.sigma_obs]
-                for e in white.estimates]
+    est = white.estimates
+    assert est.supercritical.all()
+    expected = [est.ell_hat, est.c2_hat, est.ct2_hat, est.lambda_star, est.sigma_obs]
     np.testing.assert_allclose(seen["estimates"], expected, rtol=1e-12)
 
 
@@ -114,8 +115,8 @@ EXPORTED = (
     "DegenerateCoordinateError", "EblpError", "EblpModel", "EigenSpectrum",
     "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
     "ParseError", "RankError", "SamplingSpec", "ShapeError",
-    "SimulatedData", "SpectralEstimates", "SpectrumDomainError",
-    "SpikeEstimate", "TransformedObservation", "amse", "baselines",
+    "SimulatedData", "SpectrumDomainError", "SpikeEstimates",
+    "TransformedObservation", "baselines",
     "dataset_from_arrays", "errors", "estimate_spike", "fit_in_sample",
     "generate_masks", "generate_noise", "generate_signals", "mp_bulk_edge",
     "nnrls", "nnrls_weight_colored", "nnrls_weight_white", "pipeline",

@@ -35,7 +35,7 @@ def test_install_traces_both_modes_and_uninstall_restores(rng):
         tracer.uninstall()
     assert shrinkage.np is np
     assert shrinkage.scipy is scipy
-    assert all(e.supercritical for e in plugin.estimates + white.estimates)
+    assert plugin.estimates.supercritical.all() and white.estimates.supercritical.all()
 
     names = [span[0] for span in tracer.spans]
     assert names.count("pipeline.fit_in_sample") == 2

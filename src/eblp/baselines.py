@@ -130,9 +130,9 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     if cw is not None and cw.size != y.shape[1]:
         raise ShapeError("column_weights must have one entry per column")
     # Weighted problem is solved in Z = X C, where the masked-quadratic
-    # gradient is Lipschitz with constant 1 / min(C)^2.
-    c_inv = None if cw is None else 1.0 / cw
-    step = 1.0 if cw is None else float(np.min(cw) ** 2)
+    # gradient is Lipschitz with constant 1 / min(C)^2.  Unweighted, C = 1
+    # and every product with C^-1 below is exact.
+    c_inv, step = (1.0, 1.0) if cw is None else (1.0 / cw, float(np.min(cw) ** 2))
     z = np.zeros_like(y)
     momentum = np.zeros_like(y)
     cand = np.empty_like(y)
@@ -140,11 +140,8 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
 
     def residual(point: np.ndarray) -> np.ndarray:
         """(point C^-1 - y) * mask, in ``work``."""
-        if c_inv is None:
-            np.subtract(point, y, out=work)
-        else:
-            np.multiply(point, c_inv, out=work)
-            np.subtract(work, y, out=work)
+        np.multiply(point, c_inv, out=work)
+        np.subtract(work, y, out=work)
         return np.multiply(work, mask, out=work)
 
     def objective(point: np.ndarray, nuc: float) -> float:
@@ -154,9 +151,7 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
     def prox_step(point: np.ndarray) -> float:
         """The prox of ``point - step * gradient`` into ``cand``; returns
         its nuclear norm."""
-        g = residual(point)
-        if c_inv is not None:
-            np.multiply(g, c_inv, out=g)
+        g = np.multiply(residual(point), c_inv, out=work)
         np.subtract(point, np.multiply(step, g, out=g), out=g)
         return soft_threshold_singular_values(g, config.w * step, out=cand)[1]
 
@@ -189,8 +184,7 @@ def nnrls(y_masked: np.ndarray, mask: np.ndarray, config: NnrlsConfig) -> NnrlsR
             converged = True
             break
 
-    if c_inv is not None:
-        np.multiply(z, c_inv, out=z)
+    np.multiply(z, c_inv, out=z)
     return NnrlsResult(
         x_hat=z,
         iterations=iterations,
@@ -225,12 +219,10 @@ def nnrls_weight_colored(
     The operator norm is the square root of the top Gram eigenvalue."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    c_inv = None if column_weights is None else 1.0 / np.asarray(column_weights)
+    c_inv = 1.0 if column_weights is None else 1.0 / np.asarray(column_weights)
     norms = []
     for _ in range(replicates):
-        masked = mask_sampler(rng) * noise_sampler(rng)
-        if c_inv is not None:
-            masked = masked * c_inv[None, :]
+        masked = mask_sampler(rng) * noise_sampler(rng) * c_inv
         s2, _, _ = gram_eigh(masked, top=1)
         norms.append(np.sqrt(s2[0]))
     return float(np.mean(norms))

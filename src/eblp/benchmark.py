@@ -94,6 +94,16 @@ class BenchmarkExperiment:
         if {"eblp", "unwhitened"} & set(self.methods) and not 0 <= self.rank <= top:
             raise ValueError(f"rank {self.rank} must lie in [0, {top}] for n = "
                              f"{self.config.n} samples in dimension p = {self.config.p}")
+        if not self.sigma_grid:
+            raise ValueError("empty sigma_grid")
+        if min(self.sigma_grid) < 0:
+            raise ValueError("sigma_grid values must be nonnegative")
+        if self.nnrls_max_iters < 1:
+            raise ValueError("nnrls_max_iters must be at least 1")
+        if not (np.isfinite(self.nnrls_tol) and self.nnrls_tol > 0):
+            raise ValueError("nnrls_tol must be finite and positive")
+        if self.weight_replicates < 1:
+            raise ValueError("weight_replicates must be at least 1")
 
 
 def _parse_spec(key: str, value: str, kinds: dict[str, bool]) -> tuple[str, float | None]:
@@ -187,16 +197,6 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
             )
         except ValueError as exc:
             raise ParseError(f"{path}: [{section}]: {exc}") from exc
-        if not experiment.sigma_grid:
-            raise ParseError(f"{path}: [{section}]: empty sigma_grid")
-        if min(experiment.sigma_grid) < 0:
-            raise ParseError(f"{path}: [{section}]: sigma_grid values must be nonnegative")
-        if experiment.nnrls_max_iters < 1:
-            raise ParseError(f"{path}: [{section}]: nnrls_max_iters must be at least 1")
-        if not (np.isfinite(experiment.nnrls_tol) and experiment.nnrls_tol > 0):
-            raise ParseError(f"{path}: [{section}]: nnrls_tol must be finite and positive")
-        if experiment.weight_replicates < 1:
-            raise ParseError(f"{path}: [{section}]: weight_replicates must be at least 1")
         experiments.append(experiment)
     return experiments
 

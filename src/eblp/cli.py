@@ -88,10 +88,11 @@ def cmd_denoise(args) -> int:
     model, x_hat = fit_in_sample(
         dataset, args.rank, whiten=args.whiten, mode=args.mode
     )
-    matio.write_matrix(args.output, x_hat)
-    _write_report(args.output + ".report", model)
+    # The model first: one that cannot be saved fails before any output.
     if args.save_model:
         matio.write_model(args.save_model, model)
+    matio.write_matrix(args.output, x_hat)
+    _write_report(args.output + ".report", model)
     return EXIT_OK
 
 

@@ -76,7 +76,12 @@ class EblpModel:
     operator is private state, not compared, shown or saved, and is built
     again by ``dataclasses.replace``; treat the fitted arrays as read-only
     once the model exists.  Arrays that disagree in shape, or estimates
-    that do not match the columns of ``u_hat``, raise ShapeError.
+    that do not match the columns of ``u_hat``, raise ShapeError.  The
+    operator divides by M-hat and W, so the fitted arrays must be finite,
+    M-hat at least ``DEFAULT_M_FLOOR``, W positive and ``n`` at least 1,
+    as a fit leaves them; anything else raises ValueError naming the first
+    bad entry.  The estimates may be infinite: beyond about 1e154 a fit's
+    ``ell_hat`` overflows while its weights stay exact.
     """
 
     u_hat: np.ndarray            # (p, r)
@@ -98,6 +103,18 @@ class EblpModel:
             raise ShapeError("inconsistent model dimensions")
         if {np.shape(a) for a in vars(self.estimates).values()} != {np.shape(u)[1:]}:
             raise ShapeError("estimates do not match component count")
+        for name in ("m_hat_diag", "w_diag", "mean", "u_hat"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite value in {name}")
+        for name, bad, rule in (
+            ("m_hat_diag", m < DEFAULT_M_FLOOR, f"at least {DEFAULT_M_FLOOR:g}"),
+            ("w_diag", w <= 0, "positive"),
+        ):
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"{name}[{j}] must be {rule}, got {float(getattr(self, name)[j])!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         # X-hat = mean + W^-1 U diag(eta) U' W M^-1 (A'y - A'A mean).
         object.__setattr__(self, "_inward", u * (w / m)[:, None])
         object.__setattr__(self, "_outward", _eta(self)[:, None] * (u / w[:, None]).T)

@@ -849,7 +849,7 @@ class TestDenoiseCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e100, 1e150])
-    def test_extreme_magnitudes_exit_0(self, tmp_path, scale):
+    def test_extreme_magnitudes_exit_0(self, tmp_path, capsys, scale):
         # Rank-1 input: the plug-in fit is scale-equivariant, so scaling
         # the input scales the output, far beyond where a Gram matrix of
         # the raw input would overflow.
@@ -866,6 +866,15 @@ class TestDenoiseCommand:
         base, scaled = outputs
         assert np.isfinite(scaled).all()
         assert np.max(np.abs(scaled / scale - base)) <= 1e-12 * np.max(np.abs(base))
+        # Beyond about 1e154 ell_hat overflows to inf while X-hat stays
+        # finite.  JSON cannot hold inf, so saving the model fails, and
+        # denoise then writes none of its outputs.
+        inp, out, saved = tmp_path / "y1e200.txt", tmp_path / "x1e200.txt", tmp_path / "m.json"
+        matio.write_matrix(inp, 1e200 * y)
+        assert main(["denoise", str(inp), str(out), "--rank", "1", "--save-model", str(saved)]) == 4
+        assert capsys.readouterr().err == (
+            "eblp: numeric failure: cannot save model: estimates[0].ell_hat is inf\n")
+        assert not any(path.exists() for path in (out, Path(f"{out}.report"), saved))
 
     def test_rank_too_large_exit_4(self, tmp_path, rng):
         inp = tmp_path / "y.txt"
@@ -1194,6 +1203,21 @@ class TestBenchmarkCommand:
             assert "[tiny]" in err and key in err
         assert not (tmp_path / "r.txt").exists()
         assert not list(tmp_path.glob("sim*"))
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"sigma_grid": ()}, "empty sigma_grid"),
+        ({"sigma_grid": (1.0, -1.0)}, "sigma_grid values must be nonnegative"),
+        ({"nnrls_max_iters": 0}, "nnrls_max_iters must be at least 1"),
+        ({"nnrls_tol": math.inf}, "nnrls_tol must be finite and positive"),
+        ({"weight_replicates": 0}, "weight_replicates must be at least 1"),
+    ], ids=["empty_sigma_grid", "negative_sigma", "max_iters", "tol", "weight_replicates"])
+    def test_bad_setting_rejected_in_code(self, tiny_config, setting, message):
+        # The experiment checks its own settings, whoever builds it.
+        from eblp.benchmark import BenchmarkExperiment, parse_benchmark_config
+
+        good = parse_benchmark_config(tiny_config)[0]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BenchmarkExperiment(**{**vars(good), **setting})
 
     @pytest.mark.parametrize("gamma", ["1e-300", "1e-320"])
     def test_gamma_too_small_for_a_matrix_exit_2(self, tmp_path, capsys, gamma):

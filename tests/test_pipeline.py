@@ -405,6 +405,25 @@ class TestPredictOutOfSample:
         ):
             with pytest.raises(ShapeError, match="estimates do not match component count"):
                 replace(model, estimates=estimates)
+        # The operator divides by M-hat and W: each must be what a fit
+        # leaves, and every fitted array finite.
+        for name, value, message in [
+            ("m_hat_diag", 0.0, r"m_hat_diag\[4\] must be at least 1e-06, got 0.0"),
+            ("m_hat_diag", 9e-7, r"m_hat_diag\[4\] must be at least 1e-06, got 9e-07"),
+            ("w_diag", 0.0, r"w_diag\[4\] must be positive, got 0.0"),
+            ("w_diag", -0.5, r"w_diag\[4\] must be positive, got -0.5"),
+            ("m_hat_diag", np.nan, "non-finite value in m_hat_diag"),
+            ("w_diag", np.nan, "non-finite value in w_diag"),
+            ("mean", np.nan, "non-finite value in mean"),
+            ("u_hat", np.nan, "non-finite value in u_hat"),
+        ]:
+            array = getattr(model, name).copy()
+            array[4] = value
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                replace(model, **{name: array})
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+                replace(model, n=n)
 
     def test_operator_is_private_state(self, rng):
         ds, _, _ = make_dataset(rng, 30, 20, [6.0])
@@ -482,7 +501,7 @@ class TestEtaReference:
         model = EblpModel(
             u_hat=rng.standard_normal((p, r)) * np.ldexp(1.0, rng.integers(-30, 30, r)),
             estimates=estimates,
-            m_hat_diag=np.ldexp(rng.uniform(1.0, 2.0, p), rng.integers(-20, 40, p)),
+            m_hat_diag=np.ldexp(rng.uniform(1.0, 2.0, p), rng.integers(-19, 40, p)),
             w_diag=np.ones(p),
             whitened=whitened,
             mean=np.zeros(p),

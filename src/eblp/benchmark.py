@@ -89,6 +89,9 @@ class BenchmarkExperiment:
     weight_replicates: int = 20
 
     def __post_init__(self):
+        unknown = next((m for m in self.methods if m not in KNOWN_METHODS), None)
+        if unknown is not None:
+            raise ValueError(f"unknown method {unknown!r} (expected one of {KNOWN_METHODS})")
         # The shrinkage fits need a residual eigenvalue; NNRLS takes no rank.
         top = min(self.config.n, self.config.p) - 1
         if {"eblp", "unwhitened"} & set(self.methods) and not 0 <= self.rank <= top:
@@ -180,11 +183,6 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
                 in ("1", "true", "yes", "on"),
             )
             methods = tuple(m.strip() for m in items["methods"].split(",") if m.strip())
-            for m in methods:
-                if m not in KNOWN_METHODS:
-                    raise ParseError(
-                        f"unknown method {m!r} (expected one of {KNOWN_METHODS})"
-                    )
             # Solver keys left out keep the BenchmarkExperiment defaults.
             solver = {key: kind(items[key]) for key, kind in _SOLVER_KEYS if key in items}
             experiment = BenchmarkExperiment(
@@ -265,18 +263,14 @@ def _run_task(task: _Task) -> list[dict]:
     for method in exp.methods:
         t0 = time.perf_counter()
         amse_est = float("nan")
-        if method == "eblp":
+        if method in ("eblp", "unwhitened"):
+            whiten = method == "eblp"
             model, x_hat = fit_in_sample(
-                data.dataset, exp.rank, whiten=True, mode="plugin",
-                noise_var_diag=noise_profile,
+                data.dataset, exp.rank, whiten=whiten, mode="plugin",
+                noise_var_diag=noise_profile if whiten else None,
             )
             amse_est = model.estimates.amse
-        elif method == "unwhitened":
-            model, x_hat = fit_in_sample(
-                data.dataset, exp.rank, whiten=False, mode="plugin"
-            )
-            amse_est = model.estimates.amse
-        elif method == "nnrls":
+        else:
             if task.w_base is None:
                 w = nnrls_weight_white(
                     sigma, cfg.p, cfg.n, int(data.masks.sum())
@@ -294,8 +288,6 @@ def _run_task(task: _Task) -> list[dict]:
                 ),
             )
             x_hat = result.x_hat
-        else:  # pragma: no cover - guarded at parse time
-            raise ValueError(f"unknown method {method!r}")
         seconds = time.perf_counter() - t0 if task.timings else 0.0
         rows.append(
             {

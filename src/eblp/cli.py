@@ -73,14 +73,19 @@ def _write_report(path, model):
                footer=f"amse_est {est.amse:.17g}")
 
 
+def _check_targets(*targets) -> None:
+    """All or nothing: a command checks every output it will write (None
+    for one it will not) before it reads or computes anything."""
+    for target in filter(None, targets):
+        if os.path.isdir(target) or not os.path.isdir(os.path.dirname(target) or "."):
+            raise OSError(f"{target}: is a directory, or its directory is missing")
+
+
 def cmd_denoise(args) -> int:
     matio.check_na_token(args.na_token)
     if args.rank < 1:
         raise RankError("rank must be at least 1")
-    # All or nothing: every output is checked before the input is read.
-    for target in filter(None, (args.output, args.output + ".report", args.save_model)):
-        if os.path.isdir(target) or not os.path.isdir(os.path.dirname(target) or "."):
-            raise OSError(f"{target}: is a directory, or its directory is missing")
+    _check_targets(args.output, args.output + ".report", args.save_model)
     values, observed = _load_observations(args.input, args.mask, args.na_token)
     if values.size == 0:
         raise ParseError(f"{args.input}: empty input matrix")
@@ -98,6 +103,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_oos(args) -> int:
     matio.check_na_token(args.na_token)
+    _check_targets(args.output)
     model = matio.read_model(args.model)
     values, observed = _load_observations(args.input, args.mask, args.na_token)
     if values.size == 0:
@@ -118,6 +124,7 @@ def cmd_simulate(args) -> int:
     from .benchmark import parse_benchmark_config, simulate_replicate
 
     matio.check_na_token(args.na_token)
+    _check_targets(*(args.prefix + suffix for suffix in (".y.txt", ".mask.txt", ".x.txt")))
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     # Benchmark replicate 0 of the first experiment at its first noise level.
     _, data = simulate_replicate(experiments[0], 0, 0)
@@ -131,6 +138,7 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     from .benchmark import parse_benchmark_config, run_benchmark
 
+    _check_targets(args.output)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     rows = run_benchmark(experiments, jobs=args.jobs, timings=args.timings)
     matio.write_results(args.output, rows)

@@ -494,38 +494,58 @@ def _convert(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_mask(path) -> np.ndarray:
+    """A 0/1 mask file; ParseError names the first cell, in reading order,
+    that is missing or neither 0 nor 1."""
     values, observed = read_matrix(path)
-    if not np.all(observed):
-        raise ParseError(f"{path}: mask files cannot contain missing entries")
-    if values.size and not np.all(np.isin(values, (0.0, 1.0))):
-        raise ParseError(f"{path}: mask entries must be 0 or 1")
+    bad = (observed == 0) | ((values != 0) & (values != 1))
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        if observed[i, j]:
+            raise ParseError(_bad_cell(path, i, j, repr(values[i, j].item()).encode(),
+                                       "mask entries must be 0 or 1"))
+        raise ParseError(_bad_cell(path, i, j, b"NA", "mask files cannot contain missing entries"))
     return values
 
 
 MODEL_FORMAT = "eblp-model"
 MODEL_VERSION = 1
 
+# The JSON types a value of each kind may have: booleans are no numbers.
+_JSON_KINDS = {
+    bool: ({bool}, "a boolean"), int: ({int}, "an integer"), float: ({int, float}, "a number"),
+    dict: ({dict}, "an object"),
+}
+# A model file is an object with "format" and these fields, in file order.
+# A kind is a type of _JSON_KINDS, ``[kind]`` an array of that kind, or a
+# dict an object with exactly its fields.
+_ESTIMATE = {f.name: bool if f.name in ("supercritical", "clamped") else float
+             for f in fields(SpikeEstimates)}
+_MODEL = {
+    "version": int, "rank": int, "whitened": bool, "n": int,
+    "m_hat_diag": [float], "w_diag": [float], "mean": [float],
+    "u_hat": [[float]],  # one array per component
+    "estimates": [_ESTIMATE],  # one object per component
+}
+
 
 def write_model(path, model: EblpModel) -> None:
-    """Save ``model`` as JSON.  A non-finite estimate, which JSON cannot
-    hold, is a ValueError naming it, raised before the file is opened."""
-    columns = {f.name: getattr(model.estimates, f.name).tolist() for f in fields(SpikeEstimates)}
+    """Save ``model`` as JSON, its fields in the order of ``_MODEL``.  A
+    non-finite estimate, which JSON cannot hold, is a ValueError naming it,
+    raised before the file is opened."""
+    columns = {name: getattr(model.estimates, name).tolist() for name in _ESTIMATE}
     for name, column in columns.items():
         k = next((k for k, v in enumerate(column) if not math.isfinite(v)), None)
         if k is not None:
             raise ValueError(f"cannot save model: estimates[{k}].{name} is {column[k]}")
-    payload = {
-        "format": MODEL_FORMAT,
+    values = {
         "version": MODEL_VERSION,
-        "rank": model.rank,
-        "whitened": model.whitened,
-        "n": model.n,
-        "m_hat_diag": model.m_hat_diag.tolist(),
-        "w_diag": model.w_diag.tolist(),
-        "mean": model.mean.tolist(),
-        "u_hat": model.u_hat.T.tolist(),     # one list per component
+        "u_hat": model.u_hat.T,
         "estimates": [dict(zip(columns, entry)) for entry in zip(*columns.values())],
     }
+    payload = {"format": MODEL_FORMAT}
+    for name in _MODEL:
+        value = values[name] if name in values else getattr(model, name)
+        payload[name] = value.tolist() if isinstance(value, np.ndarray) else value
     Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
@@ -540,119 +560,75 @@ def read_model(path) -> EblpModel:
     try:
         if payload["format"] != MODEL_FORMAT:
             raise ParseError(f"{path}: not a model file")
-        _check_types(path, "version", [payload["version"]], int)
-        if payload["version"] != MODEL_VERSION:
-            raise ParseError(f"{path}: unsupported model version {payload['version']}")
-        names = ("m_hat_diag", "w_diag", "mean")
-        for name in names:
-            _check_array(path, name, payload[name])
-        _check_array(path, "u_hat", payload["u_hat"], nested=True)
-        arrays = {name: np.asarray(payload[name], dtype=float) for name in names}
+        for name, kind in _MODEL.items():
+            _check(path, name, payload[name], kind)
+            if name == "version" and payload[name] != MODEL_VERSION:
+                raise ParseError(f"{path}: unsupported model version {payload[name]}")
+        arrays = {name: np.asarray(payload[name], dtype=float) for name in ("m_hat_diag", "w_diag", "mean")}
         p = arrays["m_hat_diag"].size
         arrays["u_hat"] = np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T
-        estimates = _read_estimates(path, payload["estimates"])
-        for name, kind in (("rank", int), ("whitened", bool), ("n", int)):
-            _check_types(path, name, [payload[name]], kind)
-        rank, whitened, n = payload["rank"], payload["whitened"], payload["n"]
+        entries = payload["estimates"]
+        columns = {name: np.array([entry[name] for entry in entries], dtype=kind)
+                   for name, kind in _ESTIMATE.items()}
     except ParseError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
+    for name, column in columns.items():
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ParseError(f"{path}: non-finite value in estimates[{bad[0]}].{name}")
     try:
-        model = EblpModel(estimates=estimates, whitened=whitened, n=n, **arrays)
+        model = EblpModel(estimates=SpikeEstimates(**columns), whitened=payload["whitened"],
+                          n=payload["n"], **arrays)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if rank != model.rank:
+    if payload["rank"] != model.rank:
         raise ParseError(
-            f"{path}: rank {rank} does not match the {model.rank} components in u_hat"
+            f"{path}: rank {payload['rank']} does not match the {model.rank} components in u_hat"
         )
     return model
 
 
-# The JSON types a value of each kind may have: booleans are no numbers.
-_JSON_KINDS = {
-    bool: ({bool}, "a boolean"), int: ({int}, "an integer"), float: ({int, float}, "a number"),
-    dict: ({dict}, "an object"),
+def _check(path, label: str, value, kind) -> None:
+    """ParseError unless the JSON ``value`` is of ``kind`` (see ``_MODEL``),
+    naming ``label``'s first entry or field that is not, for example
+    ``u_hat[1][3]`` or ``estimates[0].clamped``."""
+    if type(kind) is list:
+        (entry,) = kind
+        if type(value) is not list:
+            raise ParseError(f"{path}: {label} must be an array")
+        # A flat array's types are collected in one pass; the walk only
+        # names the first bad entry.
+        if type(entry) is not type or not set(map(type, value)) <= _JSON_KINDS[entry][0]:
+            for k, item in enumerate(value):
+                _check(path, f"{label}[{k}]", item, entry)
+        return
+    types, what = _JSON_KINDS[kind if type(kind) is type else dict]
+    if type(value) not in types:
+        raise ParseError(f"{path}: {label} must be {what}, got {json.dumps(value)}")
+    if type(kind) is dict:
+        unknown = next((key for key in value if key not in kind), None)
+        if unknown is not None:
+            raise ParseError(f"{path}: {label}: unknown field {json.dumps(unknown)}")
+        missing = next((name for name in kind if name not in value), None)
+        if missing is not None:
+            raise ParseError(f"{path}: {label}.{missing} is missing")
+        for name, field in kind.items():
+            _check(path, f"{label}.{name}", value[name], field)
+
+
+# The results table's columns in order, each with the text of a value.
+_RESULT_FORMATS = {
+    "experiment": str, "method": str, "sigma": _FMT.__mod__, "delta": _FMT.__mod__,
+    "kappa": _FMT.__mod__, "sparsity": str, "replicate": "%d".__mod__, "rmse": _FMT.__mod__,
+    "seconds": _FMT.__mod__, "amse_est": _FMT.__mod__,
 }
-
-
-def _check_array(path, name: str, values, kind: type = float, nested: bool = False) -> None:
-    """ParseError unless ``values`` is a JSON array of values of ``kind``
-    (numbers by default; of such arrays if ``nested``), naming the first
-    entry that is not one, for example ``u_hat[1][3]``."""
-    if type(values) is not list:
-        raise ParseError(f"{path}: {name} must be an array")
-    if nested:
-        for k, row in enumerate(values):
-            _check_array(path, f"{name}[{k}]", row, kind)
-    else:
-        _check_types(path, name + "[{}]", values, kind)
-
-
-def _check_types(path, label: str, values: list, kind: type) -> None:
-    """ParseError naming ``label.format(k)`` for the first of ``values``
-    whose JSON type is not one of ``kind``.  The types of the whole list
-    are collected in one pass."""
-    types, what = _JSON_KINDS[kind]
-    if not set(map(type, values)) <= types:
-        k = next(k for k, v in enumerate(values) if type(v) not in types)
-        raise ParseError(f"{path}: {label.format(k)} must be {what}, got {json.dumps(values[k])}")
-
-
-def _read_estimates(path, entries) -> SpikeEstimates:
-    """The estimates of a model file, read column by column from its JSON
-    array of per-component objects.  Each object has exactly the fields of
-    SpikeEstimates: a finite number each, and a boolean for the flags.  A
-    ParseError names the first bad entry and field."""
-    _check_array(path, "estimates", entries, dict)
-    names = [f.name for f in fields(SpikeEstimates)]
-    k = next((k for k, entry in enumerate(entries) if entry.keys() != set(names)), None)
-    if k is not None:
-        unknown = [key for key in entries[k] if key not in names]
-        if unknown:
-            raise ParseError(f"{path}: estimates[{k}]: unknown field {json.dumps(unknown[0])}")
-        missing = next(name for name in names if name not in entries[k])
-        raise ParseError(f"{path}: estimates[{k}].{missing} is missing")
-    columns = {}
-    for name in names:
-        label = f"estimates[{{}}].{name}"
-        kind = bool if name in ("supercritical", "clamped") else float
-        column = [entry[name] for entry in entries]
-        _check_types(path, label, column, kind)
-        columns[name] = np.array(column, dtype=kind)
-        bad = np.flatnonzero(~np.isfinite(columns[name]))
-        if bad.size:
-            raise ParseError(f"{path}: non-finite value in {label.format(bad[0])}")
-    return SpikeEstimates(**columns)
-
-
-RESULT_COLUMNS = (
-    "experiment",
-    "method",
-    "sigma",
-    "delta",
-    "kappa",
-    "sparsity",
-    "replicate",
-    "rmse",
-    "seconds",
-    "amse_est",
-)
-
-_NUMERIC_COLUMNS = {"sigma", "delta", "kappa", "rmse", "seconds", "amse_est"}
+RESULT_COLUMNS = tuple(_RESULT_FORMATS)
 
 
 def write_results(path, rows: list[dict]) -> None:
     lines = [" ".join(RESULT_COLUMNS)]
     for row in rows:
-        fields = []
-        for col in RESULT_COLUMNS:
-            val = row[col]
-            if col == "replicate":
-                fields.append(str(int(val)))
-            elif col in _NUMERIC_COLUMNS:
-                fields.append(_FMT % float(val))
-            else:
-                fields.append(str(val))
-        lines.append(" ".join(fields))
+        lines.append(" ".join(text(row[col]) for col, text in _RESULT_FORMATS.items()))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -166,7 +166,8 @@ def fit_in_sample(
 
     ``noise_var_diag``, when the sample-space noise variances are known up
     to scale, folds them into the whitening so the effective noise is
-    isotropic: W = sqrt(M-hat / v).  A coordinate whose M-hat falls below
+    isotropic: W = sqrt(M-hat / v); it is a ValueError without ``whiten``,
+    which would ignore it.  A coordinate whose M-hat falls below
     ``DEFAULT_M_FLOOR`` raises DegenerateCoordinateError naming every such
     one.
 
@@ -176,6 +177,8 @@ def fit_in_sample(
         raise ShapeError(
             "fit_in_sample takes an (n, p) batch; build it with dataset_from_arrays(y, d)"
         )
+    if noise_var_diag is not None and not whiten:
+        raise ValueError("noise_var_diag applies only to a whitened fit")
     y, d = dataset.y, dataset.d
     n, p = y.shape
     if n == 0:

@@ -363,7 +363,7 @@ def simple_blp_uniform(obs, signal, m: float) -> np.ndarray:
 def read_results(path) -> list[dict]:
     """The rows of a results table that ``eblp benchmark`` wrote, with its
     numbers as numbers."""
-    from eblp.matio import _NUMERIC_COLUMNS, RESULT_COLUMNS
+    from eblp.matio import RESULT_COLUMNS
 
     header, *lines = Path(path).read_text().splitlines()
     assert tuple(header.split()) == RESULT_COLUMNS, header
@@ -373,7 +373,7 @@ def read_results(path) -> list[dict]:
         assert len(tokens) == len(RESULT_COLUMNS), line
         row = dict(zip(RESULT_COLUMNS, tokens))
         row["replicate"] = int(row["replicate"])
-        for col in _NUMERIC_COLUMNS:
+        for col in ("sigma", "delta", "kappa", "rmse", "seconds", "amse_est"):
             row[col] = float(row[col])
         rows.append(row)
     return rows

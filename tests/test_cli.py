@@ -692,6 +692,16 @@ class TestModelIO:
         matio.write_model(second, matio.read_model(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_written_fields_follow_the_table(self, tmp_path, rng):
+        # The reader's field table is the file's one layout: the writer
+        # saves exactly its fields, in its order.
+        path = tmp_path / "model.json"
+        matio.write_model(path, fitted_model(rng))
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["format", *matio._MODEL]
+        assert [list(entry) for entry in payload["estimates"]] == \
+            [list(matio._ESTIMATE)] * len(payload["estimates"])
+
     def test_corrupted_file(self, tmp_path, rng):
         path = tmp_path / "model.json"
         path.write_text("{not json")
@@ -821,6 +831,22 @@ class TestDenoiseCommand:
             f"eblp: parse error: {inp}: row 3, field 6: missing but marked observed by the mask\n")
         matio.write_matrix(maskf, observed)
         assert main(["denoise", str(inp), out, "--rank", "1", "--mask", str(maskf)]) == 0
+
+    @pytest.mark.parametrize("cell,message", [
+        ("0.5", "row 3, field 2: mask entries must be 0 or 1: '0.5'"),
+        ("NA", "row 3, field 2: mask files cannot contain missing entries: 'NA'"),
+    ], ids=["fraction", "missing"])
+    def test_bad_mask_cell_named_exit_2(self, tmp_path, capsys, cell, message):
+        # The first bad cell in reading order, of either kind, is named.
+        inp, maskf = tmp_path / "y.txt", tmp_path / "mask.txt"
+        matio.write_matrix(inp, np.random.default_rng(6).standard_normal((6, 4)))
+        rows = [["1"] * 4 for _ in range(6)]
+        rows[2][1], rows[4][0], rows[5][3] = cell, "2", "NA"
+        maskf.write_text("".join(" ".join(row) + "\n" for row in rows))
+        out = tmp_path / "o.txt"
+        assert main(["denoise", str(inp), str(out), "--rank", "1", "--mask", str(maskf)]) == 2
+        assert capsys.readouterr().err == f"eblp: parse error: {maskf}: {message}\n"
+        assert not out.exists()
 
     def test_empty_input_with_mask_exit_2(self, tmp_path, capsys):
         empty, maskf = tmp_path / "empty.txt", tmp_path / "mask.txt"
@@ -1210,7 +1236,10 @@ class TestBenchmarkCommand:
         ({"nnrls_max_iters": 0}, "nnrls_max_iters must be at least 1"),
         ({"nnrls_tol": math.inf}, "nnrls_tol must be finite and positive"),
         ({"weight_replicates": 0}, "weight_replicates must be at least 1"),
-    ], ids=["empty_sigma_grid", "negative_sigma", "max_iters", "tol", "weight_replicates"])
+        ({"methods": ("eblp", "nmf")},
+         re.escape("unknown method 'nmf' (expected one of ('eblp', 'unwhitened', 'nnrls'))")),
+    ], ids=["empty_sigma_grid", "negative_sigma", "max_iters", "tol", "weight_replicates",
+            "unknown_method"])
     def test_bad_setting_rejected_in_code(self, tiny_config, setting, message):
         # The experiment checks its own settings, whoever builds it.
         from eblp.benchmark import BenchmarkExperiment, parse_benchmark_config
@@ -1365,3 +1394,26 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err.startswith("eblp: cannot write: ")
         left = sorted(str(path.relative_to(out)) for path in out.rglob("*"))
         assert left == (["x.txt.report"] if target == "report" else [])
+
+    @pytest.mark.parametrize("suffix", [".y.txt", ".mask.txt", ".x.txt"])
+    def test_simulate_writes_nothing_when_one_file_cannot_be_written(self, tmp_path, capsys,
+                                                                     tiny_config, suffix):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / f"sim{suffix}").mkdir()
+        assert main(["simulate", tiny_config, str(out / "sim")]) == 2
+        assert capsys.readouterr().err.startswith(f"eblp: cannot write: {out / 'sim'}{suffix}")
+        assert sorted(path.name for path in out.iterdir()) == [f"sim{suffix}"]
+
+    def test_benchmark_runs_nothing_when_its_table_cannot_be_written(self, tmp_path, capsys,
+                                                                     tiny_config, monkeypatch):
+        from eblp import benchmark
+
+        def run_benchmark(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(benchmark, "run_benchmark", run_benchmark)
+        missing = tmp_path / "missing" / "r.txt"
+        assert main(["benchmark", tiny_config, str(missing), "--no-timings"]) == 2
+        assert capsys.readouterr().err.startswith(f"eblp: cannot write: {missing}")
+        assert not missing.parent.exists()

@@ -235,7 +235,7 @@ class TestFitReference:
         x = 3.0 * np.outer(rng.standard_normal(n), rng.standard_normal(p)) + rng.standard_normal(p)
         y = np.sqrt(d) * (x + rng.standard_normal((n, p)))
         kwargs = {"center": center}
-        if noise_var_diag:
+        if noise_var_diag and whiten:  # a noise profile is a whitening
             kwargs["noise_var_diag"] = rng.uniform(0.5, 2.0, p)
 
         want_model, want_x = reference_fit(y, d, rank, whiten, mode, **kwargs)
@@ -246,6 +246,13 @@ class TestFitReference:
         assert (model.rank, model.whitened, model.n) == (want_model.rank, want_model.whitened, n)
         fields = lambda m: np.array(astuple(m.estimates), dtype=float)  # noqa: E731
         assert same_bits(fields(model), fields(want_model))
+
+    def test_noise_var_diag_without_whitening_rejected(self, rng):
+        # An unwhitened fit would ignore the noise profile.
+        y = rng.standard_normal((20, 6))
+        with pytest.raises(ValueError, match="noise_var_diag applies only to a whitened fit"):
+            fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 1, whiten=False,
+                          noise_var_diag=np.ones(6))
 
     def test_caller_arrays_untouched(self, rng):
         # The batch wraps the caller's arrays without a copy; fitting and

@@ -1,21 +1,7 @@
 """Benchmark campaigns over (method x noise level x replicate) grids.
 
 Experiments are described in an INI-style config file, one section per
-experiment::
-
-    [uneven]
-    p = 300
-    gamma = 0.8
-    ell = 10,9,8,7,6,5,4,3,2,1
-    rank = 10
-    sparsity = dense            ; or sparse:<m>
-    sampling = linear:0.1       ; or uniform:<delta>
-    noise = white               ; or colored:<kappa>
-    sigma_grid = 1,2,4
-    replicates = 40
-    seed = 42
-    methods = eblp,unwhitened,nnrls
-    random_mean = true
+experiment; ``_KEYS`` declares its keys.
 
 Grid points run concurrently up to a jobs bound; output rows are ordered
 deterministically regardless of scheduling, and every row derives its
@@ -53,25 +39,6 @@ __all__ = ["BenchmarkExperiment", "parse_benchmark_config", "run_benchmark", "si
 
 KNOWN_METHODS = ("eblp", "unwhitened", "nnrls")
 
-_KEYS = {
-    "p": True,
-    "gamma": True,
-    "ell": True,
-    "rank": True,
-    "sigma_grid": True,
-    "replicates": True,
-    "seed": True,
-    "methods": True,
-    "sparsity": False,
-    "sampling": False,
-    "noise": False,
-    "random_mean": False,
-    "nnrls_max_iters": False,
-    "nnrls_tol": False,
-    "weight_replicates": False,
-}
-_SOLVER_KEYS = (("nnrls_max_iters", int), ("nnrls_tol", float), ("weight_replicates", int))
-
 # Entropy tag mixed into the seed sequence used for weight calibration so
 # it never collides with a (sigma index, replicate) pair.
 _WEIGHT_SEED_TAG = 0x57454947
@@ -92,6 +59,8 @@ class BenchmarkExperiment:
         unknown = next((m for m in self.methods if m not in KNOWN_METHODS), None)
         if unknown is not None:
             raise ValueError(f"unknown method {unknown!r} (expected one of {KNOWN_METHODS})")
+        if not self.methods:
+            raise ValueError("empty methods")
         # The shrinkage fits need a residual eigenvalue; NNRLS takes no rank.
         top = min(self.config.n, self.config.p) - 1
         if {"eblp", "unwhitened"} & set(self.methods) and not 0 <= self.rank <= top:
@@ -109,19 +78,11 @@ class BenchmarkExperiment:
             raise ValueError("weight_replicates must be at least 1")
 
 
-def _parse_spec(key: str, value: str, kinds: dict[str, bool]) -> tuple[str, float | None]:
-    """Parse setting ``key``, 'kind' or 'kind:number', where kinds maps kind -> needs value."""
-    kind, sep, arg = value.partition(":")
-    kind = kind.strip()
-    if kind not in kinds:
-        raise ParseError(f"{key}: unknown kind {kind!r} (expected one of {sorted(kinds)})")
-    if kinds[kind]:
-        if not sep:
-            raise ParseError(f"{key}: {kind!r} needs a value, e.g. {kind}:0.5")
-        return kind, _finite(key, arg)
-    if sep:
-        raise ParseError(f"{key}: {kind!r} takes no value")
-    return kind, None
+def _whole(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{key}: bad whole number {text.strip()!r}") from None
 
 
 def _finite(key: str, text: str) -> float:
@@ -138,8 +99,65 @@ def _floats(key: str, value: str) -> tuple[float, ...]:
     return tuple(_finite(key, tok) for tok in value.split(",") if tok.strip())
 
 
+def _names(known: tuple[str, ...], key: str, text: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    unknown = next((name for name in names if name not in known), None)
+    if unknown is not None:
+        raise ParseError(f"{key}: unknown name {unknown!r} (expected one of {known})")
+    return names
+
+
+def _flag(key: str, text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ParseError(f"{key}: {text!r} is not a flag (expected one of {tuple(states)})")
+    return states[text.lower()]
+
+
+def _spec(kinds: dict, key: str, text: str) -> tuple[str, float | None]:
+    """'kind' or 'kind:number', where ``kinds`` maps each kind to the reader
+    of its number, or to None for a kind that takes none."""
+    kind, sep, arg = text.partition(":")
+    kind = kind.strip()
+    if kind not in kinds:
+        raise ParseError(f"{key}: unknown kind {kind!r} (expected one of {sorted(kinds)})")
+    read = kinds[kind]
+    if read is None:
+        if sep:
+            raise ParseError(f"{key}: {kind!r} takes no value")
+        return kind, None
+    if not sep:
+        raise ParseError(f"{key}: {kind!r} needs a value, as in {kind}:<number>")
+    return kind, read(key, arg)
+
+
+# Every config key, in the order of the docs, with the reader of its text,
+# which raises a ParseError naming the key, and the text it takes when left
+# out; a required key has none.
+_KEYS = {
+    "p": (_whole, None),
+    "gamma": (_finite, None),
+    "ell": (_floats, None),
+    "rank": (_whole, None),
+    "sparsity": (functools.partial(_spec, {"dense": None, "sparse": _whole}), "dense"),
+    "sampling": (functools.partial(_spec, {"uniform": _finite, "linear": _finite}), "uniform:1"),
+    "noise": (functools.partial(_spec, {"white": None, "colored": _finite}), "white"),
+    "sigma_grid": (_floats, None),
+    "replicates": (_whole, None),
+    "seed": (_whole, None),
+    "methods": (functools.partial(_names, KNOWN_METHODS), None),
+    "random_mean": (_flag, "false"),
+    "nnrls_max_iters": (_whole, repr(BenchmarkExperiment.nnrls_max_iters)),
+    "nnrls_tol": (_finite, repr(BenchmarkExperiment.nnrls_tol)),
+    "weight_replicates": (_whole, repr(BenchmarkExperiment.weight_replicates)),
+}
+
+
 def parse_benchmark_config(path, seed_override: int | None = None) -> list[BenchmarkExperiment]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # Each section holds the default text of every key it leaves out, and
+    # values are read as written: a "%" is no interpolation.
+    defaults = {key: text for key, (_, text) in _KEYS.items() if text is not None}
+    parser = configparser.ConfigParser(defaults, interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as handle:
             parser.read_file(handle)
@@ -154,44 +172,26 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
         unknown = sorted(set(items) - set(_KEYS))
         if unknown:
             raise ParseError(f"{path}: [{section}] has unknown keys: {', '.join(unknown)}")
-        missing = sorted(k for k, req in _KEYS.items() if req and k not in items)
+        missing = sorted(set(_KEYS) - set(items))
         if missing:
             raise ParseError(f"{path}: [{section}] is missing keys: {', '.join(missing)}")
 
         try:
-            sampling_kind, sampling_val = _parse_spec(
-                "sampling", items.get("sampling", "uniform:1"), {"uniform": True, "linear": True}
-            )
-            noise_kind, noise_val = _parse_spec(
-                "noise", items.get("noise", "white"), {"white": False, "colored": True}
-            )
-            sparsity_kind, sparsity_val = _parse_spec(
-                "sparsity", items.get("sparsity", "dense"), {"dense": False, "sparse": True}
-            )
-            if sparsity_kind == "sparse" and not sparsity_val.is_integer():
-                raise ParseError(f"sparsity: sparse:<m> needs a whole number m, not {sparsity_val}")
+            values = {key: read(key, items[key]) for key, (read, _) in _KEYS.items()}
+            noise_kind, kappa = values["noise"]
             config = ExperimentConfig(
-                p=int(items["p"]),
-                gamma=_finite("gamma", items["gamma"]),
-                ell=_floats("ell", items["ell"]),
-                pc_sparsity=None if sparsity_kind == "dense" else int(sparsity_val),
-                sampling=SamplingSpec(sampling_kind, sampling_val),
-                noise=NoiseSpec(noise_kind, 1.0, 1.0 if noise_val is None else noise_val),
-                replicates=int(items["replicates"]),
-                seed=int(items["seed"]) if seed_override is None else seed_override,
-                random_mean=items.get("random_mean", "false").strip().lower()
-                in ("1", "true", "yes", "on"),
+                p=values["p"], gamma=values["gamma"], ell=values["ell"],
+                pc_sparsity=values["sparsity"][1],  # None when dense
+                sampling=SamplingSpec(*values["sampling"]),
+                noise=NoiseSpec(noise_kind, 1.0, 1.0 if kappa is None else kappa),
+                replicates=values["replicates"], random_mean=values["random_mean"],
+                seed=values["seed"] if seed_override is None else seed_override,
             )
-            methods = tuple(m.strip() for m in items["methods"].split(",") if m.strip())
-            # Solver keys left out keep the BenchmarkExperiment defaults.
-            solver = {key: kind(items[key]) for key, kind in _SOLVER_KEYS if key in items}
             experiment = BenchmarkExperiment(
-                name=section,
-                config=config,
-                sigma_grid=_floats("sigma_grid", items["sigma_grid"]),
-                methods=methods,
-                rank=int(items["rank"]),
-                **solver,
+                name=section, config=config, sigma_grid=values["sigma_grid"],
+                methods=values["methods"], rank=values["rank"],
+                nnrls_max_iters=values["nnrls_max_iters"], nnrls_tol=values["nnrls_tol"],
+                weight_replicates=values["weight_replicates"],
             )
         except ValueError as exc:
             raise ParseError(f"{path}: [{section}]: {exc}") from exc

@@ -513,15 +513,15 @@ MODEL_VERSION = 1
 # The JSON types a value of each kind may have: booleans are no numbers.
 _JSON_KINDS = {
     bool: ({bool}, "a boolean"), int: ({int}, "an integer"), float: ({int, float}, "a number"),
-    dict: ({dict}, "an object"),
+    str: ({str}, "a string"), dict: ({dict}, "an object"),
 }
-# A model file is an object with "format" and these fields, in file order.
-# A kind is a type of _JSON_KINDS, ``[kind]`` an array of that kind, or a
+# A model file is an object with exactly these fields, in file order.  A
+# kind is a type of _JSON_KINDS, ``[kind]`` an array of that kind, or a
 # dict an object with exactly its fields.
 _ESTIMATE = {f.name: bool if f.name in ("supercritical", "clamped") else float
              for f in fields(SpikeEstimates)}
 _MODEL = {
-    "version": int, "rank": int, "whitened": bool, "n": int,
+    "format": str, "version": int, "rank": int, "whitened": bool, "n": int,
     "m_hat_diag": [float], "w_diag": [float], "mean": [float],
     "u_hat": [[float]],  # one array per component
     "estimates": [_ESTIMATE],  # one object per component
@@ -538,15 +538,14 @@ def write_model(path, model: EblpModel) -> None:
         if k is not None:
             raise ValueError(f"cannot save model: estimates[{k}].{name} is {column[k]}")
     values = {
+        "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "u_hat": model.u_hat.T,
         "estimates": [dict(zip(columns, entry)) for entry in zip(*columns.values())],
     }
-    payload = {"format": MODEL_FORMAT}
-    for name in _MODEL:
-        value = values[name] if name in values else getattr(model, name)
-        payload[name] = value.tolist() if isinstance(value, np.ndarray) else value
-    Path(path).write_text(json.dumps(payload, allow_nan=False))
+    payload = {name: values[name] if name in values else getattr(model, name) for name in _MODEL}
+    # Arrays are written as (nested) lists.
+    Path(path).write_text(json.dumps(payload, allow_nan=False, default=np.ndarray.tolist))
 
 
 def read_model(path) -> EblpModel:
@@ -554,25 +553,23 @@ def read_model(path) -> EblpModel:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse model file {path}: {exc}") from exc
-    # The file's own rules: JSON types and field names, format and
-    # version, finite estimates, and the rank against u_hat.  The model
-    # checks its shapes and values itself.
+    # The file's own rules: its format, then its version, so that a later
+    # version's fields are not reported as unknown, then the JSON types and
+    # field names of _MODEL, finite estimates, and the rank against u_hat.
+    # The model checks its shapes and values itself.
+    if type(payload) is not dict or payload.get("format") != MODEL_FORMAT:
+        raise ParseError(f"{path}: not a model file")
+    version = payload.get("version")
+    if type(version) is int and version != MODEL_VERSION:
+        raise ParseError(f"{path}: unsupported model version {version}")
+    _check(path, "", payload, _MODEL)
     try:
-        if payload["format"] != MODEL_FORMAT:
-            raise ParseError(f"{path}: not a model file")
-        for name, kind in _MODEL.items():
-            _check(path, name, payload[name], kind)
-            if name == "version" and payload[name] != MODEL_VERSION:
-                raise ParseError(f"{path}: unsupported model version {payload[name]}")
         arrays = {name: np.asarray(payload[name], dtype=float) for name in ("m_hat_diag", "w_diag", "mean")}
         p = arrays["m_hat_diag"].size
         arrays["u_hat"] = np.asarray(payload["u_hat"], dtype=float).reshape(-1, p).T
-        entries = payload["estimates"]
-        columns = {name: np.array([entry[name] for entry in entries], dtype=kind)
+        columns = {name: np.array([entry[name] for entry in payload["estimates"]], dtype=kind)
                    for name, kind in _ESTIMATE.items()}
-    except ParseError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
     for name, column in columns.items():
         bad = np.flatnonzero(~np.isfinite(column))
@@ -593,7 +590,8 @@ def read_model(path) -> EblpModel:
 def _check(path, label: str, value, kind) -> None:
     """ParseError unless the JSON ``value`` is of ``kind`` (see ``_MODEL``),
     naming ``label``'s first entry or field that is not, for example
-    ``u_hat[1][3]`` or ``estimates[0].clamped``."""
+    ``u_hat[1][3]`` or ``estimates[0].clamped``; ``label`` is "" for the
+    whole file."""
     if type(kind) is list:
         (entry,) = kind
         if type(value) is not list:
@@ -610,12 +608,13 @@ def _check(path, label: str, value, kind) -> None:
     if type(kind) is dict:
         unknown = next((key for key in value if key not in kind), None)
         if unknown is not None:
-            raise ParseError(f"{path}: {label}: unknown field {json.dumps(unknown)}")
-        missing = next((name for name in kind if name not in value), None)
-        if missing is not None:
-            raise ParseError(f"{path}: {label}.{missing} is missing")
+            where = f"{label}: " if label else ""
+            raise ParseError(f"{path}: {where}unknown field {json.dumps(unknown)}")
         for name, field in kind.items():
-            _check(path, f"{label}.{name}", value[name], field)
+            where = f"{label}.{name}" if label else name
+            if name not in value:
+                raise ParseError(f"{path}: {where} is missing")
+            _check(path, where, value[name], field)
 
 
 # The results table's columns in order, each with the text of a value.

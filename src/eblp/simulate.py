@@ -101,9 +101,9 @@ class ExperimentConfig:
         ell = tuple(float(v) for v in self.ell)
         object.__setattr__(self, "ell", ell)
         if not ell or any(v <= 0 for v in ell):
-            raise ValueError("spike strengths must be positive")
+            raise ValueError("ell: spike strengths must be positive")
         if any(later >= earlier for earlier, later in zip(ell, ell[1:])):
-            raise ValueError("spike strengths must be strictly decreasing")
+            raise ValueError("ell: spike strengths must be strictly decreasing")
         if self.pc_sparsity is not None and self.pc_sparsity > self.p:
             raise ValueError("pc_sparsity cannot exceed p")
         if self.replicates < 0:

@@ -1,4 +1,7 @@
+import configparser
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -26,10 +29,11 @@ from eblp import (
     predict_out_of_sample,
     rmse,
 )
-from eblp import matio
+from eblp import benchmark, matio
 from eblp.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 TINY_CONFIG = """
 [tiny]
@@ -698,7 +702,7 @@ class TestModelIO:
         path = tmp_path / "model.json"
         matio.write_model(path, fitted_model(rng))
         payload = json.loads(path.read_text())
-        assert list(payload) == ["format", *matio._MODEL]
+        assert list(payload) == list(matio._MODEL)
         assert [list(entry) for entry in payload["estimates"]] == \
             [list(matio._ESTIMATE)] * len(payload["estimates"])
 
@@ -761,6 +765,8 @@ class TestModelIO:
              r"estimates\[0\]\.clamped is missing"),
             (("estimates", 0), [1.0], r"estimates\[0\] must be an object, got \[1.0\]"),
             (("estimates",), {}, "estimates must be an array"),
+            # The top level holds exactly the fields of the table.
+            (("exponent",), 7, 'unknown field "exponent"'),
         ]
         for keys, value, message in edits:
             payload = json.loads(json.dumps(good))
@@ -776,6 +782,34 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ParseError):
+            matio.read_model(path)
+
+    def test_missing_top_level_field_named(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        matio.write_model(path, fitted_model(rng))
+        payload = json.loads(path.read_text())
+        del payload["rank"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: rank is missing$"):
+            matio.read_model(path)
+
+    def test_array_payload_is_not_a_model_file(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        matio.write_model(path, fitted_model(rng))
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not a model file$"):
+            matio.read_model(path)
+
+    def test_later_version_reported_before_its_fields(self, tmp_path, rng):
+        # A version-2 file may hold fields version 1 does not know: the
+        # version is the error, not the field.
+        path = tmp_path / "model.json"
+        matio.write_model(path, fitted_model(rng))
+        payload = json.loads(path.read_text())
+        payload.update(version=2, exponent=7)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(path))}: unsupported model version 2$"):
             matio.read_model(path)
 
 
@@ -1099,6 +1133,17 @@ class TestSimulateCommand:
         assert np.array_equal(matio.read_matrix(prefix + ".y.txt")[0], data.y)
         assert np.array_equal(matio.read_matrix(prefix + ".mask.txt")[0], data.masks)
 
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg"))
+                             + [ROOT / "bench" / "desk_campaign.cfg"],
+                             ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_shipped_config_parses_and_simulates(self, path):
+        experiments = benchmark.parse_benchmark_config(path)
+        assert experiments
+        for exp in experiments:
+            cfg, data = benchmark.simulate_replicate(exp, 0, 0)
+            assert data.y.shape == data.masks.shape == (cfg.n, cfg.p)
+            assert np.isfinite(data.y).all()
+
 
 # Tokens a matrix file cannot carry: one that matches no cell, one that
 # splits into two cells, one that hides the cell end, one that turns its
@@ -1164,6 +1209,48 @@ class TestNaTokenRules:
         assert matio.read_matrix(out)[0].shape == (30, 8)
 
 
+# Words that are a valid value, or the kind of one, for some config key.
+CONFIG_WORDS = {"eblp", "unwhitened", "nnrls", "dense", "sparse", "uniform", "linear", "white",
+                "colored", *configparser.ConfigParser.BOOLEAN_STATES}
+
+
+def is_junk(token: str) -> bool:
+    """No key takes ``token``: its comma-separated pieces are all empty, or
+    one of them is neither a number nor led by a word of CONFIG_WORDS."""
+    pieces = [piece.strip() for piece in token.split(",")]
+    if not any(pieces):
+        return True
+    for piece in filter(None, pieces):
+        try:
+            float(piece)
+        except ValueError:
+            if piece.partition(":")[0].strip().lower() not in CONFIG_WORDS:
+                return True
+    return False
+
+
+class TestConfigKeys:
+    # 50 examples by default, 2000 under --hypothesis-profile=ci.
+    @given(key=st.sampled_from(list(benchmark._KEYS)),
+           token=st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                       exclude_characters=";#"), max_size=8)
+           .map(str.strip).filter(is_junk))
+    @example(key="methods", token="eblp%x")  # read as written, not interpolated
+    @example(key="ell", token=",")
+    @example(key="random_mean", token="ture")
+    def test_junk_value_exits_2_naming_the_key(self, tmp_path_factory, key, token):
+        lines = [line for line in TINY_CONFIG.splitlines() if line.split(" = ")[0] != key]
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {token}"]) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["benchmark", str(cfg), str(cfg.parent / "r.txt"), "--no-timings"])
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"eblp: parse error: {cfg}: [tiny]: ")
+        assert key in err.getvalue().split("[tiny]: ", 1)[1]
+        assert not (cfg.parent / "r.txt").exists()
+
+
 class TestBenchmarkCommand:
     def test_table_structure(self, tmp_path, tiny_config):
         out = tmp_path / "results.txt"
@@ -1215,6 +1302,7 @@ class TestBenchmarkCommand:
         "sigma_grid = -1", "sigma_grid = 1,nan", "sigma_grid = inf", "gamma = nan",
         "ell = 8,nan", "ell = inf", "noise = colored:nan", "noise = colored:inf",
         "sparsity = sparse:inf", "sparsity = sparse:1.5",
+        "rank = 2.5", "replicates = two", "seed = 1e3", "random_mean = ture",
     ])
     def test_bad_nnrls_setting_exit_2(self, tmp_path, capsys, setting):
         # The setting replaces the line of its key, if the config has one.
@@ -1238,8 +1326,9 @@ class TestBenchmarkCommand:
         ({"weight_replicates": 0}, "weight_replicates must be at least 1"),
         ({"methods": ("eblp", "nmf")},
          re.escape("unknown method 'nmf' (expected one of ('eblp', 'unwhitened', 'nnrls'))")),
+        ({"methods": ()}, "empty methods"),
     ], ids=["empty_sigma_grid", "negative_sigma", "max_iters", "tol", "weight_replicates",
-            "unknown_method"])
+            "unknown_method", "empty_methods"])
     def test_bad_setting_rejected_in_code(self, tiny_config, setting, message):
         # The experiment checks its own settings, whoever builds it.
         from eblp.benchmark import BenchmarkExperiment, parse_benchmark_config

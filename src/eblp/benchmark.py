@@ -3,19 +3,17 @@
 Experiments are described in an INI-style config file, one section per
 experiment; ``_KEYS`` declares its keys.
 
-Grid points run concurrently up to a jobs bound; output rows are ordered
-deterministically regardless of scheduling, and every row derives its
-data from a seed sequence keyed by (experiment seed, sigma index,
-replicate), so methods see identical draws.
+Grid points run concurrently up to a jobs bound, in worker processes at
+one BLAS thread each; output rows are ordered deterministically, and
+every row derives its data from a seed sequence keyed by (experiment
+seed, sigma index, replicate), so methods see identical draws.
 """
 
 from __future__ import annotations
 
 import configparser
-import contextlib
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -34,6 +32,7 @@ from .simulate import (
     rmse,
     simulate_dataset,
 )
+from .spectral import blas_threads
 
 __all__ = ["BenchmarkExperiment", "parse_benchmark_config", "run_benchmark", "simulate_replicate"]
 
@@ -315,14 +314,21 @@ def run_benchmark(
     in deterministic order.
 
     With ``jobs > 1`` the NNRLS weight calibrations and the grid points run
-    in ``jobs`` worker processes with one BLAS thread each, so the table
-    equals a ``jobs=1`` run under one BLAS thread, byte for byte.  The
-    workers are spawned, so a script that calls this with ``jobs > 1``
-    needs an ``if __name__ == "__main__":`` guard.
+    in ``jobs`` spawned worker processes, each set to one BLAS thread by
+    ``spectral.blas_threads``, so the table equals, byte for byte, a
+    ``jobs=1`` run at one BLAS thread, as ``eblp benchmark`` runs it.  A
+    ``jobs=1`` call runs at the caller's thread count.  A script that calls
+    this with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
     """
     if jobs <= 1:
         return _run_grid(experiments, timings, map)
-    with _worker_pool(jobs) as pool:
+    # Imported here: single-process runs and other commands never load
+    # the process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=blas_threads, initargs=(1,)) as pool:
         return _run_grid(experiments, timings, functools.partial(pool.map, chunksize=1))
 
 
@@ -335,37 +341,3 @@ def _run_grid(experiments: list[BenchmarkExperiment], timings: bool, mapper) -> 
         for replicate in range(exp.config.replicates)
     ]
     return [row for rows in mapper(_run_task, tasks) for row in rows]
-
-
-# Environment of each campaign worker.  OpenBLAS (and an OpenMP or MKL
-# build) reads its thread count once, when numpy loads, so the variables
-# must be set before a worker starts: one BLAS thread per worker keeps
-# `jobs` workers from oversubscribing the cores.
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
-@contextlib.contextmanager
-def _worker_pool(jobs: int):
-    """A pool of ``jobs`` spawned workers with one BLAS thread each.
-
-    Spawned workers copy this process's environment when they start, so it
-    holds `_WORKER_ENV` while the pool is open and is restored after; this
-    process's BLAS is already loaded and keeps its thread count.
-    """
-    # Imported here: single-process runs and other commands never load
-    # the process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            yield pool
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value

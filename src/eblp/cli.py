@@ -9,6 +9,9 @@ Importing this module loads only what ``denoise`` and ``oos`` run;
 ``simulate`` and ``benchmark`` import the simulator, the NNRLS baseline and
 the config parser when they run.
 
+Every command runs at one OpenBLAS thread, so its output bytes do not
+depend on the core count; ``main`` gives the caller back its own count.
+
 Exit codes: 0 success, 2 parse/usage or an unwritable output, 3
 degenerate data, 4 numeric.
 """
@@ -36,6 +39,7 @@ from .pipeline import (
     fit_in_sample,
     predict_out_of_sample,
 )
+from .spectral import blas_threads
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -203,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    threads = blas_threads(1)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -224,6 +229,8 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, EblpError, ValueError) as exc:
         print(f"eblp: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        blas_threads(threads)
 
 
 if __name__ == "__main__":

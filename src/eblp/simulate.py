@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("ell: spike strengths must be strictly decreasing")
         if self.pc_sparsity is not None and self.pc_sparsity > self.p:
             raise ValueError("pc_sparsity cannot exceed p")
+        if self.pc_sparsity is not None and self.pc_sparsity < self.rank:
+            raise ValueError(f"pc_sparsity {self.pc_sparsity} is infeasible for rank {self.rank}")
         if self.replicates < 0:
             raise ValueError("replicates must be nonnegative")
         if self.seed < 0:
@@ -131,8 +133,6 @@ def generate_signals(config: ExperimentConfig, n: int, rng: np.random.Generator)
     p, r = config.p, config.rank
     if config.pc_sparsity is not None:
         m = config.pc_sparsity
-        if m < r:
-            raise ShapeError(f"pc_sparsity {m} is infeasible for rank {r}")
         support = rng.choice(p, size=m, replace=False)
         q, _ = np.linalg.qr(rng.standard_normal((m, r)))
         u = np.zeros((p, r))

@@ -15,6 +15,10 @@ its selection from one LAPACK tridiagonal reduction: plug-in fits every
 eigenvalue and the top r triplets, white-mode fits the top r triplets,
 the NNRLS prox the triplets above ``t**2`` (every eigenvalue and no
 triplet at threshold 0) and the NNRLS weight calibration the top triplet.
+
+This module is the one place that calls numpy's OpenBLAS directly: for
+those routines and for ``blas_threads``, its thread count.  Nothing is
+set at import; the CLI and the campaign workers set one thread.
 """
 
 from __future__ import annotations
@@ -99,23 +103,38 @@ def _gram(matrix: np.ndarray) -> np.ndarray:
     return matrix.T @ matrix if n >= p else matrix @ matrix.T
 
 
-def _lapacke(name, *argtypes):
-    """LAPACKE ``name`` (ILP64) of the LAPACK numpy.linalg links, sharing
-    numpy's BLAS threads; None on builds without it (MKL, Accelerate)."""
+def _openblas(name, restype, *argtypes):
+    """``name`` in the ILP64 OpenBLAS that numpy.linalg links (PyPI wheels
+    export it as ``scipy_<name>64_``); None on builds without it (MKL,
+    Accelerate).  Every call into that library goes through here."""
     try:
-        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_{name}64_")
     except (AttributeError, OSError):
         return None
-    fn.argtypes, fn.restype = argtypes, ctypes.c_int64
+    fn.restype, fn.argtypes = restype, argtypes
     return fn
 
 
 _L, _I, _F, _P, _C = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-_DSYTRD = _lapacke("dsytrd", _L, _C, _I, _P, _I, _P, _P, _P)
-_DSTERF = _lapacke("dsterf", _I, _P, _P)
-_DSTEBZ = _lapacke("dstebz", _C, _C, _I, _F, _F, _I, _I, _F, _P, _P, _P, _P, _P, _P, _P)
-_DSTEIN = _lapacke("dstein", _L, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P)
-_DORMTR = _lapacke("dormtr", _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
+_DSYTRD = _openblas("LAPACKE_dsytrd", _I, _L, _C, _I, _P, _I, _P, _P, _P)
+_DSTERF = _openblas("LAPACKE_dsterf", _I, _I, _P, _P)
+_DSTEBZ = _openblas("LAPACKE_dstebz", _I, _C, _C, _I, _F, _F, _I, _I, _F, _P, _P, _P, _P, _P, _P, _P)
+_DSTEIN = _openblas("LAPACKE_dstein", _I, _L, _I, _P, _P, _I, _P, _P, _P, _P, _I, _P)
+_DORMTR = _openblas("LAPACKE_dormtr", _I, _L, _C, _C, _C, _I, _I, _P, _I, _P, _P, _I)
+_SET_THREADS = _openblas("openblas_set_num_threads", None, _L)
+_GET_THREADS = _openblas("openblas_get_num_threads", _L)
+
+
+def blas_threads(count: int | None) -> int | None:
+    """Set numpy's OpenBLAS to ``count`` threads and return the previous
+    count: only a fixed count sums in the same order on every machine.
+    For ``count=None``, and on builds without the symbols (MKL,
+    Accelerate), nothing is set and None is returned."""
+    if count is None or None in (_SET_THREADS, _GET_THREADS):
+        return None
+    previous = _GET_THREADS()
+    _SET_THREADS(count)
+    return previous
 
 
 def _tridiagonal_eigh(gram, above, top, spectrum):

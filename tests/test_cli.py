@@ -19,9 +19,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import components, loop_predict, read_results
+from conftest import components, loop_predict, read_results, spiked_white_data
 from eblp import (
     ParseError,
+    RankError,
     ShapeError,
     TransformedObservation,
     dataset_from_arrays,
@@ -29,7 +30,7 @@ from eblp import (
     predict_out_of_sample,
     rmse,
 )
-from eblp import benchmark, matio
+from eblp import benchmark, cli, matio, spectral
 from eblp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1301,7 +1302,8 @@ class TestBenchmarkCommand:
         "nnrls_max_iters = 0", "weight_replicates = 0",
         "sigma_grid = -1", "sigma_grid = 1,nan", "sigma_grid = inf", "gamma = nan",
         "ell = 8,nan", "ell = inf", "noise = colored:nan", "noise = colored:inf",
-        "sparsity = sparse:inf", "sparsity = sparse:1.5",
+        "sparsity = sparse:inf", "sparsity = sparse:1.5", "sparsity = sparse:0",
+        "sparsity = sparse:1",
         "rank = 2.5", "replicates = two", "seed = 1e3", "random_mean = ture",
     ])
     def test_bad_nnrls_setting_exit_2(self, tmp_path, capsys, setting):
@@ -1506,3 +1508,74 @@ class TestUnwritableOutput:
         assert main(["benchmark", tiny_config, str(missing), "--no-timings"]) == 2
         assert capsys.readouterr().err.startswith(f"eblp: cannot write: {missing}")
         assert not missing.parent.exists()
+
+
+# A child that runs ``denoise`` and ``oos`` through ``main``, on one CPU
+# when told so: pinned before numpy loads, OpenBLAS starts one thread.
+PINNED_CHILD = """
+import os, sys
+cpus, train, fresh, out = sys.argv[1:]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from eblp.cli import main
+model = os.path.join(out, "model.json")
+assert main(["denoise", train, os.path.join(out, "xhat.txt"), "--rank", "2",
+             "--save-model", model]) == 0
+assert main(["oos", fresh, os.path.join(out, "pred.txt"), "--model", model]) == 0
+"""
+
+
+@pytest.mark.skipif(spectral._SET_THREADS is None,
+                    reason="numpy's BLAS exports no OpenBLAS thread count")
+class TestBlasThreads:
+    @pytest.mark.parametrize("error,code", [(None, 0), (ShapeError("bad shape"), 2),
+                                            (RankError("bad rank"), 4)])
+    def test_main_runs_at_one_thread_and_restores_the_callers(self, monkeypatch, error, code):
+        seen = []
+
+        def command(args):
+            seen.append(spectral._GET_THREADS())
+            if error is not None:
+                raise error
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_oos", command)
+        previous = spectral.blas_threads(2)
+        try:
+            assert main(["oos", "in.txt", "out.txt", "--model", "m.json"]) == code
+            assert spectral._GET_THREADS() == 2
+        finally:
+            spectral.blas_threads(previous)
+        assert seen == [1]
+
+    def test_desk_table_does_not_depend_on_jobs(self, tmp_path):
+        cfg, a, b = tmp_path / "desk.cfg", tmp_path / "a.txt", tmp_path / "b.txt"
+        cfg.write_text(DESK_CONFIG)
+        assert main(["benchmark", str(cfg), str(a), "--no-timings", "--jobs", "1"]) == 0
+        assert main(["benchmark", str(cfg), str(b), "--no-timings", "--jobs", "2"]) == 0
+        assert len(read_results(a)) == 6
+        assert a.read_text() == b.read_text()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two CPUs")
+    def test_outputs_do_not_depend_on_the_cpus(self, tmp_path, rng):
+        # Desk-sized, where OpenBLAS splits products over its threads.
+        y, _, _ = spiked_white_data(rng, 425, 300, np.array([10.0, 5.0]))
+        observed = rng.random(y.shape) < 0.8
+        train, fresh = tmp_path / "train.txt", tmp_path / "fresh.txt"
+        matio.write_matrix(train, y[:375], observed=observed[:375])
+        matio.write_matrix(fresh, y[375:], observed=observed[375:])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        outputs = {}
+        for cpus in ("one", "all"):
+            out = tmp_path / cpus
+            out.mkdir()
+            child = subprocess.run(
+                [sys.executable, "-c", PINNED_CHILD, cpus, str(train), str(fresh), str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            outputs[cpus] = {name: (out / name).read_bytes() for name in
+                             ("xhat.txt", "xhat.txt.report", "model.json", "pred.txt")}
+        assert outputs["one"] == outputs["all"]

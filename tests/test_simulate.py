@@ -61,9 +61,9 @@ class TestSignals:
         assert np.count_nonzero(np.any(x != 0, axis=0)) <= 10
 
     def test_sparse_infeasible(self):
-        cfg = config(ell=(3.0, 2.0, 1.0), pc_sparsity=2)
-        with pytest.raises(ShapeError):
-            generate_signals(cfg, 5, np.random.default_rng(0))
+        # Fewer support coordinates than spikes fail at construction.
+        with pytest.raises(ValueError, match="^pc_sparsity 2 is infeasible for rank 3$"):
+            config(ell=(3.0, 2.0, 1.0), pc_sparsity=2)
 
     def test_orthonormal_directions(self):
         # With orthonormal directions the signal covariance U diag(ell) U'

@@ -275,10 +275,12 @@ class TestGramEigh:
 
     def test_binding_resolves_on_numpy_openblas(self):
         # numpy's own ILP64 OpenBLAS (PyPI wheels) exports the symbols, so
-        # the tridiagonal path is the one that runs there.
+        # the tridiagonal path is the one that runs there, and the thread
+        # count can be set.
         lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
         if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack["openblas configuration"]:
             assert None not in self.TRIDIAGONAL.values()
+            assert None not in (spectral._SET_THREADS, spectral._GET_THREADS)
 
     @pytest.mark.parametrize("name", list(TRIDIAGONAL))
     def test_failed_tridiagonal_routine_falls_back_to_dense(self, rng, name):

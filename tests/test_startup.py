@@ -3,7 +3,8 @@ campaign's modules (the runner, the simulator, the NNRLS baseline and
 ``configparser``), no path loads SciPy's ARPACK module
 (``scipy.sparse.linalg``, about 0.3 s to import), ``import eblp.cli``
 loads no ``concurrent.futures`` module, and only a multi-job campaign
-loads the process pool (``concurrent.futures.process``).  The
+loads the process pool (``concurrent.futures.process``).  Neither the
+import nor a command changes the caller's OpenBLAS thread count.  The
 checks run in a fresh interpreter, because this test process may have
 loaded any of them."""
 
@@ -35,8 +36,14 @@ methods = eblp,unwhitened,nnrls
 """
 
 SCRIPT = """
-import json, sys
+import ctypes, json, sys
 import numpy as np
+# numpy's OpenBLAS, set to two threads: neither the import nor a command
+# may leave another count behind.
+lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+get = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: None)
+getattr(lib, "scipy_openblas_set_num_threads64_", lambda count: None)(2)
+before = get()
 import eblp, eblp.cli
 from eblp import TransformedObservation, dataset_from_arrays, fit_in_sample
 from eblp import matio, predict_out_of_sample
@@ -44,7 +51,8 @@ from eblp import matio, predict_out_of_sample
 y_path, model, fresh, pred, xhat, config, table, prefix = sys.argv[1:]
 campaign = ("scipy", "eblp.benchmark", "eblp.simulate", "eblp.baselines", "configparser")
 lean = lambda: [name for name in campaign if name in sys.modules]
-seen = {"lean_import": lean(), "futures_import": [m for m in sys.modules if m.startswith("concurrent")]}
+seen = {"lean_import": lean(), "futures_import": [m for m in sys.modules if m.startswith("concurrent")],
+        "threads_import": [before, get()]}
 loaded = lambda: "scipy.sparse.linalg" in sys.modules
 pool = lambda: "concurrent.futures.process" in sys.modules
 y = np.load(y_path)
@@ -68,6 +76,7 @@ assert eblp.cli.main(["simulate", config, prefix]) == 0
 seen["benchmark"] = loaded()
 seen["pool_benchmark"] = pool()
 seen["rows"] = len(open(table).read().splitlines()) - 1  # less the header
+seen["threads_commands"] = get()
 est = white.estimates
 seen["estimates"] = [a.tolist() for a in (est.ell_hat, est.c2_hat, est.ct2_hat,
                                           est.lambda_star, est.sigma_obs)]
@@ -100,6 +109,9 @@ def test_sparse_linalg_never_loads(tmp_path, rng):
     assert not seen["pool_benchmark"]
     assert seen["lean_import"] == seen["lean_commands"] == []
     assert seen["rows"] == 3
+    before, after_import = seen["threads_import"]
+    assert before in (2, None)  # None: numpy's BLAS exports no thread count
+    assert after_import == seen["threads_commands"] == before
     assert (tmp_path / "sim.y.txt").exists()
 
     white, _ = fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 2, mode="white")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import NnrlsConfig, nnrls, nnrls_weight_colored, nnrls_weight_white
 from .errors import ParseError
-from .pipeline import fit_in_sample
+from .pipeline import TransformedObservation, fit_in_sample
 from .simulate import (
     ExperimentConfig,
     NoiseSpec,
@@ -198,35 +198,37 @@ def parse_benchmark_config(path, seed_override: int | None = None) -> list[Bench
     return experiments
 
 
-def _nnrls_calibration(exp: BenchmarkExperiment) -> tuple[float | None, np.ndarray | None]:
-    """Base regularization weight at sigma = 1 and the column weights.
+def _column_weights(cfg: ExperimentConfig) -> np.ndarray | None:
+    """NNRLS column weights C = sqrt of the linear ramp's sampling rates;
+    None (no weighting) for uniform sampling."""
+    if cfg.sampling.kind != "linear":
+        return None
+    return np.sqrt(cfg.sampling.column_probabilities(cfg.p))
 
-    Uniform sampling with white noise uses the closed formula per
-    replicate (returns None); anything else is calibrated by Monte Carlo
-    on masked pure noise, with C^-1 applied for the weighted variant.
-    Experiments without NNRLS return (None, None).
+
+def _nnrls_base_weight(exp: BenchmarkExperiment) -> float | None:
+    """NNRLS regularization weight at sigma = 1, calibrated by Monte Carlo
+    on masked pure noise with C^-1 applied when sampling is uneven.
+
+    None where every replicate takes the closed form instead (uniform
+    sampling with white noise) or the experiment runs no NNRLS.
     """
-    if "nnrls" not in exp.methods:
-        return None, None
     cfg = exp.config
-    column_weights = None
-    if cfg.sampling.kind == "linear":
-        column_weights = np.sqrt(cfg.sampling.column_probabilities(cfg.p))
-    if cfg.noise.kind == "white" and column_weights is None:
-        return None, None
+    column_weights = _column_weights(cfg)
+    if "nnrls" not in exp.methods or (cfg.noise.kind == "white" and column_weights is None):
+        return None
     base_cfg = replace(cfg, noise=replace(cfg.noise, sigma=1.0))
     n = base_cfg.n
     rng = np.random.default_rng(
         np.random.SeedSequence([base_cfg.seed, _WEIGHT_SEED_TAG])
     )
-    w_base = nnrls_weight_colored(
+    return nnrls_weight_colored(
         lambda g: generate_noise(base_cfg, n, g),
         lambda g: generate_masks(base_cfg, n, g),
         replicates=exp.weight_replicates,
         rng=rng,
         column_weights=column_weights,
     )
-    return w_base, column_weights
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,6 @@ class _Task:
     sigma_index: int
     replicate: int
     w_base: float | None
-    column_weights: np.ndarray | None
-    timings: bool
 
 
 def simulate_replicate(
@@ -254,10 +254,8 @@ def _run_task(task: _Task) -> list[dict]:
     exp = task.experiment
     cfg, data = simulate_replicate(exp, task.sigma_index, task.replicate)
     sigma = cfg.noise.sigma
+    dataset = TransformedObservation(y=data.y, d=data.masks)
 
-    noise_profile = (
-        cfg.noise.variance_profile(cfg.p) if cfg.noise.kind == "colored" else None
-    )
     rows = []
     for method in exp.methods:
         t0 = time.perf_counter()
@@ -265,29 +263,19 @@ def _run_task(task: _Task) -> list[dict]:
         if method in ("eblp", "unwhitened"):
             whiten = method == "eblp"
             model, x_hat = fit_in_sample(
-                data.dataset, exp.rank, whiten=whiten, mode="plugin",
-                noise_var_diag=noise_profile if whiten else None,
+                dataset, exp.rank, whiten=whiten, mode="plugin",
+                noise_var_diag=cfg.noise.variance_profile(cfg.p) if whiten else None,
             )
             amse_est = model.estimates.amse
         else:
             if task.w_base is None:
-                w = nnrls_weight_white(
-                    sigma, cfg.p, cfg.n, int(data.masks.sum())
-                )
+                w = nnrls_weight_white(sigma, cfg.p, cfg.n, int(data.masks.sum()))
             else:
                 w = sigma * task.w_base
-            result = nnrls(
-                data.y,
-                data.masks,
-                NnrlsConfig(
-                    w=w,
-                    max_iters=exp.nnrls_max_iters,
-                    tol=exp.nnrls_tol,
-                    column_weights=task.column_weights,
-                ),
-            )
-            x_hat = result.x_hat
-        seconds = time.perf_counter() - t0 if task.timings else 0.0
+            solver = NnrlsConfig(w=w, max_iters=exp.nnrls_max_iters, tol=exp.nnrls_tol,
+                                 column_weights=_column_weights(cfg))
+            x_hat = nnrls(data.y, data.masks, solver).x_hat
+        seconds = time.perf_counter() - t0
         rows.append(
             {
                 "experiment": exp.name,
@@ -311,7 +299,7 @@ def run_benchmark(
     timings: bool = True,
 ) -> list[dict]:
     """Run every (experiment, sigma, replicate) point and return the rows
-    in deterministic order.
+    in deterministic order; without ``timings`` every ``seconds`` is 0.
 
     With ``jobs > 1`` the NNRLS weight calibrations and the grid points run
     in ``jobs`` spawned worker processes, each set to one BLAS thread by
@@ -319,24 +307,31 @@ def run_benchmark(
     ``jobs=1`` run at one BLAS thread, as ``eblp benchmark`` runs it.  A
     ``jobs=1`` call runs at the caller's thread count.  A script that calls
     this with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
+    ``jobs`` below 1 is a ValueError.
     """
-    if jobs <= 1:
-        return _run_grid(experiments, timings, map)
-    # Imported here: single-process runs and other commands never load
-    # the process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        rows = _run_grid(experiments, map)
+    else:
+        # Imported here: single-process runs and other commands never load
+        # the process-pool machinery.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=blas_threads, initargs=(1,)) as pool:
-        return _run_grid(experiments, timings, functools.partial(pool.map, chunksize=1))
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=blas_threads, initargs=(1,)) as pool:
+            rows = _run_grid(experiments, functools.partial(pool.map, chunksize=1))
+    if not timings:
+        for row in rows:
+            row["seconds"] = 0.0
+    return rows
 
 
-def _run_grid(experiments: list[BenchmarkExperiment], timings: bool, mapper) -> list[dict]:
-    calibrations = list(mapper(_nnrls_calibration, experiments))
+def _run_grid(experiments: list[BenchmarkExperiment], mapper) -> list[dict]:
     tasks = [
-        _Task(exp, sigma_index, replicate, w_base, column_weights, timings)
-        for exp, (w_base, column_weights) in zip(experiments, calibrations)
+        _Task(exp, sigma_index, replicate, w_base)
+        for exp, w_base in zip(experiments, mapper(_nnrls_base_weight, experiments))
         for sigma_index in range(len(exp.sigma_grid))
         for replicate in range(exp.config.replicates)
     ]

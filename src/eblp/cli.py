@@ -55,7 +55,7 @@ def _load_observations(path, mask_path, na_token):
             raise ShapeError(
                 f"mask shape {mask.shape} does not match input {values.shape}"
             )
-        values = values * mask
+        values *= mask
         conflict = (mask != 0) & (observed == 0)
         if conflict.any():
             i, j = np.unravel_index(np.argmax(conflict), conflict.shape)
@@ -142,6 +142,8 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     from .benchmark import parse_benchmark_config, run_benchmark
 
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     _check_targets(args.output)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
     rows = run_benchmark(experiments, jobs=args.jobs, timings=args.timings)

@@ -177,7 +177,16 @@ def shrink_triplets(
             f"plugin mode needs r < min(n, p) = {min(n, p)} residual values"
         )
 
-    left, right, s2, shift = _prescaled_triplets(matrix, r, mode == "plugin")
+    # Divide in place by the exact sqrt(n) 2**shift that brings
+    # max|matrix| / sqrt(n), the largest entry of matrix / sqrt(n) as
+    # division is monotone, into [0.5, 1) ([1, 2) past 2**1023): the Gram
+    # matrix neither overflows nor underflows, and outside subnormals this
+    # is matrix / sqrt(n) times 2**-shift bit for bit.
+    root_n = np.sqrt(n)
+    shift = int(np.frexp(max(matrix.max(), -matrix.min()) / root_n)[1])
+    shift = min(shift, 1024 - int(np.frexp(root_n)[1]))
+    np.divide(matrix, np.ldexp(root_n, shift), out=matrix)
+    s2, left, right = gram_eigh(matrix, top=r, spectrum=mode == "plugin")
     if mode == "plugin":
         return left, right, estimate_spike(EigenSpectrum(values=s2, n=n, p=p), r, shift)
     # The unit noise variance in the prescaled units may underflow to 0
@@ -188,25 +197,3 @@ def shrink_triplets(
     _, c2, ct2 = white_spike_forward(ell, p / n, scaled_noise)
     unclamped = np.zeros(r, dtype=bool)
     return left, right, _spike_estimates(s2, ell, c2, ct2, ell > 0.0, unclamped, shift)
-
-
-def _prescaled_triplets(
-    matrix: np.ndarray, r: int, whole: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Top-r singular vectors of ``matrix / sqrt(n)`` from ``gram_eigh``,
-    with all its values if ``whole``.
-
-    ``matrix`` is divided in place by the exact sqrt(n) 2**shift that
-    brings max|matrix| / sqrt(n), the largest entry of ``matrix / sqrt(n)``
-    as division is monotone, into [0.5, 1) ([1, 2) past 2**1023): the Gram
-    matrix neither overflows nor underflows, and outside subnormals this is
-    ``matrix / sqrt(n)`` times 2**-shift bit for bit.  Returns the left
-    (n, r) and right (p, r) vectors, the squared singular values of the
-    prescaled matrix (descending; all min(n, p), or the top r), and shift.
-    """
-    root_n = np.sqrt(matrix.shape[0])
-    shift = int(np.frexp(max(matrix.max(), -matrix.min()) / root_n)[1])
-    shift = min(shift, 1024 - int(np.frexp(root_n)[1]))
-    np.divide(matrix, np.ldexp(root_n, shift), out=matrix)
-    s2, left, right = gram_eigh(matrix, top=r, spectrum=whole)
-    return left, right, s2, shift

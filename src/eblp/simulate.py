@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .pipeline import TransformedObservation
 
 __all__ = [
     "SamplingSpec",
@@ -167,11 +166,6 @@ class SimulatedData:
     x: np.ndarray                 # (n, p) true signals
     masks: np.ndarray             # (n, p) 0/1
     y: np.ndarray                 # (n, p) masked noisy observations
-
-    @property
-    def dataset(self) -> TransformedObservation:
-        """The (n, p) batch of observations, sharing ``y`` and ``masks``."""
-        return TransformedObservation(y=self.y, d=self.masks)
 
 
 def simulate_dataset(config: ExperimentConfig, rng: np.random.Generator) -> SimulatedData:

@@ -70,6 +70,36 @@ nnrls_max_iters = 40
 weight_replicates = 4
 """
 
+# One experiment per NNRLS weight rule: the closed form (uniform sampling,
+# white noise), Monte Carlo unweighted (colored noise) and Monte Carlo
+# weighted by C (linear sampling).
+WEIGHT_RULES_CONFIG = """
+[DEFAULT]
+p = 40
+gamma = 0.8
+ell = 8,4
+rank = 2
+sigma_grid = 1,2.5
+replicates = 2
+methods = eblp,unwhitened,nnrls
+random_mean = true
+nnrls_max_iters = 60
+weight_replicates = 3
+
+[closed]
+sampling = uniform:0.7
+seed = 21
+
+[colored]
+sampling = uniform:0.7
+noise = colored:5
+seed = 22
+
+[linear]
+sampling = linear:0.3
+seed = 23
+"""
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -867,6 +897,22 @@ class TestDenoiseCommand:
         matio.write_matrix(maskf, observed)
         assert main(["denoise", str(inp), out, "--rank", "1", "--mask", str(maskf)]) == 0
 
+    def test_mask_file_equals_na_tokens(self, tmp_path):
+        # A mask file zeroes the cells it marks missing, whatever they hold:
+        # the outputs equal, byte for byte, those of the same cells as NA.
+        rng = np.random.default_rng(8)
+        y = 1.0 + np.abs(rng.standard_normal((60, 12)))
+        observed = rng.random(y.shape) < 0.7
+        full, na, maskf = tmp_path / "full.txt", tmp_path / "na.txt", tmp_path / "mask.txt"
+        matio.write_matrix(full, y)
+        matio.write_matrix(na, y, observed=observed)
+        matio.write_matrix(maskf, observed * 1.0)
+        for name, args in (("a", [str(full), "--mask", str(maskf)]), ("b", [str(na)])):
+            assert main(["denoise", args[0], str(tmp_path / f"{name}.txt"), "--rank", "2",
+                         "--save-model", str(tmp_path / f"{name}.json"), *args[1:]]) == 0
+        for suffix in (".txt", ".txt.report", ".json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
     @pytest.mark.parametrize("cell,message", [
         ("0.5", "row 3, field 2: mask entries must be 0 or 1: '0.5'"),
         ("NA", "row 3, field 2: mask files cannot contain missing entries: 'NA'"),
@@ -1408,6 +1454,24 @@ class TestBenchmarkCommand:
         assert main(["benchmark", tiny_config, str(b), "--no-timings", "--jobs", "2"]) == 0
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, tiny_config, monkeypatch, jobs):
+        def run_benchmark(*args, **kwargs):
+            raise AssertionError("ran the campaign")
+
+        monkeypatch.setattr(benchmark, "run_benchmark", run_benchmark)
+        out = tmp_path / "r.txt"
+        assert main(["benchmark", tiny_config, str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == (
+            f"eblp: parse error: --jobs must be at least 1, got {jobs}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_benchmark_rejects_jobs_below_one(self, tiny_config, jobs):
+        experiments = benchmark.parse_benchmark_config(tiny_config)
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            benchmark.run_benchmark(experiments, jobs=jobs)
+
     def test_jobs_workers_match_one_blas_thread(self, tmp_path):
         # Campaign workers run with one BLAS thread each, so a --jobs 2
         # table equals a --jobs 1 table from a single-threaded process.
@@ -1445,6 +1509,73 @@ class TestBenchmarkCommand:
         assert {row["method"] for row in rows} == {"eblp", "unwhitened", "nnrls"}
         assert {row["sigma"] for row in rows} == {1.0, 2.0}
         assert all(row["sparsity"] == "10" for row in rows)
+
+
+class TestCampaignWiring:
+    """Each campaign row equals direct library calls on its replicate's
+    data, with the weight rule, column weights and noise profile that the
+    README states."""
+
+    @staticmethod
+    def expected_rows(exp):
+        from eblp import (NnrlsConfig, generate_masks, generate_noise, nnrls,
+                          nnrls_weight_colored, nnrls_weight_white)
+
+        cfg = exp.config
+        weights = (np.sqrt(cfg.sampling.column_probabilities(cfg.p))
+                   if cfg.sampling.kind == "linear" else None)
+        w_base = None
+        if cfg.noise.kind == "colored" or weights is not None:
+            base = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, sigma=1.0))
+            w_base = nnrls_weight_colored(
+                lambda g: generate_noise(base, base.n, g),
+                lambda g: generate_masks(base, base.n, g),
+                replicates=exp.weight_replicates,
+                rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57454947])),
+                column_weights=weights,
+            )
+        rows = []
+        for sigma_index in range(len(exp.sigma_grid)):
+            for replicate in range(cfg.replicates):
+                grid_cfg, data = benchmark.simulate_replicate(exp, sigma_index, replicate)
+                sigma = grid_cfg.noise.sigma
+                dataset = dataset_from_arrays(data.y, data.masks)
+                for method in exp.methods:
+                    if method == "nnrls":
+                        w = (nnrls_weight_white(sigma, cfg.p, cfg.n, int(data.masks.sum()))
+                             if w_base is None else sigma * w_base)
+                        config = NnrlsConfig(w=w, max_iters=exp.nnrls_max_iters,
+                                             tol=exp.nnrls_tol, column_weights=weights)
+                        x_hat, amse = nnrls(data.y, data.masks, config).x_hat, math.nan
+                    else:
+                        whiten = method == "eblp"
+                        profile = grid_cfg.noise.variance_profile(cfg.p) if whiten else None
+                        model, x_hat = fit_in_sample(dataset, exp.rank, whiten=whiten,
+                                                     mode="plugin", noise_var_diag=profile)
+                        amse = model.estimates.amse
+                    rows.append((exp.name, method, sigma, replicate, rmse(x_hat, data.x), amse))
+        return rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_direct_calls(self, tmp_path, jobs):
+        cfg = tmp_path / "rules.cfg"
+        cfg.write_text(WEIGHT_RULES_CONFIG)
+        experiments = benchmark.parse_benchmark_config(str(cfg))
+        assert [exp.name for exp in experiments] == ["closed", "colored", "linear"]
+        # One BLAS thread, as in the campaign's workers.
+        previous = spectral.blas_threads(1)
+        try:
+            rows = benchmark.run_benchmark(experiments, jobs=jobs, timings=False)
+            want = [row for exp in experiments for row in self.expected_rows(exp)]
+        finally:
+            spectral.blas_threads(previous)
+        got = [(row["experiment"], row["method"], row["sigma"], row["replicate"],
+                row["rmse"], row["amse_est"]) for row in rows]
+        assert len(got) == 3 * 3 * 2 * 2
+        for g, w in zip(got, want):
+            assert g[:5] == w[:5]
+            assert g[5] == w[5] or (math.isnan(g[5]) and math.isnan(w[5])), (g, w)
+        assert all(row["seconds"] == 0.0 for row in rows)
 
 
 class TestUnwritableOutput:

@@ -1,5 +1,8 @@
 """Optimal linear prediction of low-rank signals observed through
 per-sample diagonal transforms (including missing data) under heavy noise.
+
+The simulator and the NNRLS baseline serve the benchmark campaign, not a
+fit; import them from their modules, ``eblp.simulate`` and ``eblp.baselines``.
 """
 
 from .errors import (
@@ -29,44 +32,4 @@ from .pipeline import (
     predict_out_of_sample,
 )
 
-# The simulator and the NNRLS baseline serve the campaign, not a fit, so
-# their names (and the submodules themselves) load on first access (PEP 562).
-_LAZY = {
-    "simulate": (
-        "ExperimentConfig",
-        "NoiseSpec",
-        "SamplingSpec",
-        "SimulatedData",
-        "generate_masks",
-        "generate_noise",
-        "generate_signals",
-        "rmse",
-        "simulate_dataset",
-    ),
-    "baselines": (
-        "NnrlsConfig",
-        "NnrlsResult",
-        "nnrls",
-        "nnrls_weight_colored",
-        "nnrls_weight_white",
-    ),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name):
-    from importlib import import_module
-
-    if name in _LAZY:
-        return import_module(f".{name}", __name__)
-    if name in _HOME:
-        return getattr(import_module(f".{_HOME[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_HOME))
-
-
 __version__ = "0.1.0"
-__all__ = [name for name in __dir__() if not name.startswith("_")]

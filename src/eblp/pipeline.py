@@ -169,7 +169,8 @@ def fit_in_sample(
     isotropic: W = sqrt(M-hat / v); it is a ValueError without ``whiten``,
     which would ignore it.  A coordinate whose M-hat falls below
     ``DEFAULT_M_FLOOR`` raises DegenerateCoordinateError naming every such
-    one.
+    one.  ``y`` must be finite, even where ``d == 0``; its first
+    non-finite cell in row-major order is a ValueError.
 
     Returns (model, X-hat) with X-hat of shape n x p.
     """
@@ -185,6 +186,9 @@ def fit_in_sample(
         raise ShapeError("dataset must contain at least one observation")
     if r < 0 or r > min(n, p):
         raise RankError(f"rank {r} out of range for {n} samples in dimension {p}")
+    if not np.isfinite(y).all():
+        i, j = np.argwhere(~np.isfinite(y))[0]
+        raise ValueError(f"y is not finite: {float(y[i, j])!r} at index ({i}, {j})")
 
     weight = d.sum(axis=0)
     m_hat = weight / n
@@ -202,16 +206,13 @@ def fit_in_sample(
     for i in range(0, n, step := max(1, 16384 // max(p, 1))):  # not one full-size d * mean
         b[i:i + step] -= d[i:i + step] * mean
 
+    w_diag = np.ones(p)
     if whiten:
-        if noise_var_diag is not None:
-            v = np.asarray(noise_var_diag, dtype=float)
-            if v.shape != (p,) or np.any(v <= 0):
-                raise ShapeError("noise_var_diag must be p positive reals")
-            w_diag = np.sqrt(m_hat / v)
-        else:
-            w_diag = np.sqrt(m_hat)
-    else:
-        w_diag = np.ones(p)
+        # Unknown variances are unit ones: m_hat / 1.0 is m_hat, bit for bit.
+        v = np.ones(p) if noise_var_diag is None else np.asarray(noise_var_diag, dtype=float)
+        if v.shape != (p,) or not (np.isfinite(v) & (v > 0)).all():
+            raise ShapeError("noise_var_diag must be p positive reals")
+        w_diag = np.sqrt(m_hat / v)
 
     # B~ = B M^-1, then B~ W; combined column scale.
     b *= w_diag / m_hat
@@ -244,7 +245,8 @@ def predict_out_of_sample(model: EblpModel, obs: TransformedObservation) -> np.n
     and d = u' M-hat^-1 u otherwise (white original noise).  The model
     holds this map, built once at its construction, so a row costs the
     centering and two (p, r) products.  Returns a vector of length p, or
-    a (k, p) array for a batch.
+    a (k, p) array for a batch.  ``y`` is not checked: a non-finite
+    ``y`` gives non-finite predictions.
     """
     p = model.p
     if obs.y.shape[-1] != p:

@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from eblp import (
-    NnrlsConfig,
     TransformedObservation,
     dataset_from_arrays,
     fit_in_sample,
     mp_bulk_edge,
-    nnrls,
-    nnrls_weight_white,
     predict_out_of_sample,
-    rmse,
     spectral_estimates,
     white_spike_forward,
 )
+from eblp.baselines import NnrlsConfig, nnrls, nnrls_weight_white
+from eblp.simulate import rmse
 from conftest import (
     SignalModel,
     blp_oracle,

@@ -8,22 +8,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import optimize
 
-from eblp import (
-    ExperimentConfig,
+from eblp import baselines, dataset_from_arrays, fit_in_sample, spectral
+from eblp.baselines import (
     NnrlsConfig,
-    NoiseSpec,
-    SamplingSpec,
-    dataset_from_arrays,
-    fit_in_sample,
-    generate_masks,
-    generate_noise,
     nnrls,
     nnrls_weight_colored,
     nnrls_weight_white,
+    soft_threshold_singular_values,
+)
+from eblp.simulate import (
+    ExperimentConfig,
+    NoiseSpec,
+    SamplingSpec,
+    generate_masks,
+    generate_noise,
     simulate_dataset,
 )
-from eblp import baselines, spectral
-from eblp.baselines import soft_threshold_singular_values
 from conftest import reference_nnrls, shrink_plain
 
 

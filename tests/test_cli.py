@@ -28,10 +28,10 @@ from eblp import (
     dataset_from_arrays,
     fit_in_sample,
     predict_out_of_sample,
-    rmse,
 )
 from eblp import benchmark, cli, matio, spectral
 from eblp.cli import main
+from eblp.simulate import rmse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -286,6 +286,29 @@ class TestMatrixIO:
             blocks = matio.read_matrix(path)
             assert np.array_equal(blocks[0], whole[0]) and np.array_equal(blocks[1], whole[1])
         assert whole[0][4, 0] == 1.5e-61
+
+    def test_rows_shorter_than_the_first_block_grow_the_arrays(self, tmp_path):
+        # The first block's bytes per row size the arrays; 20000 short rows
+        # after it need more rows than that estimate holds.
+        long = np.random.default_rng(25).random(matio._PARSE_CELLS)
+        text = "".join("%.17f\n" % value for value in long) + "0\n" * 20000
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        values, observed = matio.read_matrix(path)
+        want = np.array([float(token) for token in text.split()])[:, None]
+        assert values.shape == observed.shape == (matio._PARSE_CELLS + 20000, 1)
+        assert observed.all()
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+    def test_long_comment_before_short_rows(self, tmp_path):
+        # A 10 MB comment counts in the file size but holds no rows.
+        rows = np.arange(6000.0).reshape(3000, 2)
+        path = tmp_path / "m.txt"
+        with open(path, "w") as handle:
+            handle.write("# " + "x" * 10_000_000 + "\n")
+            handle.writelines("%d %d\n" % tuple(row) for row in rows)
+        values, observed = matio.read_matrix(path)
+        assert np.array_equal(values, rows) and observed.all()
 
     def test_first_bad_cell_named_when_a_later_block_fails_first(self, tmp_path, monkeypatch):
         # Rows 1-2 and 3-4 are parsed on two threads; the first block is
@@ -1436,7 +1459,7 @@ class TestBenchmarkCommand:
         assert {row["method"] for row in read_results(tmp_path / "r.txt")} == {"nnrls"}
 
     def test_nnrls_settings_default_to_solver(self, tmp_path, tiny_config):
-        from eblp import NnrlsConfig
+        from eblp.baselines import NnrlsConfig
         from eblp.benchmark import parse_benchmark_config
 
         exp = parse_benchmark_config(tiny_config)[0]
@@ -1518,8 +1541,8 @@ class TestCampaignWiring:
 
     @staticmethod
     def expected_rows(exp):
-        from eblp import (NnrlsConfig, generate_masks, generate_noise, nnrls,
-                          nnrls_weight_colored, nnrls_weight_white)
+        from eblp.baselines import NnrlsConfig, nnrls, nnrls_weight_colored, nnrls_weight_white
+        from eblp.simulate import generate_masks, generate_noise
 
         cfg = exp.config
         weights = (np.sqrt(cfg.sampling.column_probabilities(cfg.p))

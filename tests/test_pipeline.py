@@ -27,9 +27,9 @@ from eblp import (
     dataset_from_arrays,
     fit_in_sample,
     predict_out_of_sample,
-    rmse,
 )
 from eblp import matio, pipeline
+from eblp.simulate import rmse
 from eblp.pipeline import EblpModel
 
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -139,6 +139,22 @@ class TestFitInSample:
         d[:, 2] = 0.0
         with pytest.raises(DegenerateCoordinateError):
             fit_in_sample(dataset_from_arrays(y * d, d), 1)
+
+    def test_non_finite_y_named(self, rng):
+        # A NaN marking an unobserved cell, and an inf at an observed one,
+        # are each named by their first cell in row-major order.
+        n, p = 60, 40
+        d = (rng.random((n, p)) < 0.7).astype(float)
+        y = rng.standard_normal((n, p)) * d
+        y[d == 0] = np.nan
+        i, j = np.argwhere(d == 0)[0]
+        with pytest.raises(ValueError, match=rf"^y is not finite: nan at index \({i}, {j}\)$"):
+            fit_in_sample(dataset_from_arrays(y, d), 2)
+        y = rng.standard_normal((n, p)) * d
+        d[7, 3] = d[9, 1] = 1.0
+        y[9, 1], y[7, 3] = -np.inf, np.inf
+        with pytest.raises(ValueError, match=r"^y is not finite: inf at index \(7, 3\)$"):
+            fit_in_sample(dataset_from_arrays(y, d), 2, whiten=False)
 
     def test_center_restores_mean_on_pure_noise(self):
         rng = np.random.default_rng(9)
@@ -253,6 +269,16 @@ class TestFitReference:
         with pytest.raises(ValueError, match="noise_var_diag applies only to a whitened fit"):
             fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 1, whiten=False,
                           noise_var_diag=np.ones(6))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_noise_var_diag_must_be_positive_reals(self, rng, bad):
+        # NaN and inf used to pass the check and fail in the decomposition
+        # or in the model built after the fit.
+        y = rng.standard_normal((20, 6))
+        profile = np.ones(6)
+        profile[4] = bad
+        with pytest.raises(ShapeError, match="noise_var_diag must be p positive reals"):
+            fit_in_sample(dataset_from_arrays(y, np.ones_like(y)), 1, noise_var_diag=profile)
 
     def test_caller_arrays_untouched(self, rng):
         # The batch wraps the caller's arrays without a copy; fitting and

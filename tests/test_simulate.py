@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import spectrum_of
-from eblp import (
+from eblp import ShapeError, white_spike_forward
+from eblp.simulate import (
     ExperimentConfig,
     NoiseSpec,
     SamplingSpec,
-    ShapeError,
     generate_masks,
     generate_noise,
     generate_signals,
     rmse,
     simulate_dataset,
-    white_spike_forward,
 )
 
 

@@ -121,55 +121,42 @@ def test_sparse_linalg_never_loads(tmp_path, rng):
     np.testing.assert_allclose(seen["estimates"], expected, rtol=1e-12)
 
 
-# Every public name the package exports, those it loads on first access
-# included.
+# Every public name ``from eblp import *`` gives: the modules that
+# ``import eblp`` loads and the fit's names from them.  The simulator and
+# the NNRLS baseline are imported from their own modules.
 EXPORTED = (
     "DegenerateCoordinateError", "EblpError", "EblpModel", "EigenSpectrum",
-    "ExperimentConfig", "NnrlsConfig", "NnrlsResult", "NoiseSpec",
-    "ParseError", "RankError", "SamplingSpec", "ShapeError",
-    "SimulatedData", "SpectrumDomainError", "SpikeEstimates",
-    "TransformedObservation", "baselines",
-    "dataset_from_arrays", "errors", "estimate_spike", "fit_in_sample",
-    "generate_masks", "generate_noise", "generate_signals", "mp_bulk_edge",
-    "nnrls", "nnrls_weight_colored", "nnrls_weight_white", "pipeline",
-    "predict_out_of_sample", "rmse", "shrinkage", "simulate",
-    "simulate_dataset", "spectral", "spectral_estimates",
+    "ParseError", "RankError", "ShapeError", "SpectrumDomainError",
+    "SpikeEstimates", "TransformedObservation", "dataset_from_arrays",
+    "errors", "estimate_spike", "fit_in_sample", "mp_bulk_edge", "pipeline",
+    "predict_out_of_sample", "shrinkage", "spectral", "spectral_estimates",
     "white_spike_forward", "white_spike_inverse",
 )
 
-LAZY_SCRIPT = """
+EXPORT_SCRIPT = """
 import json, sys
 import eblp
-seen = {"baselines": "eblp.baselines" in sys.modules,
-        "simulate": "eblp.simulate" in sys.modules,
-        "dir": dir(eblp)}
-from eblp import nnrls, NnrlsConfig, SimulatedData, simulate_dataset
-import eblp.baselines, eblp.simulate
-seen["same"] = (nnrls is eblp.baselines.nnrls and NnrlsConfig is eblp.baselines.NnrlsConfig
-                and simulate_dataset is eblp.simulate.simulate_dataset
-                and SimulatedData is eblp.SimulatedData is eblp.simulate.SimulatedData)
+seen = {"loaded": [name for name in ("eblp.simulate", "eblp.baselines") if name in sys.modules]}
 star = {}
 exec("from eblp import *", star)
 seen["star"] = sorted(name for name in star if not name.startswith("_"))
 try:
-    eblp.no_such_name
+    eblp.nnrls
 except AttributeError as exc:
     seen["missing"] = str(exc)
 print(json.dumps(seen))
 """
 
 
-def test_package_names_resolve_on_first_access():
+def test_package_exports_the_fit_alone():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", LAZY_SCRIPT],
+        [sys.executable, "-c", EXPORT_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
-    assert not (seen["baselines"] or seen["simulate"])
-    assert set(EXPORTED) <= set(seen["dir"])
-    assert seen["same"]
+    assert seen["loaded"] == []
     assert seen["star"] == sorted(EXPORTED)
-    assert seen["missing"] == "module 'eblp' has no attribute 'no_such_name'"
+    assert seen["missing"] == "module 'eblp' has no attribute 'nnrls'"

@@ -3,10 +3,10 @@
 Experiments are described in an INI-style config file, one section per
 experiment; ``_KEYS`` declares its keys.
 
-Grid points run concurrently up to a jobs bound, in worker processes at
-one BLAS thread each; output rows are ordered deterministically, and
-every row derives its data from a seed sequence keyed by (experiment
-seed, sigma index, replicate), so methods see identical draws.
+Grid points run concurrently on threads, up to a jobs bound, all at one
+BLAS thread; output rows are ordered deterministically, and every row
+derives its data from a seed sequence keyed by (experiment seed, sigma
+index, replicate), so methods see identical draws.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import configparser
 import functools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from .simulate import (
     rmse,
     simulate_dataset,
 )
-from .spectral import blas_threads
+from .spectral import blas_threads, usable_cpus
 
 __all__ = ["BenchmarkExperiment", "parse_benchmark_config", "run_benchmark", "simulate_replicate"]
 
@@ -295,44 +296,36 @@ def _run_task(task: _Task) -> list[dict]:
 
 def run_benchmark(
     experiments: list[BenchmarkExperiment],
-    jobs: int = 1,
+    jobs: int | None = None,
     timings: bool = True,
 ) -> list[dict]:
     """Run every (experiment, sigma, replicate) point and return the rows
     in deterministic order; without ``timings`` every ``seconds`` is 0.
 
-    With ``jobs > 1`` the NNRLS weight calibrations and the grid points run
-    in ``jobs`` spawned worker processes, each set to one BLAS thread by
-    ``spectral.blas_threads``, so the table equals, byte for byte, a
-    ``jobs=1`` run at one BLAS thread, as ``eblp benchmark`` runs it.  A
-    ``jobs=1`` call runs at the caller's thread count.  A script that calls
-    this with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
-    ``jobs`` below 1 is a ValueError.
+    The NNRLS weight calibrations, then the grid points, run on ``jobs``
+    threads (by default one per CPU this process may run on), never more
+    than there are grid points.  The whole run is at one OpenBLAS thread,
+    set by ``spectral.blas_threads`` and given back to the caller on
+    return, so the table is the same, byte for byte, for every ``jobs``
+    and core count.  ``jobs`` below 1 is a ValueError.
     """
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        rows = _run_grid(experiments, map)
-    else:
-        # Imported here: single-process runs and other commands never load
-        # the process-pool machinery.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=blas_threads, initargs=(1,)) as pool:
-            rows = _run_grid(experiments, functools.partial(pool.map, chunksize=1))
+    points = sum(len(exp.sigma_grid) * exp.config.replicates for exp in experiments)
+    workers = max(1, min(usable_cpus() if jobs is None else jobs, points))
+    previous = blas_threads(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            tasks = [
+                _Task(exp, sigma_index, replicate, w_base)
+                for exp, w_base in zip(experiments, pool.map(_nnrls_base_weight, experiments))
+                for sigma_index in range(len(exp.sigma_grid))
+                for replicate in range(exp.config.replicates)
+            ]
+            rows = [row for rows in pool.map(_run_task, tasks) for row in rows]
+    finally:
+        blas_threads(previous)
     if not timings:
         for row in rows:
             row["seconds"] = 0.0
     return rows
-
-
-def _run_grid(experiments: list[BenchmarkExperiment], mapper) -> list[dict]:
-    tasks = [
-        _Task(exp, sigma_index, replicate, w_base)
-        for exp, w_base in zip(experiments, mapper(_nnrls_base_weight, experiments))
-        for sigma_index in range(len(exp.sigma_grid))
-        for replicate in range(exp.config.replicates)
-    ]
-    return [row for rows in mapper(_run_task, tasks) for row in rows]

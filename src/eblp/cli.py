@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     from .benchmark import parse_benchmark_config, run_benchmark
 
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     _check_targets(args.output)
     experiments = parse_benchmark_config(args.config, seed_override=args.seed)
@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="run a method-comparison grid")
     bench.add_argument("config", help="experiment config file")
     bench.add_argument("output", help="where to write the results table")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=int,
+                       help="grid points run at once, on threads (default: the CPUs this process may use)")
     bench.add_argument("--seed", type=int, default=None)
     timings = bench.add_mutually_exclusive_group()
     timings.add_argument(

@@ -47,6 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParseError, ShapeError
 from .pipeline import EblpModel
 from .shrinkage import SpikeEstimates
+from .spectral import usable_cpus
 
 __all__ = [
     "check_na_token",
@@ -104,8 +105,7 @@ def _in_order(work: Callable, items: Iterable) -> Iterator[tuple]:
     they would save."""
     items = iter(items)
     head = list(itertools.islice(items, 3))
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    if len(head) < 3 or len(cpus) < 2:
+    if len(head) < 3 or usable_cpus() < 2:
         for item in itertools.chain(head, items):
             yield item, functools.partial(work, item)
         return
@@ -160,7 +160,7 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
             # array may copy it: make room for the rows the file holds at
             # the first block's bytes per row and a sixteenth more, grow by
             # a quarter if that is short, and trim at the end.
-            text = sum(map(len, block)) + len(block)
+            text = sum(map(len, block))
             rows = end + end * max(size - text, 0) // text
             values = np.empty((rows + rows // 16, width))
             observed = np.empty((rows + rows // 16, width))

@@ -18,12 +18,13 @@ triplet at threshold 0) and the NNRLS weight calibration the top triplet.
 
 This module is the one place that calls numpy's OpenBLAS directly: for
 those routines and for ``blas_threads``, its thread count.  Nothing is
-set at import; the CLI and the campaign workers set one thread.
+set at import; the CLI and the campaign set one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,11 @@ def blas_threads(count: int | None) -> int | None:
     previous = _GET_THREADS()
     _SET_THREADS(count)
     return previous
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else all of them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _tridiagonal_eigh(gram, above, top, spectrum):

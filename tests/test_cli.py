@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -299,6 +300,28 @@ class TestMatrixIO:
         assert values.shape == observed.shape == (matio._PARSE_CELLS + 20000, 1)
         assert observed.all()
         assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+    def test_uniform_rows_never_grow_the_arrays(self, tmp_path, monkeypatch):
+        # Every line read keeps its end, so the first block's bytes per row
+        # size the arrays for exactly the 40000 rows and a sixteenth more.
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n" * 40000)
+        reserved = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, *args, **kwargs):
+                if sys._getframe(1).f_code.co_name == "read_matrix":
+                    reserved.append(shape)
+                return np.empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(matio, "np", Numpy())
+        values, observed = matio.read_matrix(path)
+        assert reserved == [(40000 + 40000 // 16, 2)] * 2
+        assert np.array_equal(values, np.tile([1.0, 2.0], (40000, 1))) and observed.all()
 
     def test_long_comment_before_short_rows(self, tmp_path):
         # A 10 MB comment counts in the file size but holds no rows.
@@ -1473,7 +1496,7 @@ class TestBenchmarkCommand:
 
     def test_jobs_parallel_matches_serial(self, tmp_path, tiny_config):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert main(["benchmark", tiny_config, str(a), "--no-timings"]) == 0
+        assert main(["benchmark", tiny_config, str(a), "--no-timings", "--jobs", "1"]) == 0
         assert main(["benchmark", tiny_config, str(b), "--no-timings", "--jobs", "2"]) == 0
         assert a.read_text() == b.read_text()
 
@@ -1495,9 +1518,29 @@ class TestBenchmarkCommand:
         with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
             benchmark.run_benchmark(experiments, jobs=jobs)
 
-    def test_jobs_workers_match_one_blas_thread(self, tmp_path):
-        # Campaign workers run with one BLAS thread each, so a --jobs 2
-        # table equals a --jobs 1 table from a single-threaded process.
+    @pytest.mark.parametrize("jobs,workers", [(["--jobs", "64"], 2), ([], 2), (["--jobs", "1"], 1)],
+                             ids=["jobs-64", "default", "jobs-1"])
+    def test_workers_bound_by_grid_points(self, tmp_path, monkeypatch, jobs, workers):
+        # Two grid points, on 64 usable CPUs: the pool never has more
+        # threads than grid points, and --jobs bounds it.
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(benchmark, "ThreadPoolExecutor", Pool)
+        on_cpus(monkeypatch, 64)
+        cfg, out = tmp_path / "two.cfg", tmp_path / "r.txt"
+        cfg.write_text(TINY_CONFIG.replace("sigma_grid = 1,2", "sigma_grid = 1"))
+        assert main(["benchmark", str(cfg), str(out), "--no-timings", *jobs]) == 0
+        assert sizes == [workers]
+        assert len(read_results(out)) == 6
+
+    def test_jobs_threads_match_one_blas_thread(self, tmp_path):
+        # Campaign threads run at one BLAS thread, so a --jobs 2 table
+        # equals a --jobs 1 table from a single-threaded process.
         cfg, a, b = tmp_path / "desk.cfg", tmp_path / "a.txt", tmp_path / "b.txt"
         cfg.write_text(DESK_CONFIG)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -1585,7 +1628,7 @@ class TestCampaignWiring:
         cfg.write_text(WEIGHT_RULES_CONFIG)
         experiments = benchmark.parse_benchmark_config(str(cfg))
         assert [exp.name for exp in experiments] == ["closed", "colored", "linear"]
-        # One BLAS thread, as in the campaign's workers.
+        # One BLAS thread, as in the campaign.
         previous = spectral.blas_threads(1)
         try:
             rows = benchmark.run_benchmark(experiments, jobs=jobs, timings=False)
@@ -1703,12 +1746,36 @@ class TestBlasThreads:
         assert seen == [1]
 
     def test_desk_table_does_not_depend_on_jobs(self, tmp_path):
-        cfg, a, b = tmp_path / "desk.cfg", tmp_path / "a.txt", tmp_path / "b.txt"
+        cfg, a, b, c = (tmp_path / name for name in ("desk.cfg", "a.txt", "b.txt", "c.txt"))
         cfg.write_text(DESK_CONFIG)
         assert main(["benchmark", str(cfg), str(a), "--no-timings", "--jobs", "1"]) == 0
         assert main(["benchmark", str(cfg), str(b), "--no-timings", "--jobs", "2"]) == 0
+        assert main(["benchmark", str(cfg), str(c), "--no-timings"]) == 0
         assert len(read_results(a)) == 6
-        assert a.read_text() == b.read_text()
+        assert a.read_text() == b.read_text() == c.read_text()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_runs_at_one_thread_and_restores_the_callers(self, tiny_config, monkeypatch,
+                                                                   jobs, fail):
+        seen, run_task = [], benchmark._run_task
+
+        def task(point):
+            seen.append(spectral._GET_THREADS())
+            if fail:
+                raise RankError("bad rank")
+            return run_task(point)
+
+        monkeypatch.setattr(benchmark, "_run_task", task)
+        experiments = benchmark.parse_benchmark_config(tiny_config)
+        previous = spectral.blas_threads(2)
+        try:
+            with pytest.raises(RankError) if fail else contextlib.nullcontext():
+                assert len(benchmark.run_benchmark(experiments, jobs=jobs)) == 12
+            assert spectral._GET_THREADS() == 2
+        finally:
+            spectral.blas_threads(previous)
+        assert seen and set(seen) == {1}
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs two CPUs")

@@ -2,8 +2,9 @@
 campaign's modules (the runner, the simulator, the NNRLS baseline and
 ``configparser``), no path loads SciPy's ARPACK module
 (``scipy.sparse.linalg``, about 0.3 s to import), ``import eblp.cli``
-loads no ``concurrent.futures`` module, and only a multi-job campaign
-loads the process pool (``concurrent.futures.process``).  Neither the
+loads no ``concurrent.futures`` module, and no command loads
+``multiprocessing`` or the process pool (``concurrent.futures.process``):
+the campaign runs its grid points on threads.  Neither the
 import nor a command changes the caller's OpenBLAS thread count.  The
 checks run in a fresh interpreter, because this test process may have
 loaded any of them."""
@@ -54,7 +55,7 @@ lean = lambda: [name for name in campaign if name in sys.modules]
 seen = {"lean_import": lean(), "futures_import": [m for m in sys.modules if m.startswith("concurrent")],
         "threads_import": [before, get()]}
 loaded = lambda: "scipy.sparse.linalg" in sys.modules
-pool = lambda: "concurrent.futures.process" in sys.modules
+pool = lambda: [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 y = np.load(y_path)
 dataset = dataset_from_arrays(y, np.ones_like(y))
 seen.update({"import": loaded(), "pool_import": pool()})

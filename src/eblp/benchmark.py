@@ -232,14 +232,6 @@ def _nnrls_base_weight(exp: BenchmarkExperiment) -> float | None:
     )
 
 
-@dataclass(frozen=True)
-class _Task:
-    experiment: BenchmarkExperiment
-    sigma_index: int
-    replicate: int
-    w_base: float | None
-
-
 def simulate_replicate(
     exp: BenchmarkExperiment, sigma_index: int, replicate: int
 ) -> tuple[ExperimentConfig, SimulatedData]:
@@ -251,9 +243,9 @@ def simulate_replicate(
     return cfg, simulate_dataset(cfg, np.random.default_rng(seed))
 
 
-def _run_task(task: _Task) -> list[dict]:
-    exp = task.experiment
-    cfg, data = simulate_replicate(exp, task.sigma_index, task.replicate)
+def _run_task(point: tuple[BenchmarkExperiment, int, int, float | None]) -> list[dict]:
+    exp, sigma_index, replicate, w_base = point
+    cfg, data = simulate_replicate(exp, sigma_index, replicate)
     sigma = cfg.noise.sigma
     dataset = TransformedObservation(y=data.y, d=data.masks)
 
@@ -269,10 +261,10 @@ def _run_task(task: _Task) -> list[dict]:
             )
             amse_est = model.estimates.amse
         else:
-            if task.w_base is None:
+            if w_base is None:
                 w = nnrls_weight_white(sigma, cfg.p, cfg.n, int(data.masks.sum()))
             else:
-                w = sigma * task.w_base
+                w = sigma * w_base
             solver = NnrlsConfig(w=w, max_iters=exp.nnrls_max_iters, tol=exp.nnrls_tol,
                                  column_weights=_column_weights(cfg))
             x_hat = nnrls(data.y, data.masks, solver).x_hat
@@ -285,7 +277,7 @@ def _run_task(task: _Task) -> list[dict]:
                 "delta": cfg.sampling.delta,
                 "kappa": cfg.noise.kappa,
                 "sparsity": "dense" if cfg.pc_sparsity is None else str(cfg.pc_sparsity),
-                "replicate": task.replicate,
+                "replicate": replicate,
                 "rmse": rmse(x_hat, data.x),
                 "seconds": seconds,
                 "amse_est": amse_est,
@@ -316,13 +308,13 @@ def run_benchmark(
     previous = blas_threads(1)
     try:
         with ThreadPoolExecutor(workers) as pool:
-            tasks = [
-                _Task(exp, sigma_index, replicate, w_base)
+            grid = [
+                (exp, sigma_index, replicate, w_base)
                 for exp, w_base in zip(experiments, pool.map(_nnrls_base_weight, experiments))
                 for sigma_index in range(len(exp.sigma_grid))
                 for replicate in range(exp.config.replicates)
             ]
-            rows = [row for rows in pool.map(_run_task, tasks) for row in rows]
+            rows = [row for rows in pool.map(_run_task, grid) for row in rows]
     finally:
         blas_threads(previous)
     if not timings:

@@ -167,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     denoise.add_argument("--na-token", default="NA")
     denoise.add_argument("--mode", choices=("plugin", "white"), default="plugin")
     denoise.add_argument("--save-model", help="save the fitted model as JSON")
-    whiten = denoise.add_mutually_exclusive_group()
-    whiten.add_argument("--whiten", dest="whiten", action="store_true", default=True)
-    whiten.add_argument("--no-whiten", dest="whiten", action="store_false")
+    denoise.add_argument("--no-whiten", dest="whiten", action="store_false")
     denoise.set_defaults(func=cmd_denoise)
 
     oos = sub.add_parser("oos", help="predict fresh rows with a saved model")
@@ -193,16 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int,
                        help="grid points run at once, on threads (default: the CPUs this process may use)")
     bench.add_argument("--seed", type=int, default=None)
-    timings = bench.add_mutually_exclusive_group()
-    timings.add_argument(
-        "--timings", dest="timings", action="store_true", default=True
-    )
-    timings.add_argument(
-        "--no-timings",
-        dest="timings",
-        action="store_false",
-        help="write 0 in the seconds column for byte-identical reruns",
-    )
+    bench.add_argument("--no-timings", dest="timings", action="store_false",
+                       help="write 0 in the seconds column for byte-identical reruns")
     bench.set_defaults(func=cmd_benchmark)
     return parser
 

@@ -77,9 +77,10 @@ def check_na_token(na_token: str) -> None:
     raise ParseError(f"invalid NA token {na_token!r}: {problem}")
 
 
-def _data_lines(path) -> Iterator[bytes]:
+def _data_lines(path, skipped: list[int]) -> Iterator[bytes]:
     """The file's lines without blank lines and whole-line ``#`` comments,
-    read a few at a time.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    read a few at a time; the bytes of the lines left out are added to
+    ``skipped[0]``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``."""
     try:
         # Latin-1 maps bytes to characters one to one, and universal
         # newlines split lines exactly as bytes.splitlines() does.
@@ -92,6 +93,8 @@ def _data_lines(path) -> Iterator[bytes]:
                 line = text.encode("latin-1")
                 if line.strip() and not line.lstrip().startswith(b"#"):
                     yield line
+                else:
+                    skipped[0] += len(line)
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -133,7 +136,8 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
     raises ParseError naming its row and field.
     """
     check_na_token(na_token)
-    lines = _data_lines(path)
+    skipped = [0]
+    lines = _data_lines(path, skipped)
     head = next(lines, None)
     if head is None:
         return np.zeros((0, 0)), np.zeros((0, 0))
@@ -157,11 +161,12 @@ def read_matrix(path, na_token: str = "NA") -> tuple[np.ndarray, np.ndarray]:
         end = first + len(block)
         if values is None:
             # Rows are counted only at the end of the file, and growing an
-            # array may copy it: make room for the rows the file holds at
-            # the first block's bytes per row and a sixteenth more, grow by
-            # a quarter if that is short, and trim at the end.
+            # array may copy it: make room for the rows the file holds,
+            # less the blank and comment lines read so far, at the first
+            # block's bytes per row and a sixteenth more, grow by a quarter
+            # if that is short, and trim at the end.
             text = sum(map(len, block))
-            rows = end + end * max(size - text, 0) // text
+            rows = end + end * max(size - text - skipped[0], 0) // text
             values = np.empty((rows + rows // 16, width))
             observed = np.empty((rows + rows // 16, width))
         if end > len(values):

@@ -199,10 +199,7 @@ def fit_in_sample(
     # One working buffer: backproject, center, then normalize and whiten.
     b = np.sqrt(d)
     b *= y
-    mean = np.zeros(p)
-    if center:
-        seen = weight > 0
-        mean[seen] = b.sum(axis=0)[seen] / weight[seen]
+    mean = b.sum(axis=0) / weight if center else np.zeros(p)
     for i in range(0, n, step := max(1, 16384 // max(p, 1))):  # not one full-size d * mean
         b[i:i + step] -= d[i:i + step] * mean
 

@@ -135,10 +135,9 @@ def generate_signals(config: ExperimentConfig, n: int, rng: np.random.Generator)
         support = rng.choice(p, size=m, replace=False)
         q, _ = np.linalg.qr(rng.standard_normal((m, r)))
         u = np.zeros((p, r))
-        u[support, :] = q[:, :r]
+        u[support, :] = q
     else:
         u, _ = np.linalg.qr(rng.standard_normal((p, r)))
-        u = u[:, :r]
     mean = rng.standard_normal(p) if config.random_mean else None
     z = rng.standard_normal((n, r))
     x = (z * np.sqrt(np.asarray(config.ell))) @ u.T

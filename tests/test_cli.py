@@ -301,11 +301,9 @@ class TestMatrixIO:
         assert observed.all()
         assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
 
-    def test_uniform_rows_never_grow_the_arrays(self, tmp_path, monkeypatch):
-        # Every line read keeps its end, so the first block's bytes per row
-        # size the arrays for exactly the 40000 rows and a sixteenth more.
-        path = tmp_path / "m.txt"
-        path.write_text("1 2\n" * 40000)
+    @staticmethod
+    def reserved_shapes(monkeypatch) -> list:
+        """The shapes ``read_matrix`` reserves with ``np.empty``, in order."""
         reserved = []
 
         class Numpy:
@@ -319,18 +317,29 @@ class TestMatrixIO:
                 return np.empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(matio, "np", Numpy())
+        return reserved
+
+    def test_uniform_rows_never_grow_the_arrays(self, tmp_path, monkeypatch):
+        # Every line read keeps its end, so the first block's bytes per row
+        # size the arrays for exactly the 40000 rows and a sixteenth more.
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n" * 40000)
+        reserved = self.reserved_shapes(monkeypatch)
         values, observed = matio.read_matrix(path)
         assert reserved == [(40000 + 40000 // 16, 2)] * 2
         assert np.array_equal(values, np.tile([1.0, 2.0], (40000, 1))) and observed.all()
 
-    def test_long_comment_before_short_rows(self, tmp_path):
-        # A 10 MB comment counts in the file size but holds no rows.
+    def test_long_comment_before_short_rows(self, tmp_path, monkeypatch):
+        # A 10 MB comment counts in the file size but holds no rows, so it
+        # reserves none.
         rows = np.arange(6000.0).reshape(3000, 2)
         path = tmp_path / "m.txt"
         with open(path, "w") as handle:
             handle.write("# " + "x" * 10_000_000 + "\n")
             handle.writelines("%d %d\n" % tuple(row) for row in rows)
+        reserved = self.reserved_shapes(monkeypatch)
         values, observed = matio.read_matrix(path)
+        assert reserved == [(3000 + 3000 // 16, 2)] * 2
         assert np.array_equal(values, rows) and observed.all()
 
     def test_first_bad_cell_named_when_a_later_block_fails_first(self, tmp_path, monkeypatch):
